@@ -10,8 +10,8 @@
 use simcov_analyze::{analyze_collapse, AnalyzeOptions};
 use simcov_core::testutil::{forall_cfg, Config, Gen};
 use simcov_core::{
-    enumerate_single_faults, CollapseCertificate, CollapseMode, Engine, Fault, FaultCampaign,
-    FaultKind, FaultSpace,
+    enumerate_single_faults, CampaignError, CollapseCertificate, CollapseMode, Engine, Fault,
+    FaultKind, FaultSpace, ResilientCampaign,
 };
 use simcov_fsm::{ExplicitMealy, InputSym, MealyBuilder, OutputSym, StateId};
 use simcov_tour::TestSet;
@@ -95,32 +95,35 @@ fn collapse_is_invisible_under_every_engine_and_worker_count() {
 
             for engine in [Engine::Naive, Engine::Differential, Engine::Packed] {
                 for jobs in [1usize, 2, 8] {
-                    let off = FaultCampaign::new(&m, &faults, &tests)
+                    let off = ResilientCampaign::new(&m, &faults, &tests)
                         .engine(engine)
                         .jobs(jobs)
-                        .run();
+                        .run()
+                        .unwrap();
                     // Member outcomes equal their representative's.
                     assert!(
                         cert.violations(&off.report.outcomes).is_empty(),
                         "{engine:?}/jobs={jobs}: member diverged from representative"
                     );
                     // Pruned simulation expands to the identical report.
-                    let on = FaultCampaign::new(&m, &faults, &tests)
+                    let on = ResilientCampaign::new(&m, &faults, &tests)
                         .engine(engine)
                         .jobs(jobs)
                         .collapse(cert, CollapseMode::On)
-                        .run();
+                        .run()
+                        .unwrap();
                     assert_eq!(
                         on.report.outcomes, off.report.outcomes,
                         "{engine:?}/jobs={jobs}: collapse on must be invisible"
                     );
                     assert_eq!(on.stats, off.stats, "{engine:?}/jobs={jobs}");
                     // The built-in audit agrees.
-                    let verify = FaultCampaign::new(&m, &faults, &tests)
+                    let verify = ResilientCampaign::new(&m, &faults, &tests)
                         .engine(engine)
                         .jobs(jobs)
                         .collapse(cert, CollapseMode::Verify)
-                        .run();
+                        .run()
+                        .unwrap();
                     let summary = verify.collapse.expect("verify carries a summary");
                     assert!(
                         summary.violations.is_empty(),
@@ -168,16 +171,17 @@ fn certificate_rejects_foreign_machine_and_fault_list() {
 }
 
 #[test]
-#[should_panic(expected = "collapse certificate must bind this campaign")]
 fn campaign_refuses_a_stale_certificate() {
     let (m, seeded_fault) = simcov_core::testutil::figure2();
     let faults = enumerate_single_faults(&m, &FaultSpace::default());
     let analysis = analyze_collapse(&m, &faults, &AnalyzeOptions::default()).unwrap();
     let mutated = seeded_fault.inject(&m);
     let tests = exhaustive_tests(&mutated, 2);
-    let _ = FaultCampaign::new(&mutated, &faults, &tests)
+    let err = ResilientCampaign::new(&mutated, &faults, &tests)
         .collapse(&analysis.certificate, CollapseMode::On)
-        .run();
+        .run()
+        .unwrap_err();
+    assert!(matches!(err, CampaignError::Certificate { .. }), "{err}");
 }
 
 #[test]
@@ -195,9 +199,10 @@ fn forged_partition_is_caught_by_verify() {
         Vec::new(),
     )
     .unwrap();
-    let run = FaultCampaign::new(&m, &faults, &tests)
+    let run = ResilientCampaign::new(&m, &faults, &tests)
         .collapse(&forged, CollapseMode::Verify)
-        .run();
+        .run()
+        .unwrap();
     let summary = run.collapse.expect("verify carries a summary");
     assert!(
         !summary.violations.is_empty(),

@@ -4,7 +4,7 @@
 use simcov_bench::timing::BenchReport;
 use simcov_bench::{reduced_dlx_machine, reduced_dlx_machine_hidden};
 use simcov_core::{
-    certify_completeness, enumerate_single_faults, extend_cyclically, FaultCampaign, FaultSpace,
+    certify_completeness, enumerate_single_faults, extend_cyclically, FaultSpace, ResilientCampaign,
 };
 use simcov_tour::{transition_tour, TestSet};
 
@@ -28,7 +28,7 @@ fn report() {
             },
         );
         let tests = TestSet::single(extend_cyclically(&tour.inputs, k));
-        let run = FaultCampaign::new(&m, &faults, &tests).run();
+        let run = ResilientCampaign::new(&m, &faults, &tests).run().unwrap();
         eprintln!(
             "  {name}: certificate={}, tour len {}, campaign {}",
             if cert.is_ok() { "ISSUED" } else { "REJECTED" },
@@ -57,14 +57,15 @@ fn main() {
     let tour = transition_tour(&m).unwrap();
     let tests = TestSet::single(extend_cyclically(&tour.inputs, 1));
     rep.bench("completeness/campaign_500_faults", || {
-        FaultCampaign::new(&m, &faults, &tests).run()
+        ResilientCampaign::new(&m, &faults, &tests).run().unwrap()
     });
     // One telemetry-instrumented run snapshots the campaign counters
     // into the report, so perf numbers carry their workload context.
     let tel = simcov_obs::Telemetry::new();
-    let _ = FaultCampaign::new(&m, &faults, &tests)
+    let _ = ResilientCampaign::new(&m, &faults, &tests)
         .telemetry(tel.clone())
-        .run();
+        .run()
+        .unwrap();
     rep.counters_from(&tel.snapshot());
     rep.write().expect("write bench report");
 }

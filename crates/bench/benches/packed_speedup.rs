@@ -37,7 +37,7 @@ use simcov_bench::{
     excited_transfer_faults, reduced_dlx_machine, ring_with_chords, scatter_machine,
 };
 use simcov_core::{
-    enumerate_single_faults, extend_cyclically, Engine, Fault, FaultCampaign, FaultSpace,
+    enumerate_single_faults, extend_cyclically, Engine, Fault, FaultSpace, ResilientCampaign,
 };
 use simcov_fsm::{ExplicitMealy, InputSym};
 use simcov_prng::Xoshiro256pp;
@@ -100,11 +100,12 @@ fn compare(
         tests.total_vectors()
     );
     let run_with = |engine: Engine| {
-        FaultCampaign::new(m, faults, tests)
+        ResilientCampaign::new(m, faults, tests)
             .engine(engine)
             .jobs(1)
             .shard_size(faults.len().max(1))
             .run()
+            .unwrap()
     };
     let differential = run_with(Engine::Differential);
     let packed = run_with(Engine::Packed);

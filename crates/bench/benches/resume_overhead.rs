@@ -2,8 +2,8 @@
 //! campaign vs a journaled one (checkpoint-write cost) vs a resumed one
 //! restoring half the shards from disk (journal parse + merge cost vs
 //! re-simulation). Byte-identity of all three reports is asserted
-//! unconditionally; the supervision-overhead bar keeps the journaled run
-//! within 1.3x of the plain engine. Checkpoint records are serialized
+//! unconditionally; the overhead bar keeps the journaled run within 1.3x
+//! of the plain one. Checkpoint records are serialized
 //! and written off the simulation thread (a dedicated journal writer
 //! drains a channel), so the simulation pays only the cost of handing
 //! off each shard's record — the bar guards that handoff staying cheap.
@@ -19,8 +19,7 @@ use std::time::Instant;
 use simcov_bench::reduced_dlx_machine;
 use simcov_bench::timing::BenchReport;
 use simcov_core::{
-    default_jobs, enumerate_single_faults, extend_cyclically, Engine, FaultCampaign, FaultSpace,
-    ResilientCampaign,
+    default_jobs, enumerate_single_faults, extend_cyclically, Engine, FaultSpace, ResilientCampaign,
 };
 use simcov_tour::{transition_tour, TestSet};
 
@@ -51,15 +50,16 @@ fn main() {
         tests.total_vectors()
     );
 
-    // Baseline: the unsupervised engine.
+    // Baseline: the plain campaign (no checkpoint).
     let t0 = Instant::now();
-    let plain = FaultCampaign::new(&m, &faults, &tests)
+    let plain = ResilientCampaign::new(&m, &faults, &tests)
         .engine(Engine::Naive)
         .jobs(jobs)
-        .run();
+        .run()
+        .unwrap();
     let t_plain = t0.elapsed();
 
-    // Supervised + journaled full run (checkpoint-write overhead).
+    // Journaled full run (checkpoint-write overhead).
     let t0 = Instant::now();
     let journaled = ResilientCampaign::new(&m, &faults, &tests)
         .engine(Engine::Naive)
@@ -125,7 +125,7 @@ fn main() {
 
     assert!(
         overhead < 1.3,
-        "off-thread checkpoint journaling must stay under 1.3x of the plain engine, \
+        "off-thread checkpoint journaling must stay under 1.3x of the plain campaign, \
          measured {overhead:.2}x"
     );
 }

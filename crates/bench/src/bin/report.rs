@@ -11,7 +11,7 @@ use simcov_bench::{reduced_dlx_machine, reduced_dlx_machine_hidden, ring_with_ch
 use simcov_core::models::figure2;
 use simcov_core::{
     certify_completeness, check_req1_uniform_outputs, detects, enumerate_single_faults, excited_at,
-    extend_cyclically, forall_k_distinguishable, run_campaign, FaultCampaign, FaultSpace,
+    extend_cyclically, forall_k_distinguishable, run_campaign, FaultSpace, ResilientCampaign,
 };
 use simcov_dlx::control::initial_control_netlist;
 use simcov_dlx::testmodel::{
@@ -174,7 +174,7 @@ fn completeness() {
             },
         );
         let tests = TestSet::single(extend_cyclically(&tour.inputs, k));
-        let run = FaultCampaign::new(&m, &faults, &tests).run();
+        let run = ResilientCampaign::new(&m, &faults, &tests).run().unwrap();
         println!(
             "  {:<26} certificate: {:<8} tour: {:>5} vectors   campaign: {}",
             name,

@@ -215,7 +215,7 @@ OPTIONS:
                 their faults as singletons and warn SC050
   --deadline <MS>
                 wall-clock budget in milliseconds; the campaign stops
-                cooperatively at the next fault boundary when it expires.
+                cooperatively at the next shard boundary when it expires.
                 0 uniformly means expire-immediately: nothing is
                 simulated, every unrestored shard reports as skipped
                 (with --resume the journal is still restored for free,

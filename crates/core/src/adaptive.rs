@@ -33,7 +33,7 @@
 //! * each round's stimulus depends only on the surviving-fault set, the
 //!   cold-cell set and a seed derived from `(config.seed, round)` — and
 //!   both sets are themselves deterministic because the inner
-//!   [`FaultCampaign`] is bit-identical across thread counts;
+//!   [`ResilientCampaign`] is bit-identical across thread counts;
 //! * per-round records, `adaptive.round` trace events and `adaptive.*`
 //!   counters are all emitted by this serial driver after the campaign's
 //!   shard merge, never from worker threads.
@@ -62,7 +62,8 @@ use crate::collapse::CollapseCertificate;
 use crate::differential::Engine;
 use crate::error_model::{is_detectable, Fault};
 use crate::faults::{CampaignReport, FaultOutcome};
-use crate::parallel::{CampaignStats, FaultCampaign};
+use crate::parallel::CampaignStats;
+use crate::resilient::ResilientCampaign;
 use simcov_fsm::{ExplicitMealy, InputSym, StateId};
 use simcov_obs::names::{
     ADAPTIVE_CLOSED, ADAPTIVE_COLD_CELLS, ADAPTIVE_NEW_DETECTIONS, ADAPTIVE_ROUNDS,
@@ -234,7 +235,8 @@ impl<'a> ClosureDriver<'a> {
     ///
     /// Panics if a supplied collapse certificate fails
     /// [`check`](CollapseCertificate::check) against the machine and
-    /// fault list.
+    /// fault list, or if an inner campaign quarantines a shard that
+    /// panicked on every attempt.
     pub fn run(&self) -> ClosureRun {
         let m = self.golden;
         let cfg = &self.config;
@@ -317,21 +319,13 @@ impl<'a> ClosureDriver<'a> {
 
             // Incremental campaign: surviving faults × new sequences.
             let pending_faults: Vec<Fault> = pending.iter().map(|&i| work[i]).collect();
-            let mut campaign = FaultCampaign::new(m, &pending_faults, &new_tests);
-            campaign = campaign.engine(cfg.engine);
-            if cfg.jobs > 0 {
-                campaign = campaign.jobs(cfg.jobs);
-            }
-            if let Some(tel) = &self.telemetry {
-                campaign = campaign.telemetry(tel.clone());
-            }
-            let run = campaign.run();
+            let report = self.campaign(&pending_faults, &new_tests);
 
             // Exact merge (see module docs): OR observation bits, offset
             // detection sequence indices by the accumulated count.
             let offset = tests.len();
             let mut new_detections = 0usize;
-            for (&slot, out) in pending.iter().zip(run.report.outcomes.iter()) {
+            for (&slot, out) in pending.iter().zip(report.outcomes.iter()) {
                 let acc = outcomes[slot].get_or_insert(FaultOutcome {
                     fault: out.fault,
                     detected: None,
@@ -409,16 +403,8 @@ impl<'a> ClosureDriver<'a> {
         // report bit-identical to a from-scratch campaign.
         if !undetectable.is_empty() && !tests.is_empty() {
             let pruned_faults: Vec<Fault> = undetectable.iter().map(|&i| work[i]).collect();
-            let mut campaign = FaultCampaign::new(m, &pruned_faults, &tests);
-            campaign = campaign.engine(cfg.engine);
-            if cfg.jobs > 0 {
-                campaign = campaign.jobs(cfg.jobs);
-            }
-            if let Some(tel) = &self.telemetry {
-                campaign = campaign.telemetry(tel.clone());
-            }
-            let run = campaign.run();
-            for (&slot, out) in undetectable.iter().zip(run.report.outcomes.iter()) {
+            let report = self.campaign(&pruned_faults, &tests);
+            for (&slot, out) in undetectable.iter().zip(report.outcomes.iter()) {
                 outcomes[slot] = Some(out.clone());
             }
         }
@@ -474,6 +460,24 @@ impl<'a> ClosureDriver<'a> {
             undetectable: undetectable.len(),
             total_steps,
         }
+    }
+
+    /// One inner campaign of `faults` against `tests` under the
+    /// configured engine and worker count. Its outcomes are merged by
+    /// position against the driver's fault slots, so a shard quarantined
+    /// for panicking on every attempt aborts the closure
+    /// ([`ResilientCampaign::run_complete`]) instead of shifting later
+    /// outcomes onto the wrong faults.
+    fn campaign(&self, faults: &[Fault], tests: &TestSet) -> CampaignReport {
+        let mut campaign =
+            ResilientCampaign::new(self.golden, faults, tests).engine(self.config.engine);
+        if self.config.jobs > 0 {
+            campaign = campaign.jobs(self.config.jobs);
+        }
+        if let Some(tel) = &self.telemetry {
+            campaign = campaign.telemetry(tel.clone());
+        }
+        campaign.run_complete().report
     }
 }
 

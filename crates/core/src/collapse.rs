@@ -13,9 +13,8 @@
 //!
 //! The *analysis* that computes a certificate lives in the
 //! `simcov-analyze` crate (it layers on top of this one); the certificate
-//! type lives here so [`crate::FaultCampaign`] and
-//! [`crate::ResilientCampaign`] can consume it without a dependency
-//! cycle. A certificate is bound to its `(machine, fault list)` pair by
+//! type lives here so [`crate::ResilientCampaign`] and the closure driver
+//! can consume it without a dependency cycle. A certificate is bound to its `(machine, fault list)` pair by
 //! an FNV-1a fingerprint (same hash discipline as the checkpoint journal
 //! and the telemetry traces, via [`crate::fingerprint`]); using a
 //! certificate against a different machine or fault list is rejected by

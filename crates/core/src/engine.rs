@@ -1,0 +1,211 @@
+//! One dispatch point for the fault-simulation engines.
+//!
+//! Every campaign runs an [`Engine`] in two steps. [`PreparedEngine::new`]
+//! builds the engine's read-only artefacts once per campaign: the golden
+//! trace for the differential engine; the packed tables, trace and replay
+//! script for the packed engine; the netlist bridge for the symbolic
+//! engine. [`PreparedEngine::simulate`] then classifies one shard of
+//! faults against them and accumulates the engine's effort into
+//! [`EngineStats`]. The artefacts are shared by reference across worker
+//! threads, so a campaign pays for them once whatever its `--jobs`.
+//!
+//! All four engines produce bit-identical [`FaultOutcome`]s for the same
+//! `(golden, faults, tests)`; only their [`EngineStats`] differ.
+
+use crate::differential::{simulate_fault_differential, DiffStats, Engine, GoldenTrace};
+use crate::error_model::Fault;
+use crate::faults::{simulate_fault, FaultOutcome};
+use crate::packed::{simulate_shard_packed, PackedStats, ReplayScript};
+use crate::symbolic::{simulate_shard_symbolic, SymbolicContext, SymbolicEngineStats};
+use simcov_fsm::{ExplicitMealy, PackedMealy};
+use simcov_obs::names;
+use simcov_obs::Telemetry;
+use simcov_tour::TestSet;
+use std::borrow::Cow;
+
+/// Effort counters of one engine over a set of shards. Each component is
+/// a pure function of `(golden, faults, tests, shard partition)`, so
+/// totals merged in shard order are identical across thread counts. The
+/// components an engine does not use stay zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Differential-engine effort; the packed engine accounts the same
+    /// per-fault work.
+    pub diff: DiffStats,
+    /// Word-packing effort of the packed engine.
+    pub packed: PackedStats,
+    /// BDD-package effort of the symbolic engine.
+    pub sym: SymbolicEngineStats,
+}
+
+impl EngineStats {
+    /// Component-wise sum: commutative and associative.
+    pub(crate) fn merge(&mut self, other: &EngineStats) {
+        self.diff.merge(&other.diff);
+        self.packed.merge(&other.packed);
+        self.sym.merge(&other.sym);
+    }
+
+    /// Adds the effort counters `engine` reports to `tel`. Called once
+    /// from the merged total, never per shard, so the trace stays
+    /// byte-identical across thread counts. The differential and packed
+    /// engines report the differential counters, the packed engine adds
+    /// its word counters, and the symbolic engine reports BDD effort
+    /// instead; the naive engine reports nothing.
+    pub(crate) fn emit(&self, engine: Engine, tel: &Telemetry) {
+        if matches!(engine, Engine::Differential | Engine::Packed) {
+            let d = &self.diff;
+            tel.counter_add(
+                names::CAMPAIGN_FAULTS_SKIPPED_BY_INDEX,
+                d.faults_skipped_by_index as u64,
+            );
+            tel.counter_add(
+                names::CAMPAIGN_PREFIX_STEPS_SAVED,
+                d.prefix_steps_saved as u64,
+            );
+            tel.counter_add(
+                names::CAMPAIGN_DIVERGENCE_REPLAYS,
+                d.divergence_replays as u64,
+            );
+        }
+        if engine == Engine::Packed {
+            tel.counter_add(
+                names::CAMPAIGN_PACKED_WORDS,
+                self.packed.packed_words as u64,
+            );
+            tel.counter_add(
+                names::CAMPAIGN_LANES_ACTIVE,
+                self.packed.lanes_active as u64,
+            );
+        }
+        if engine == Engine::Symbolic {
+            let s = &self.sym;
+            tel.counter_add(names::BDD_UNIQUE_NODES, s.unique_nodes);
+            tel.counter_add(names::BDD_ITE_CACHE_HITS, s.ite_cache_hits);
+            tel.counter_add(names::BDD_ITE_CACHE_MISSES, s.ite_cache_misses);
+            tel.counter_add(names::BDD_GC_COLLECTIONS, s.gc_collections);
+        }
+    }
+}
+
+/// The read-only artefacts each engine simulates against.
+enum Artefacts<'a> {
+    Naive,
+    Differential(Cow<'a, GoldenTrace>),
+    Packed {
+        tables: PackedMealy,
+        trace: Cow<'a, GoldenTrace>,
+        script: ReplayScript,
+    },
+    Symbolic(&'a SymbolicContext<'a>),
+}
+
+/// An [`Engine`] bound to one `(golden, tests)` pair with its read-only
+/// artefacts built.
+///
+/// ```
+/// use simcov_core::{enumerate_single_faults, Engine, EngineStats, FaultSpace, PreparedEngine};
+/// use simcov_core::models::figure2;
+/// use simcov_tour::{transition_tour, TestSet};
+///
+/// let (m, _) = figure2();
+/// let faults = enumerate_single_faults(&m, &FaultSpace::default());
+/// let tests = TestSet::single(transition_tour(&m).unwrap().inputs);
+/// let engine = PreparedEngine::new(Engine::Packed, &m, &tests, None, None).unwrap();
+/// let mut effort = EngineStats::default();
+/// let outcomes = engine.simulate(&faults, &mut effort);
+/// assert_eq!(outcomes.len(), faults.len());
+/// assert!(effort.packed.packed_words > 0);
+/// ```
+pub struct PreparedEngine<'a> {
+    golden: &'a ExplicitMealy,
+    tests: &'a TestSet,
+    artefacts: Artefacts<'a>,
+}
+
+impl<'a> PreparedEngine<'a> {
+    /// Builds `engine`'s artefacts for `(golden, tests)`.
+    ///
+    /// `trace` is an already-built golden trace to share instead of
+    /// building one (a cross-request cache, say); it must have been
+    /// built from this `golden` and `tests`. [`GoldenTrace::build`] and
+    /// [`GoldenTrace::build_packed`] agree field for field, so either
+    /// serves both engines that use a trace. `symbolic` is the netlist
+    /// bridge [`Engine::Symbolic`] needs, validated against `golden`
+    /// ([`SymbolicContext::new`]). Engines ignore what they do not use.
+    ///
+    /// Returns `None` only for [`Engine::Symbolic`] without a bridge.
+    pub fn new(
+        engine: Engine,
+        golden: &'a ExplicitMealy,
+        tests: &'a TestSet,
+        trace: Option<&'a GoldenTrace>,
+        symbolic: Option<&'a SymbolicContext<'a>>,
+    ) -> Option<Self> {
+        let artefacts = match engine {
+            Engine::Naive => Artefacts::Naive,
+            Engine::Differential => Artefacts::Differential(match trace {
+                Some(t) => Cow::Borrowed(t),
+                None => Cow::Owned(GoldenTrace::build(golden, tests)),
+            }),
+            Engine::Packed => {
+                let tables = PackedMealy::from_explicit(golden);
+                let trace = match trace {
+                    Some(t) => Cow::Borrowed(t),
+                    None => Cow::Owned(GoldenTrace::build_packed(golden, &tables, tests)),
+                };
+                let script = ReplayScript::build(&trace, tests);
+                Artefacts::Packed {
+                    tables,
+                    trace,
+                    script,
+                }
+            }
+            Engine::Symbolic => Artefacts::Symbolic(symbolic?),
+        };
+        Some(PreparedEngine {
+            golden,
+            tests,
+            artefacts,
+        })
+    }
+
+    /// Classifies every fault of `shard`, returning outcomes in shard
+    /// order, bit-identical to mapping
+    /// [`simulate_fault`] over it. The
+    /// engine's effort is added to `stats`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault's transition is undefined in the golden machine.
+    pub fn simulate(&self, shard: &[Fault], stats: &mut EngineStats) -> Vec<FaultOutcome> {
+        let (golden, tests) = (self.golden, self.tests);
+        match &self.artefacts {
+            Artefacts::Naive => shard
+                .iter()
+                .map(|f| simulate_fault(golden, f, tests))
+                .collect(),
+            Artefacts::Differential(trace) => shard
+                .iter()
+                .map(|f| simulate_fault_differential(golden, trace, f, tests, &mut stats.diff))
+                .collect(),
+            Artefacts::Packed {
+                tables,
+                trace,
+                script,
+            } => simulate_shard_packed(
+                golden,
+                tables,
+                trace,
+                script,
+                shard,
+                tests,
+                &mut stats.diff,
+                &mut stats.packed,
+            ),
+            Artefacts::Symbolic(ctx) => {
+                simulate_shard_symbolic(ctx, golden, shard, tests, &mut stats.sym)
+            }
+        }
+    }
+}

@@ -235,16 +235,18 @@ pub fn simulate_fault(golden: &ExplicitMealy, fault: &Fault, tests: &TestSet) ->
 /// Runs a fault campaign: every fault is injected in turn and the whole
 /// test set is simulated against the golden machine.
 ///
-/// Dispatches through the sharded worker pool of
-/// [`FaultCampaign`](crate::parallel::FaultCampaign) with an automatic
-/// job count; results are bit-identical to a serial run (see the module
-/// docs of [`crate::parallel`]). Use
-/// [`FaultCampaign`](crate::parallel::FaultCampaign) directly to control
-/// the worker count or to read the per-campaign counters and shard
-/// timings.
+/// Runs [`ResilientCampaign`](crate::ResilientCampaign) with the default
+/// engine and an automatic job count; results are bit-identical to a
+/// serial run (see the module docs of [`crate::parallel`]). Use
+/// [`ResilientCampaign`](crate::ResilientCampaign) directly to choose the
+/// engine or worker count, or to read the per-campaign counters.
+///
+/// # Panics
+///
+/// Panics if a shard panics on every retry.
 pub fn run_campaign(golden: &ExplicitMealy, faults: &[Fault], tests: &TestSet) -> CampaignReport {
-    crate::parallel::FaultCampaign::new(golden, faults, tests)
-        .run()
+    crate::ResilientCampaign::new(golden, faults, tests)
+        .run_complete()
         .report
 }
 

@@ -31,9 +31,11 @@
 //! * [`packed`] — the bit-parallel engine: the differential engine's
 //!   suffix replays advanced 64 lanes at a time over word-packed
 //!   struct-of-arrays tables, bit-identical to both scalar engines;
-//! * [`resilient`] — crash-safe campaign supervision: panic isolation,
-//!   deadlines/step budgets, durable checkpoint/resume and deterministic
-//!   chaos injection;
+//! * [`engine`] — the one dispatch point over all engines: prepare the
+//!   shared artefacts once per campaign, then simulate shard by shard;
+//! * [`resilient`] — the campaign runner: sharded simulation with panic
+//!   isolation, deadlines/step budgets, durable checkpoint/resume and
+//!   deterministic chaos injection;
 //! * [`adaptive`] — coverage-directed closure: the iterative campaign
 //!   driver that feeds surviving faults and cold cells back into the
 //!   `simcov-tour` generators until every fault is detected or a budget
@@ -55,6 +57,7 @@ pub mod adaptive;
 pub mod collapse;
 pub mod differential;
 pub mod distinguish;
+pub mod engine;
 pub mod error_model;
 pub mod expand;
 pub mod faults;
@@ -78,6 +81,7 @@ pub use differential::{simulate_fault_differential, DiffStats, Engine, GoldenTra
 pub use distinguish::{
     forall_k_distinguishable, DistinguishError, DistinguishLevels, Distinguishability, PairWitness,
 };
+pub use engine::{EngineStats, PreparedEngine};
 pub use error_model::{detects, excited_at, is_detectable, is_masked_on, Fault, FaultKind};
 pub use faults::{
     enumerate_single_faults, extend_cyclically, run_campaign, sample_faults, simulate_fault,
@@ -85,10 +89,7 @@ pub use faults::{
 };
 pub use harness::{validate, MachineTrace, Mismatch, TraceSource};
 pub use packed::{simulate_shard_packed, PackedStats, ReplayScript};
-pub use parallel::{
-    default_jobs, default_shard_size, run_sharded, CampaignRun, CampaignStats, FaultCampaign,
-    ShardTiming,
-};
+pub use parallel::{default_jobs, default_shard_size, run_sharded, CampaignStats};
 pub use requirements::{
     check_req1_uniform_outputs, check_req2_bounded_processing, check_req3_unique_outputs,
     check_req5_observable, Req1Violation, StallBound,

@@ -1,39 +1,31 @@
-//! Parallel, deterministic fault-simulation engine.
+//! Deterministic sharding for fault campaigns.
 //!
 //! A fault campaign is embarrassingly parallel — every injected fault is
 //! simulated against the golden machine independently — but the paper's
 //! empirical methodology (and this repo's tests) demand *bit-identical*
-//! results regardless of how the work is scheduled. The engine therefore
-//! separates three concerns:
+//! results regardless of how the work is scheduled. The campaign runner,
+//! [`ResilientCampaign`](crate::ResilientCampaign), therefore builds on
+//! three primitives from this module:
 //!
-//! 1. **Sharding** is a pure function of the fault count: the fault list
-//!    is split into contiguous index ranges of a fixed size, never
-//!    influenced by the thread count.
-//! 2. **Scheduling** is dynamic: a `std::thread::scope` worker pool
-//!    drains shards from an atomic work queue, so a slow shard does not
-//!    stall the rest (work stealing by construction).
-//! 3. **Merging** is commutative and order-restoring: each worker
-//!    produces shard-local outcomes plus a [`CampaignStats`] tally;
-//!    shards are re-assembled in index order and tallies are combined
-//!    with [`CampaignStats::merge`], which is a plain component-wise sum.
+//! 1. **Sharding** is a pure function of the fault count
+//!    ([`default_shard_size`]): the fault list is split into contiguous
+//!    index ranges of a fixed size, never influenced by the thread count.
+//! 2. **Scheduling** is dynamic ([`run_sharded`]): a `std::thread::scope`
+//!    worker pool drains shards from an atomic work queue, so a slow
+//!    shard does not stall the rest (work stealing by construction).
+//! 3. **Merging** is commutative and order-restoring: each shard yields
+//!    outcomes plus a [`CampaignStats`] tally; shards are re-assembled in
+//!    index order and tallies are combined with [`CampaignStats::merge`],
+//!    which is a plain component-wise sum.
 //!
 //! Because per-fault simulation is deterministic and the shard partition
 //! is thread-count independent, a campaign run with 1, 2 or 64 workers
-//! produces the same [`CampaignReport`] and the same [`CampaignStats`],
-//! byte for byte. Only the wall-clock [`ShardTiming`]s differ.
+//! produces the same [`CampaignReport`](crate::CampaignReport) and the
+//! same [`CampaignStats`], byte for byte.
 
-use crate::collapse::{CollapseCertificate, CollapseMode, CollapseSummary};
-use crate::differential::{simulate_fault_differential, DiffStats, Engine, GoldenTrace};
-use crate::error_model::Fault;
-use crate::faults::{simulate_fault, CampaignReport, FaultOutcome};
-use crate::packed::{simulate_shard_packed, PackedStats, ReplayScript};
-use crate::symbolic::{simulate_shard_symbolic, SymbolicContext, SymbolicEngineStats};
-use simcov_fsm::{ExplicitMealy, PackedMealy};
-use simcov_obs::Telemetry;
-use simcov_tour::TestSet;
+use crate::faults::FaultOutcome;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Number of worker threads to use by default: the machine's available
 /// parallelism (1 if it cannot be queried).
@@ -176,445 +168,9 @@ impl std::fmt::Display for CampaignStats {
     }
 }
 
-/// Wall-clock record for one shard (non-deterministic; kept out of
-/// [`CampaignStats`] so equality checks over stats stay meaningful).
-#[derive(Debug, Clone)]
-pub struct ShardTiming {
-    /// Shard index in fault order.
-    pub shard: usize,
-    /// Faults simulated in this shard.
-    pub faults: usize,
-    /// Time the owning worker spent in this shard.
-    pub wall: Duration,
-}
-
-/// Result of a [`FaultCampaign`] run: the full per-fault report, the
-/// deterministic counters, and the (run-specific) timing breakdown.
-#[derive(Debug, Clone)]
-pub struct CampaignRun {
-    /// Per-fault outcomes, in fault order — identical to the serial run.
-    pub report: CampaignReport,
-    /// Deterministic campaign counters.
-    pub stats: CampaignStats,
-    /// Per-shard wall time, in shard order.
-    pub timings: Vec<ShardTiming>,
-    /// Worker threads the run was configured with.
-    pub jobs: usize,
-    /// End-to-end wall time of the campaign.
-    pub wall: Duration,
-    /// Differential-engine effort counters (all zero under
-    /// [`Engine::Naive`]); deterministic across thread counts.
-    pub diff: DiffStats,
-    /// Word-packing effort counters (all zero unless the run used
-    /// [`Engine::Packed`]); deterministic across thread counts.
-    pub packed: PackedStats,
-    /// Collapse accounting when the run consumed a certificate
-    /// (`None` for plain runs and [`CollapseMode::Off`]).
-    pub collapse: Option<CollapseSummary>,
-    /// BDD-package effort counters (all zero unless the run used
-    /// [`Engine::Symbolic`]); deterministic across thread counts.
-    pub sym: SymbolicEngineStats,
-}
-
-/// A configured fault campaign: the golden machine, the fault list, the
-/// test set, and the execution knobs (worker count, shard size).
-///
-/// ```
-/// use simcov_core::{enumerate_single_faults, FaultCampaign, FaultSpace};
-/// use simcov_core::models::figure2;
-/// use simcov_tour::{transition_tour, TestSet};
-///
-/// let (m, _) = figure2();
-/// let faults = enumerate_single_faults(&m, &FaultSpace::default());
-/// let tour = transition_tour(&m).unwrap();
-/// let tests = TestSet::single(tour.inputs);
-/// let run = FaultCampaign::new(&m, &faults, &tests).jobs(2).run();
-/// assert_eq!(run.stats.faults_simulated, faults.len());
-/// ```
-#[derive(Debug, Clone)]
-pub struct FaultCampaign<'a> {
-    golden: &'a ExplicitMealy,
-    faults: &'a [Fault],
-    tests: &'a TestSet,
-    jobs: usize,
-    shard_size: usize,
-    engine: Engine,
-    telemetry: Option<Telemetry>,
-    collapse: Option<(&'a CollapseCertificate, CollapseMode)>,
-    symbolic: Option<&'a SymbolicContext<'a>>,
-}
-
-impl<'a> FaultCampaign<'a> {
-    /// A campaign with automatic worker count ([`default_jobs`]),
-    /// automatic sharding ([`default_shard_size`]) and the default
-    /// [`Engine::Differential`].
-    pub fn new(golden: &'a ExplicitMealy, faults: &'a [Fault], tests: &'a TestSet) -> Self {
-        FaultCampaign {
-            golden,
-            faults,
-            tests,
-            jobs: default_jobs(),
-            shard_size: default_shard_size(faults.len()),
-            engine: Engine::default(),
-            telemetry: None,
-            collapse: None,
-            symbolic: None,
-        }
-    }
-
-    /// Attaches the netlist bridge required by [`Engine::Symbolic`]:
-    /// `ctx` must have been validated against this campaign's golden
-    /// machine ([`SymbolicContext::new`]). Ignored by the explicit
-    /// engines; [`run`](Self::run) panics if [`Engine::Symbolic`] is
-    /// selected without one.
-    pub fn symbolic(mut self, ctx: &'a SymbolicContext<'a>) -> Self {
-        self.symbolic = Some(ctx);
-        self
-    }
-
-    /// Attaches a [`CollapseCertificate`].
-    ///
-    /// * [`CollapseMode::On`] simulates only one representative per
-    ///   class and expands the remaining outcomes deterministically —
-    ///   the merged [`CampaignStats`], the per-fault [`CampaignReport`]
-    ///   and the `campaign.shard` event stream stay bit-identical to an
-    ///   uncollapsed run of the same campaign (for a sound certificate),
-    ///   while [`ShardTiming`]s and the engine-effort counters reflect
-    ///   the pruned work actually performed.
-    /// * [`CollapseMode::Verify`] simulates everything and audits every
-    ///   class member against its representative, reporting divergences
-    ///   in [`CollapseSummary::violations`].
-    /// * [`CollapseMode::Off`] ignores the certificate entirely.
-    ///
-    /// [`run`](Self::run) panics if the certificate does not bind this
-    /// campaign's machine and fault list; validate ahead of time with
-    /// [`CollapseCertificate::check`] to handle that case gracefully.
-    pub fn collapse(mut self, cert: &'a CollapseCertificate, mode: CollapseMode) -> Self {
-        self.collapse = Some((cert, mode));
-        self
-    }
-
-    /// Selects the fault-simulation engine. The default
-    /// [`Engine::Differential`] memoizes one golden trace and classifies
-    /// faults against it; [`Engine::Naive`] clones and replays per fault.
-    /// The two produce bit-identical [`CampaignReport`]s and
-    /// [`CampaignStats`] (see [`crate::differential`]), so this knob only
-    /// trades wall-clock for cross-checkability.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Attaches a telemetry sink. The run records a `campaign` span with
-    /// per-shard `campaign/shard` children, the campaign counters
-    /// (`campaign.faults_simulated`, `campaign.faults_detected`,
-    /// `campaign.shards`) and one `campaign.shard` event per shard.
-    ///
-    /// Events are emitted from the serial, shard-ordered merge loop —
-    /// never from workers — so the recorded event stream (and hence the
-    /// JSONL trace) is byte-identical across thread counts.
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Sets the worker count. `0` is clamped to `1` (serial execution):
-    /// a zero-worker pool cannot make progress, and silently treating `0`
-    /// as "automatic" would make `jobs(0)` mean something different from
-    /// every other value. Use [`default_jobs`] explicitly for "all cores".
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        // Documented invariant: the stored worker count is always usable.
-        debug_assert!(self.jobs >= 1, "jobs(0) clamps to serial execution");
-        self
-    }
-
-    /// Sets the shard size. `0` is clamped to `1` (one fault per shard):
-    /// zero-sized chunks are meaningless and `slice::chunks` would panic.
-    /// The shard partition is part of the deterministic result surface
-    /// (`stats.shards`), so two runs only compare equal if they use the
-    /// same shard size; use [`default_shard_size`] for the automatic
-    /// partition.
-    pub fn shard_size(mut self, shard_size: usize) -> Self {
-        self.shard_size = shard_size.max(1);
-        // Documented invariant: `chunks(shard_size)` never sees zero.
-        debug_assert!(self.shard_size >= 1, "shard_size(0) clamps to 1");
-        self
-    }
-
-    /// Runs the campaign on the worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a certificate attached via [`collapse`](Self::collapse)
-    /// does not bind this campaign's `(machine, faults)` pair.
-    pub fn run(&self) -> CampaignRun {
-        let jobs = self.jobs;
-        let shard_size = self.shard_size;
-        // Collapse setup: `Off` behaves exactly as if no certificate were
-        // attached; `On` swaps the simulated list for the class
-        // representatives (expanded back after the merge); `Verify`
-        // simulates everything and audits afterwards.
-        let collapse = self.collapse.filter(|&(_, mode)| mode != CollapseMode::Off);
-        if let Some((cert, _)) = collapse {
-            cert.check(self.golden, self.faults)
-                .expect("collapse certificate must bind this campaign");
-        }
-        let pruned: Option<Vec<Fault>> = collapse.and_then(|(cert, mode)| {
-            (mode == CollapseMode::On).then(|| cert.representative_faults(self.faults))
-        });
-        let sim_faults: &[Fault] = pruned.as_deref().unwrap_or(self.faults);
-        let span = self.telemetry.as_ref().map(|t| t.span("campaign"));
-        let t0 = Instant::now();
-        // One golden simulation of the whole test set, memoized up front
-        // and shared read-only across every shard (the differential
-        // engine's layer 1).
-        let tables =
-            (self.engine == Engine::Packed).then(|| PackedMealy::from_explicit(self.golden));
-        let trace = match self.engine {
-            Engine::Differential => Some(GoldenTrace::build(self.golden, self.tests)),
-            Engine::Packed => Some(GoldenTrace::build_packed(
-                self.golden,
-                tables
-                    .as_ref()
-                    .expect("packed tables built for Engine::Packed"),
-                self.tests,
-            )),
-            Engine::Naive | Engine::Symbolic => None,
-        };
-        let sym_ctx = (self.engine == Engine::Symbolic).then(|| {
-            self.symbolic
-                .expect("Engine::Symbolic requires FaultCampaign::symbolic(ctx)")
-        });
-        // The packed engine's replay lowering of the golden run, built
-        // once and shared read-only across shards like the trace.
-        let script = match (&trace, self.engine) {
-            (Some(trace), Engine::Packed) => Some(ReplayScript::build(trace, self.tests)),
-            _ => None,
-        };
-        let per_shard = run_sharded(sim_faults, shard_size, jobs, |_, shard| {
-            // Spans are aggregated commutatively, so timing a shard from
-            // a worker thread is trace-safe; events are not (see below).
-            let _shard_span = span.as_ref().map(|s| s.child("shard"));
-            let st = Instant::now();
-            let mut shard_diff = DiffStats::default();
-            let mut shard_packed = PackedStats::default();
-            let mut shard_sym = SymbolicEngineStats::default();
-            let outcomes: Vec<FaultOutcome> = match (&tables, &trace) {
-                (Some(tables), Some(trace)) => simulate_shard_packed(
-                    self.golden,
-                    tables,
-                    trace,
-                    script.as_ref().expect("script built for Engine::Packed"),
-                    shard,
-                    self.tests,
-                    &mut shard_diff,
-                    &mut shard_packed,
-                ),
-                (None, Some(trace)) => shard
-                    .iter()
-                    .map(|f| {
-                        simulate_fault_differential(
-                            self.golden,
-                            trace,
-                            f,
-                            self.tests,
-                            &mut shard_diff,
-                        )
-                    })
-                    .collect(),
-                (_, None) => match sym_ctx {
-                    Some(ctx) => {
-                        simulate_shard_symbolic(ctx, self.golden, shard, self.tests, &mut shard_sym)
-                    }
-                    None => shard
-                        .iter()
-                        .map(|f| simulate_fault(self.golden, f, self.tests))
-                        .collect(),
-                },
-            };
-            let stats = CampaignStats::tally(&outcomes);
-            (
-                outcomes,
-                stats,
-                shard_diff,
-                shard_packed,
-                shard_sym,
-                st.elapsed(),
-            )
-        });
-        let mut outcomes = Vec::with_capacity(sim_faults.len());
-        let mut diff = DiffStats::default();
-        let mut packed = PackedStats::default();
-        let mut sym = SymbolicEngineStats::default();
-        let mut timings = Vec::with_capacity(per_shard.len());
-        for (shard, (shard_outcomes, _, shard_diff, shard_packed, shard_sym, wall)) in
-            per_shard.into_iter().enumerate()
-        {
-            // Timings describe the shards actually executed — under
-            // `--collapse on` that is the pruned representative list, not
-            // the full fault universe.
-            timings.push(ShardTiming {
-                shard,
-                faults: shard_outcomes.len(),
-                wall,
-            });
-            diff.merge(&shard_diff);
-            packed.merge(&shard_packed);
-            sym.merge(&shard_sym);
-            outcomes.extend(shard_outcomes);
-        }
-        // Expand per-representative outcomes back to the full fault list
-        // (a no-op unless `--collapse on`).
-        let (outcomes, summary) = match collapse {
-            Some((cert, CollapseMode::On)) => (
-                cert.expand_outcomes(self.faults, &outcomes),
-                Some(CollapseSummary {
-                    mode: CollapseMode::On,
-                    classes: cert.num_classes(),
-                    collapsed_faults: cert.collapsed_faults(),
-                    violations: Vec::new(),
-                }),
-            ),
-            Some((cert, CollapseMode::Verify)) => {
-                let violations = cert.violations(&outcomes);
-                (
-                    outcomes,
-                    Some(CollapseSummary {
-                        mode: CollapseMode::Verify,
-                        classes: cert.num_classes(),
-                        collapsed_faults: 0,
-                        violations,
-                    }),
-                )
-            }
-            _ => (outcomes, None),
-        };
-        // Stats and shard events are derived from the *expanded* outcomes
-        // under the full fault list's shard partition — the serial,
-        // shard-ordered loop below is the only place events are recorded,
-        // which keeps the trace byte-stable across `jobs` and makes the
-        // merged stats and event stream bit-identical between
-        // `--collapse on` and `off` for a sound certificate.
-        let mut stats = CampaignStats::default();
-        for (shard, chunk) in outcomes.chunks(shard_size).enumerate() {
-            let shard_stats = CampaignStats::tally(chunk);
-            if let Some(tel) = &self.telemetry {
-                tel.event(
-                    "campaign.shard",
-                    &[
-                        ("shard", shard as u64),
-                        ("faults", shard_stats.faults_simulated as u64),
-                        ("detected", shard_stats.detected as u64),
-                        ("excited", shard_stats.excited as u64),
-                        ("masked", shard_stats.masked as u64),
-                        ("escapes", shard_stats.escapes as u64),
-                    ],
-                );
-            }
-            stats.merge(&shard_stats);
-        }
-        if let Some(tel) = &self.telemetry {
-            tel.counter_add("campaign.faults_simulated", stats.faults_simulated as u64);
-            tel.counter_add("campaign.faults_detected", stats.detected as u64);
-            tel.counter_add("campaign.faults_excited", stats.excited as u64);
-            tel.counter_add("campaign.faults_masked", stats.masked as u64);
-            tel.counter_add("campaign.escapes", stats.escapes as u64);
-            tel.counter_add("campaign.shards", stats.shards as u64);
-            // Engine-effort counters, emitted once from the merged total
-            // (not per shard) so the trace stays byte-identical across
-            // thread counts. DiffStats is per-fault deterministic, hence
-            // the totals are too; the packed engine shares the
-            // differential engine's accounting and adds its own. The
-            // symbolic engine reports BDD-package effort instead.
-            if matches!(self.engine, Engine::Differential | Engine::Packed) {
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_FAULTS_SKIPPED_BY_INDEX,
-                    diff.faults_skipped_by_index as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_PREFIX_STEPS_SAVED,
-                    diff.prefix_steps_saved as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_DIVERGENCE_REPLAYS,
-                    diff.divergence_replays as u64,
-                );
-            }
-            if self.engine == Engine::Packed {
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_PACKED_WORDS,
-                    packed.packed_words as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_LANES_ACTIVE,
-                    packed.lanes_active as u64,
-                );
-            }
-            // Per-shard managers run deterministic operation sequences
-            // and are merged in shard order, so these sums are
-            // byte-identical across `--jobs` (see `simcov_obs::names`).
-            if self.engine == Engine::Symbolic {
-                tel.counter_add(simcov_obs::names::BDD_UNIQUE_NODES, sym.unique_nodes);
-                tel.counter_add(simcov_obs::names::BDD_ITE_CACHE_HITS, sym.ite_cache_hits);
-                tel.counter_add(
-                    simcov_obs::names::BDD_ITE_CACHE_MISSES,
-                    sym.ite_cache_misses,
-                );
-                tel.counter_add(simcov_obs::names::BDD_GC_COLLECTIONS, sym.gc_collections);
-            }
-            // Collapse accounting, only when a certificate was active —
-            // plain runs carry no collapse counters at all, so their
-            // traces are unchanged by this feature existing.
-            if let Some(summary) = &summary {
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_COLLAPSED_FAULTS,
-                    summary.collapsed_faults as u64,
-                );
-                tel.counter_add(simcov_obs::names::CAMPAIGN_CLASSES, summary.classes as u64);
-                if summary.mode == CollapseMode::Verify {
-                    tel.counter_add(
-                        simcov_obs::names::CAMPAIGN_COLLAPSE_VIOLATIONS,
-                        summary.violations.len() as u64,
-                    );
-                }
-            }
-        }
-        drop(span);
-        CampaignRun {
-            report: CampaignReport { outcomes },
-            stats,
-            timings,
-            jobs,
-            wall: t0.elapsed(),
-            diff,
-            packed,
-            collapse: summary,
-            sym,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{enumerate_single_faults, extend_cyclically, FaultSpace};
-    use crate::testutil::figure2;
-    use simcov_tour::transition_tour;
-
-    fn fixture() -> (ExplicitMealy, Vec<Fault>, TestSet) {
-        let (m, _) = figure2();
-        let faults = enumerate_single_faults(
-            &m,
-            &FaultSpace {
-                max_faults: usize::MAX,
-                ..FaultSpace::default()
-            },
-        );
-        let tour = transition_tour(&m).unwrap();
-        let tests = TestSet::single(extend_cyclically(&tour.inputs, 3));
-        (m, faults, tests)
-    }
 
     #[test]
     fn run_sharded_preserves_order() {
@@ -663,411 +219,7 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(ab.faults_simulated, 14);
         assert_eq!(ab.shards, 4);
-    }
-
-    #[test]
-    fn campaign_identical_across_thread_counts() {
-        let (m, faults, tests) = fixture();
-        let baseline = FaultCampaign::new(&m, &faults, &tests).jobs(1).run();
-        for jobs in [2, 4, 8] {
-            let run = FaultCampaign::new(&m, &faults, &tests).jobs(jobs).run();
-            assert_eq!(
-                run.stats, baseline.stats,
-                "stats must not depend on {jobs} jobs"
-            );
-            assert_eq!(
-                run.report, baseline.report,
-                "per-fault outcomes must not depend on {jobs} jobs"
-            );
-        }
-    }
-
-    #[test]
-    fn campaign_matches_serial_simulation() {
-        let (m, faults, tests) = fixture();
-        let serial = CampaignReport {
-            outcomes: faults
-                .iter()
-                .map(|f| simulate_fault(&m, f, &tests))
-                .collect(),
-        };
-        let parallel = FaultCampaign::new(&m, &faults, &tests).jobs(4).run();
-        assert_eq!(serial, parallel.report);
-        assert_eq!(parallel.stats.faults_simulated, faults.len());
-        assert_eq!(parallel.stats.detected, serial.num_detected());
-        assert_eq!(parallel.stats.excited, serial.num_excited());
-        assert_eq!(parallel.stats.escapes, serial.escapes().count());
-    }
-
-    #[test]
-    fn timings_cover_every_fault() {
-        let (m, faults, tests) = fixture();
-        let run = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(2)
-            .shard_size(10)
-            .run();
-        let total: usize = run.timings.iter().map(|t| t.faults).sum();
-        assert_eq!(total, faults.len());
-        assert_eq!(run.stats.shards, run.timings.len());
-        assert_eq!(run.stats.shards, faults.len().div_ceil(10));
-        for (i, t) in run.timings.iter().enumerate() {
-            assert_eq!(t.shard, i);
-        }
-    }
-
-    #[test]
-    fn jobs_zero_clamps_to_serial() {
-        let (m, faults, tests) = fixture();
-        let zero = FaultCampaign::new(&m, &faults, &tests).jobs(0).run();
-        let one = FaultCampaign::new(&m, &faults, &tests).jobs(1).run();
-        assert_eq!(zero.jobs, 1, "jobs(0) must clamp to serial execution");
-        assert_eq!(zero.stats, one.stats);
-        assert_eq!(zero.report, one.report);
-    }
-
-    #[test]
-    fn shard_size_zero_clamps_to_one_fault_per_shard() {
-        let (m, faults, tests) = fixture();
-        let run = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(2)
-            .shard_size(0)
-            .run();
-        // Clamped to 1 => exactly one shard per fault, and the outcomes
-        // still match the default partition's.
-        assert_eq!(run.stats.shards, faults.len());
-        let baseline = FaultCampaign::new(&m, &faults, &tests).jobs(1).run();
-        assert_eq!(run.report, baseline.report);
-    }
-
-    #[test]
-    fn telemetry_trace_is_byte_identical_across_thread_counts() {
-        let (m, faults, tests) = fixture();
-        let traces: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&jobs| {
-                let tel = Telemetry::new();
-                let run = FaultCampaign::new(&m, &faults, &tests)
-                    .jobs(jobs)
-                    .telemetry(tel.clone())
-                    .run();
-                let snap = tel.snapshot();
-                // Counters reconcile with the merged stats exactly.
-                assert_eq!(
-                    snap.counter("campaign.faults_simulated"),
-                    Some(run.stats.faults_simulated as u64)
-                );
-                assert_eq!(
-                    snap.counter("campaign.faults_detected"),
-                    Some(run.stats.detected as u64)
-                );
-                assert_eq!(
-                    snap.counter("campaign.shards"),
-                    Some(run.stats.shards as u64)
-                );
-                // One event per shard, in shard order.
-                assert_eq!(snap.events.len(), run.stats.shards);
-                snap.to_jsonl()
-            })
-            .collect();
-        assert_eq!(traces[0], traces[1]);
-        assert_eq!(traces[0], traces[2]);
-        simcov_obs::verify_trace(&traces[0]).expect("trace verifies");
-    }
-
-    #[test]
-    fn engines_produce_bit_identical_results() {
-        let (m, faults, tests) = fixture();
-        let naive = FaultCampaign::new(&m, &faults, &tests)
-            .engine(Engine::Naive)
-            .jobs(1)
-            .run();
-        assert_eq!(naive.diff, DiffStats::default(), "naive does no diffing");
-        assert_eq!(naive.packed, PackedStats::default(), "naive packs nothing");
-        for jobs in [1, 2, 8] {
-            let differential = FaultCampaign::new(&m, &faults, &tests)
-                .engine(Engine::Differential)
-                .jobs(jobs)
-                .run();
-            assert_eq!(differential.report, naive.report, "jobs={jobs}");
-            assert_eq!(differential.stats, naive.stats, "jobs={jobs}");
-            let packed = FaultCampaign::new(&m, &faults, &tests)
-                .engine(Engine::Packed)
-                .jobs(jobs)
-                .run();
-            assert_eq!(packed.report, naive.report, "packed, jobs={jobs}");
-            assert_eq!(packed.stats, naive.stats, "packed, jobs={jobs}");
-            assert_eq!(
-                packed.diff, differential.diff,
-                "packed replays save exactly the differential effort, jobs={jobs}"
-            );
-            assert!(
-                packed.packed.packed_words > 0,
-                "fixture has effective transfers"
-            );
-        }
-    }
-
-    #[test]
-    fn packed_telemetry_trace_is_byte_identical_across_thread_counts() {
-        let (m, faults, tests) = fixture();
-        let traces: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&jobs| {
-                let tel = Telemetry::new();
-                let run = FaultCampaign::new(&m, &faults, &tests)
-                    .engine(Engine::Packed)
-                    .jobs(jobs)
-                    .telemetry(tel.clone())
-                    .run();
-                let snap = tel.snapshot();
-                assert_eq!(
-                    snap.counter(simcov_obs::names::CAMPAIGN_PACKED_WORDS),
-                    Some(run.packed.packed_words as u64)
-                );
-                assert_eq!(
-                    snap.counter(simcov_obs::names::CAMPAIGN_LANES_ACTIVE),
-                    Some(run.packed.lanes_active as u64)
-                );
-                assert_eq!(
-                    snap.counter(simcov_obs::names::CAMPAIGN_DIVERGENCE_REPLAYS),
-                    Some(run.diff.divergence_replays as u64),
-                    "packed runs emit the differential effort counters too"
-                );
-                snap.to_jsonl()
-            })
-            .collect();
-        assert_eq!(traces[0], traces[1]);
-        assert_eq!(traces[0], traces[2]);
-        simcov_obs::verify_trace(&traces[0]).expect("trace verifies");
-    }
-
-    #[test]
-    fn diff_counters_are_deterministic_and_traced() {
-        let (m, faults, tests) = fixture();
-        let baseline = FaultCampaign::new(&m, &faults, &tests).jobs(1).run();
-        // The tour-based fixture excites every fault, so nothing is
-        // skipped but plenty of prefix work is saved.
-        assert!(baseline.diff.prefix_steps_saved > 0);
-        for jobs in [2, 8] {
-            let run = FaultCampaign::new(&m, &faults, &tests).jobs(jobs).run();
-            assert_eq!(run.diff, baseline.diff, "diff counters at jobs={jobs}");
-        }
-        let tel = Telemetry::new();
-        let run = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(4)
-            .telemetry(tel.clone())
-            .run();
-        let snap = tel.snapshot();
-        assert_eq!(
-            snap.counter(simcov_obs::names::CAMPAIGN_FAULTS_SKIPPED_BY_INDEX),
-            Some(run.diff.faults_skipped_by_index as u64)
-        );
-        assert_eq!(
-            snap.counter(simcov_obs::names::CAMPAIGN_PREFIX_STEPS_SAVED),
-            Some(run.diff.prefix_steps_saved as u64)
-        );
-        assert_eq!(
-            snap.counter(simcov_obs::names::CAMPAIGN_DIVERGENCE_REPLAYS),
-            Some(run.diff.divergence_replays as u64)
-        );
-    }
-
-    fn singleton_cert(m: &ExplicitMealy, faults: &[Fault]) -> crate::CollapseCertificate {
-        let class_of: Vec<u32> = (0..faults.len() as u32).collect();
-        let kinds = vec![crate::ClassKind::Singleton; faults.len()];
-        crate::CollapseCertificate::new(m, faults, class_of, kinds, Vec::new()).unwrap()
-    }
-
-    /// One state, one input, three outputs: the two effective output
-    /// faults at the single cell are genuinely equivalent (both detected
-    /// at the first vector), so collapsing them is sound and actually
-    /// prunes work.
-    fn output_pair_fixture() -> (
-        ExplicitMealy,
-        Vec<Fault>,
-        TestSet,
-        crate::CollapseCertificate,
-    ) {
-        use simcov_fsm::MealyBuilder;
-        let mut b = MealyBuilder::new();
-        let s0 = b.add_state("s0");
-        let i0 = b.add_input("i0");
-        let o0 = b.add_output("o0");
-        let o1 = b.add_output("o1");
-        let o2 = b.add_output("o2");
-        b.add_transition(s0, i0, s0, o0);
-        let m = b.build(s0).unwrap();
-        let faults = vec![
-            Fault {
-                state: s0,
-                input: i0,
-                kind: crate::FaultKind::Output { new_output: o1 },
-            },
-            Fault {
-                state: s0,
-                input: i0,
-                kind: crate::FaultKind::Output { new_output: o2 },
-            },
-        ];
-        let tests = TestSet::single(vec![i0, i0]);
-        let cert = crate::CollapseCertificate::new(
-            &m,
-            &faults,
-            vec![0, 0],
-            vec![crate::ClassKind::Output],
-            Vec::new(),
-        )
-        .unwrap();
-        assert_eq!(cert.collapsed_faults(), 1);
-        (m, faults, tests, cert)
-    }
-
-    #[test]
-    fn collapse_on_matches_off_and_prunes_work() {
-        let (m, faults, tests, cert) = output_pair_fixture();
-        let off = FaultCampaign::new(&m, &faults, &tests).jobs(1).run();
-        for jobs in [1, 2, 8] {
-            let on = FaultCampaign::new(&m, &faults, &tests)
-                .jobs(jobs)
-                .collapse(&cert, CollapseMode::On)
-                .run();
-            assert_eq!(on.report, off.report, "jobs={jobs}");
-            assert_eq!(on.stats, off.stats, "jobs={jobs}");
-            let summary = on.collapse.expect("collapse run carries a summary");
-            assert_eq!(summary.mode, CollapseMode::On);
-            assert_eq!(summary.classes, 1);
-            assert_eq!(summary.collapsed_faults, 1);
-            assert!(summary.violations.is_empty());
-            // Only the representative was simulated.
-            let simulated: usize = on.timings.iter().map(|t| t.faults).sum();
-            assert_eq!(simulated, 1, "jobs={jobs}");
-        }
-        assert!(off.collapse.is_none(), "plain runs carry no summary");
-    }
-
-    #[test]
-    fn collapse_on_with_singletons_is_a_noop() {
-        let (m, faults, tests) = fixture();
-        let cert = singleton_cert(&m, &faults);
-        let off = FaultCampaign::new(&m, &faults, &tests).jobs(2).run();
-        let on = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(2)
-            .collapse(&cert, CollapseMode::On)
-            .run();
-        assert_eq!(on.report, off.report);
-        assert_eq!(on.stats, off.stats);
-        assert_eq!(on.collapse.unwrap().collapsed_faults, 0);
-        // Off mode ignores the certificate entirely.
-        let explicit_off = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(2)
-            .collapse(&cert, CollapseMode::Off)
-            .run();
-        assert!(explicit_off.collapse.is_none());
-        assert_eq!(explicit_off.report, off.report);
-    }
-
-    #[test]
-    fn collapse_verify_passes_sound_and_catches_bogus_certificates() {
-        let (m, faults, tests) = fixture();
-        let sound = singleton_cert(&m, &faults);
-        let run = FaultCampaign::new(&m, &faults, &tests)
-            .collapse(&sound, CollapseMode::Verify)
-            .run();
-        let summary = run.collapse.unwrap();
-        assert_eq!(summary.mode, CollapseMode::Verify);
-        assert!(summary.violations.is_empty(), "singletons are always sound");
-        // A structurally valid but semantically bogus certificate: the
-        // fixture's faults do not all share one outcome, so lumping them
-        // into one class must produce violations.
-        let bogus = crate::CollapseCertificate::new(
-            &m,
-            &faults,
-            vec![0; faults.len()],
-            vec![crate::ClassKind::Singleton],
-            Vec::new(),
-        )
-        .unwrap();
-        let run = FaultCampaign::new(&m, &faults, &tests)
-            .collapse(&bogus, CollapseMode::Verify)
-            .run();
-        let summary = run.collapse.unwrap();
-        assert!(!summary.violations.is_empty(), "bogus class must be caught");
-        // Verify never prunes: the report is the full, honest one.
-        let off = FaultCampaign::new(&m, &faults, &tests).run();
-        assert_eq!(run.report, off.report);
-    }
-
-    #[test]
-    #[should_panic(expected = "collapse certificate must bind this campaign")]
-    fn collapse_rejects_stale_certificate() {
-        let (m, faults, tests) = fixture();
-        let cert = singleton_cert(&m, &faults[1..]);
-        let _ = FaultCampaign::new(&m, &faults, &tests)
-            .collapse(&cert, CollapseMode::On)
-            .run();
-    }
-
-    #[test]
-    fn collapse_trace_is_byte_identical_across_thread_counts() {
-        let (m, faults, tests) = fixture();
-        let cert = singleton_cert(&m, &faults);
-        let traces: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&jobs| {
-                let tel = Telemetry::new();
-                let run = FaultCampaign::new(&m, &faults, &tests)
-                    .jobs(jobs)
-                    .collapse(&cert, CollapseMode::On)
-                    .telemetry(tel.clone())
-                    .run();
-                let snap = tel.snapshot();
-                let summary = run.collapse.unwrap();
-                assert_eq!(
-                    snap.counter(simcov_obs::names::CAMPAIGN_CLASSES),
-                    Some(summary.classes as u64)
-                );
-                assert_eq!(
-                    snap.counter(simcov_obs::names::CAMPAIGN_COLLAPSED_FAULTS),
-                    Some(summary.collapsed_faults as u64)
-                );
-                // Shard events describe the full fault universe, not the
-                // pruned list.
-                assert_eq!(snap.events.len(), run.stats.shards);
-                snap.to_jsonl()
-            })
-            .collect();
-        assert_eq!(traces[0], traces[1]);
-        assert_eq!(traces[0], traces[2]);
-        simcov_obs::verify_trace(&traces[0]).expect("trace verifies");
-    }
-
-    #[test]
-    fn collapse_on_shard_events_match_off_mode() {
-        let (m, faults, tests, cert) = output_pair_fixture();
-        let events = |collapsed: bool| {
-            let tel = Telemetry::new();
-            let mut c = FaultCampaign::new(&m, &faults, &tests)
-                .jobs(2)
-                .telemetry(tel.clone());
-            if collapsed {
-                c = c.collapse(&cert, CollapseMode::On);
-            }
-            c.run();
-            let snap = tel.snapshot();
-            snap.events.clone()
-        };
-        assert_eq!(
-            events(true),
-            events(false),
-            "shard events are derived from the expanded outcomes"
-        );
-    }
-
-    #[test]
-    fn stats_display_mentions_the_counts() {
-        let (m, faults, tests) = fixture();
-        let run = FaultCampaign::new(&m, &faults, &tests).run();
-        let s = run.stats.to_string();
+        let s = ab.to_string();
         assert!(s.contains("faults simulated"), "{s}");
         assert!(s.contains("shards"), "{s}");
     }

@@ -1,12 +1,16 @@
 //! Crash-safe campaign supervision: panic isolation, deadlines, durable
 //! checkpoint/resume, and deterministic chaos injection.
 //!
-//! At production scale a fault campaign runs for hours across millions of
-//! injected faults, and the plain [`FaultCampaign`](crate::FaultCampaign)
-//! engine has an all-or-nothing failure mode: one panicking shard (or a
-//! `SIGKILL`ed process) throws the whole run away. [`ResilientCampaign`]
-//! layers four guarantees over the same sharded execution model, without
-//! giving up bit-identical determinism:
+//! [`ResilientCampaign`] is the crate's one campaign runner. It shards the
+//! fault list ([`crate::parallel`]), simulates the shards on a worker pool
+//! under any [`Engine`] ([`PreparedEngine`]) and merges them in shard
+//! order. With no deadline, step budget or checkpoint it is the plain
+//! campaign. At production scale a campaign runs for hours across
+//! millions of injected faults, where an unsupervised worker pool has an
+//! all-or-nothing failure mode: one panicking shard (or a `SIGKILL`ed
+//! process) throws the whole run away. The runner therefore layers four
+//! guarantees over the sharded execution model, without giving up
+//! bit-identical determinism:
 //!
 //! 1. **Panic isolation** — each shard runs under
 //!    [`std::panic::catch_unwind`]. A panicking shard is retried up to a
@@ -14,10 +18,11 @@
 //!    reports the poisoned shards explicitly ([`ShardFailure`]) together
 //!    with coverage bounds over the unsimulated faults.
 //! 2. **Deadlines and step budgets** — a wall-clock deadline and a total
-//!    simulation-step budget are enforced by cooperative cancellation
-//!    checked *between faults*, so a run is truncated at fault
-//!    granularity and the partial report is still valid (every outcome in
-//!    it is exact; the missing shards are accounted for).
+//!    simulation-step budget are enforced by cooperative cancellation,
+//!    charged fault by fault as each shard is admitted, so a run is
+//!    truncated at shard granularity and the partial report is still
+//!    valid (every outcome in it is exact; the missing shards are
+//!    accounted for).
 //! 3. **Durable checkpoints** — completed shards are journaled to a
 //!    versioned, zero-dependency text file as they finish. After a crash
 //!    or kill, [`resume`](ResilientCampaign::resume) restores the
@@ -54,19 +59,20 @@
 //! fault-by-fault against the expected fault list on load.
 
 use crate::collapse::{CollapseCertificate, CollapseMode, CollapseSummary};
-use crate::differential::{simulate_fault_differential, DiffStats, Engine, GoldenTrace};
+use crate::differential::{DiffStats, Engine, GoldenTrace};
+use crate::engine::{EngineStats, PreparedEngine};
 use crate::error_model::{Fault, FaultKind};
-use crate::faults::{simulate_fault, CampaignReport, FaultOutcome};
-use crate::packed::{simulate_shard_packed, PackedStats, ReplayScript};
-use crate::parallel::{default_jobs, default_shard_size, CampaignStats};
-use crate::symbolic::{simulate_shard_symbolic, SymbolicContext, SymbolicEngineStats};
-use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, PackedMealy, StateId};
+use crate::faults::{CampaignReport, FaultOutcome};
+use crate::packed::PackedStats;
+use crate::parallel::{default_jobs, default_shard_size, run_sharded, CampaignStats};
+use crate::symbolic::{SymbolicContext, SymbolicEngineStats};
+use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, StateId};
 use simcov_obs::Telemetry;
 use simcov_tour::TestSet;
 use std::fmt;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -587,7 +593,8 @@ impl fmt::Display for StopReason {
     }
 }
 
-/// Shared cancellation state, checked cooperatively between faults.
+/// Shared cancellation state, charged fault by fault as shards are
+/// admitted.
 struct Cancel {
     deadline: Option<Instant>,
     steps: Option<AtomicU64>,
@@ -835,11 +842,11 @@ impl fmt::Display for CoverageBounds {
 /// Result of a [`ResilientCampaign`] run: the (possibly partial) report
 /// and stats over completed shards, plus explicit degradation accounting.
 ///
-/// When [`is_complete`](Self::is_complete) is `true`, `report` and
-/// `stats` are byte-identical to what the plain
-/// [`FaultCampaign`](crate::FaultCampaign) produces with the same shard
-/// size — regardless of how many shards came from the checkpoint journal
-/// versus fresh simulation, and regardless of thread count.
+/// When [`is_complete`](Self::is_complete) is `true`, `report` is
+/// byte-identical to mapping [`simulate_fault`](crate::simulate_fault)
+/// over the fault list, and `stats` to its tally under the shard size —
+/// regardless of engine, of how many shards came from the checkpoint
+/// journal versus fresh simulation, and of thread count.
 #[derive(Debug)]
 pub struct ResilientRun {
     /// Outcomes of completed shards, concatenated in shard order (gaps
@@ -890,17 +897,8 @@ pub struct ResilientRun {
 }
 
 enum ShardState {
-    Done(
-        Vec<FaultOutcome>,
-        CampaignStats,
-        DiffStats,
-        PackedStats,
-        SymbolicEngineStats,
-    ),
-    Poisoned {
-        attempts: usize,
-        message: String,
-    },
+    Done(Vec<FaultOutcome>, CampaignStats, EngineStats),
+    Poisoned { attempts: usize, message: String },
     Cancelled,
 }
 
@@ -966,17 +964,20 @@ impl<'a> ResilientCampaign<'a> {
         }
     }
 
-    /// Attaches the netlist bridge required by [`Engine::Symbolic`], as
-    /// for [`FaultCampaign::symbolic`](crate::FaultCampaign::symbolic).
-    /// [`run`](Self::run) panics if [`Engine::Symbolic`] is selected
-    /// without one.
+    /// Attaches the netlist bridge required by [`Engine::Symbolic`]:
+    /// `ctx` must have been validated against this campaign's golden
+    /// machine ([`SymbolicContext::new`]). Ignored by the explicit
+    /// engines; [`run`](Self::run) panics if [`Engine::Symbolic`] is
+    /// selected without one.
     pub fn symbolic(mut self, ctx: &'a SymbolicContext<'a>) -> Self {
         self.symbolic = Some(ctx);
         self
     }
 
-    /// Attaches a [`CollapseCertificate`], as for
-    /// [`FaultCampaign::collapse`](crate::FaultCampaign::collapse).
+    /// Attaches a [`CollapseCertificate`]. [`CollapseMode::Off`] ignores
+    /// it entirely; [`run`](Self::run) rejects a certificate that does not
+    /// bind this campaign's machine and fault list with
+    /// [`CampaignError::Certificate`].
     ///
     /// Under [`CollapseMode::On`] the supervisor runs over the *pruned*
     /// representative list — sharding, checkpoint journal, retries and
@@ -998,26 +999,33 @@ impl<'a> ResilientCampaign<'a> {
         self
     }
 
-    /// Selects the fault-simulation engine, as for
-    /// [`FaultCampaign::engine`](crate::FaultCampaign::engine). Outcomes
-    /// and stats are bit-identical either way, so the engine is *not*
-    /// part of the journal fingerprint: a campaign checkpointed under one
-    /// engine resumes soundly under the other.
+    /// Selects the fault-simulation engine. The default
+    /// [`Engine::Differential`] memoizes one golden trace and classifies
+    /// faults against it; [`Engine::Naive`] clones and replays per fault.
+    /// Outcomes and stats are bit-identical under every engine (see
+    /// [`crate::differential`]), so this knob only trades wall-clock for
+    /// cross-checkability — and the engine is *not* part of the journal
+    /// fingerprint: a campaign checkpointed under one engine resumes
+    /// soundly under another.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
     }
 
-    /// Sets the worker count (`0` clamps to 1, as for
-    /// [`FaultCampaign::jobs`](crate::FaultCampaign::jobs)).
+    /// Sets the worker count. `0` is clamped to `1` (serial execution):
+    /// a zero-worker pool cannot make progress, and silently treating `0`
+    /// as "automatic" would make `jobs(0)` mean something different from
+    /// every other value. Use [`default_jobs`] explicitly for "all cores".
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
     }
 
-    /// Sets the shard size (`0` clamps to 1). Must match between the
-    /// interrupted and the resuming run — it is part of the journal
-    /// fingerprint.
+    /// Sets the shard size (`0` clamps to 1: `slice::chunks` rejects
+    /// zero). The partition is part of the deterministic result surface
+    /// (`stats.shards`), so two runs only compare equal under the same
+    /// shard size; it must also match between an interrupted and a
+    /// resuming run, as it is part of the journal fingerprint.
     pub fn shard_size(mut self, shard_size: usize) -> Self {
         self.shard_size = shard_size.max(1);
         self
@@ -1030,9 +1038,10 @@ impl<'a> ResilientCampaign<'a> {
         self
     }
 
-    /// Wall-clock deadline for the whole run, enforced cooperatively
-    /// between faults. Shards in flight when it expires are discarded
-    /// (not journaled), so truncation is exact at shard granularity.
+    /// Wall-clock deadline for the whole run, enforced cooperatively: a
+    /// shard is admitted fault by fault before it runs, and shards not
+    /// admitted when it expires are skipped (not journaled), so
+    /// truncation is exact at shard granularity.
     ///
     /// A **zero** deadline uniformly means *expire immediately*: no fault
     /// is simulated, every unrestored shard is reported as skipped, and
@@ -1046,9 +1055,9 @@ impl<'a> ResilientCampaign<'a> {
     }
 
     /// Total simulation-step budget: each fault charges one step per test
-    /// vector before it is simulated; when the budget runs out the run is
-    /// cancelled cooperatively, like a deadline but deterministic in the
-    /// amount of work admitted.
+    /// vector before its shard is simulated; when the budget runs out the
+    /// run is cancelled cooperatively, like a deadline but deterministic
+    /// in the amount of work admitted.
     pub fn max_steps(mut self, max_steps: u64) -> Self {
         self.max_steps = Some(max_steps);
         self
@@ -1070,13 +1079,16 @@ impl<'a> ResilientCampaign<'a> {
         self
     }
 
-    /// Attaches a telemetry sink. The run records the same `campaign`
-    /// span tree, counters and per-shard events as
-    /// [`FaultCampaign::telemetry`](crate::FaultCampaign::telemetry),
-    /// plus the supervisor's own counters: `campaign.shards_retried`
-    /// (panic retries), `campaign.shards_restored` (journal hits),
-    /// `campaign.shards_skipped`, `campaign.shards_poisoned` and
-    /// `campaign.checkpoint_bytes` (journal bytes written).
+    /// Attaches a telemetry sink. The run records a `campaign` span with
+    /// per-shard `campaign/shard` children, the campaign counters
+    /// (`campaign.faults_simulated`, `campaign.faults_detected`,
+    /// `campaign.shards`, …), the engine's effort counters (those of
+    /// [`EngineStats`] the engine uses) and one `campaign.shard` event per
+    /// completed shard, plus the supervisor's own counters:
+    /// `campaign.shards_retried` (panic retries),
+    /// `campaign.shards_restored` (journal hits), `campaign.shards_skipped`,
+    /// `campaign.shards_poisoned` and `campaign.checkpoint_bytes` (journal
+    /// bytes written).
     ///
     /// Events are emitted only from the serial shard-ordered merge loop,
     /// so the recorded event stream is byte-identical across thread
@@ -1092,7 +1104,8 @@ impl<'a> ResilientCampaign<'a> {
     /// contract here: the trace must have been built from this `golden`
     /// and this test set). Safe across engines because
     /// [`GoldenTrace::build`] and [`GoldenTrace::build_packed`] are
-    /// bit-identical field for field. Ignored under [`Engine::Naive`].
+    /// bit-identical field for field. Ignored by the naive and symbolic
+    /// engines.
     pub fn golden_trace(mut self, trace: Arc<GoldenTrace>) -> Self {
         self.shared_trace = Some(trace);
         self
@@ -1157,6 +1170,28 @@ impl<'a> ResilientCampaign<'a> {
                 Ok(run)
             }
         }
+    }
+
+    /// Runs a campaign whose report must cover every fault: the in-crate
+    /// callers that merge outcomes by position attach no checkpoint or
+    /// certificate, so only a quarantined shard can leave a gap.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ShardFailure`] text if a shard panicked on every
+    /// attempt, rather than return a report whose outcomes no longer line
+    /// up with the fault list.
+    pub(crate) fn run_complete(&self) -> ResilientRun {
+        let run = self.run().unwrap_or_else(|e| panic!("{e}"));
+        if let Some(failure) = run.failures.first() {
+            panic!("fault campaign incomplete: {failure}");
+        }
+        assert!(
+            run.is_complete,
+            "fault campaign incomplete: {:?}",
+            run.stopped
+        );
+        run
     }
 
     /// Post-processes a pruned [`CollapseMode::On`] run back onto the
@@ -1247,13 +1282,13 @@ impl<'a> ResilientCampaign<'a> {
         let t0 = Instant::now();
         let shards: Vec<&[Fault]> = sim_faults.chunks(self.shard_size).collect();
         let nshards = shards.len();
-        let fp = fingerprint(self.golden, sim_faults, self.tests, self.shard_size);
 
         // Checkpoint setup: load restorable shards, then open for append.
         let mut restored: Vec<Option<RestoredShard>> = (0..nshards).map(|_| None).collect();
         let mut notes: Vec<String> = Vec::new();
         let mut journal: Option<JournalHandle> = match &self.checkpoint {
             Some(path) => {
+                let fp = fingerprint(self.golden, sim_faults, self.tests, self.shard_size);
                 let writer = if self.resume && path.exists() {
                     let loaded = load_journal(
                         path,
@@ -1283,107 +1318,45 @@ impl<'a> ResilientCampaign<'a> {
         let cost = (self.tests.total_vectors() as u64).max(1);
 
         let span = self.telemetry.as_ref().map(|t| t.span("campaign"));
-        // One golden simulation of the test set, shared read-only across
-        // workers (differential engine layer 1). Built after journal
-        // restoration so a fully restored resume still pays it only once
-        // — it costs no cancellation budget (no *fault* is simulated).
-        let tables =
-            (self.engine == Engine::Packed).then(|| PackedMealy::from_explicit(self.golden));
-        let trace: Option<Arc<GoldenTrace>> = match self.engine {
-            Engine::Naive | Engine::Symbolic => None,
-            engine => Some(match &self.shared_trace {
-                // A cache-provided trace (see `golden_trace`): the caller
-                // vouches it was built from this (machine, test set).
-                Some(shared) => Arc::clone(shared),
-                None => Arc::new(match engine {
-                    Engine::Differential => GoldenTrace::build(self.golden, self.tests),
-                    Engine::Packed => GoldenTrace::build_packed(
-                        self.golden,
-                        tables
-                            .as_ref()
-                            .expect("packed tables built for Engine::Packed"),
-                        self.tests,
-                    ),
-                    Engine::Naive | Engine::Symbolic => unreachable!("matched above"),
-                }),
-            }),
-        };
-        let trace_ref = trace.as_deref();
-        let tables_ref = tables.as_ref();
-        // The packed engine's replay lowering of the golden run, built
-        // once and shared read-only across workers like the trace.
-        let script = match (&trace, self.engine) {
-            (Some(trace), Engine::Packed) => Some(ReplayScript::build(trace, self.tests)),
-            _ => None,
-        };
-        let script_ref = script.as_ref();
-        let slots: Mutex<Vec<Option<ShardState>>> =
-            Mutex::new((0..nshards).map(|_| None).collect());
+        // The engine's shared read-only artefacts (golden trace, packed
+        // lowering), built once after journal restoration and shared by
+        // every worker. Building them costs no cancellation budget (no
+        // *fault* is simulated).
+        let engine = PreparedEngine::new(
+            self.engine,
+            self.golden,
+            self.tests,
+            self.shared_trace.as_deref(),
+            self.symbolic,
+        )
+        .expect("Engine::Symbolic requires ResilientCampaign::symbolic(ctx)");
         let notes_mx = Mutex::new(notes);
-        let restored_ref = &restored;
-        let shards_ref = &shards;
-        let journal_ref = &journal;
-        let slots_ref = &slots;
-        let notes_ref = &notes_mx;
-        let cancel_ref = &cancel;
-        let span_ref = &span;
-
-        let process = |i: usize| {
-            if restored_ref[i].is_some() {
-                return;
+        let states = run_sharded(sim_faults, self.shard_size, self.jobs, |i, shard| {
+            if restored[i].is_some() {
+                return None;
             }
             // Span timing from workers is trace-safe (commutative
             // aggregation); events are confined to the merge loop below.
-            let _shard_span = span_ref.as_ref().map(|s| s.child("shard"));
-            let state = self.attempt_shard(
-                i,
-                shards_ref[i],
-                trace_ref,
-                tables_ref,
-                script_ref,
-                cancel_ref,
-                cost,
-            );
-            if let ShardState::Done(outcomes, stats, _, _, _) = &state {
-                if let Some(j) = journal_ref {
-                    #[cfg(feature = "chaos")]
-                    let drop_write = self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|p| p.should_fail_checkpoint(i));
-                    #[cfg(not(feature = "chaos"))]
-                    let drop_write = false;
-                    if drop_write {
-                        lock(notes_ref).push(format!(
-                            "journal: chaos-injected write failure for shard {i} (not journaled)"
-                        ));
-                    } else if let Err(e) = j.record(i, outcomes, stats) {
-                        lock(notes_ref).push(format!("journal: failed to record shard {i}: {e}"));
-                    }
+            let _shard_span = span.as_ref().map(|s| s.child("shard"));
+            let state = self.attempt_shard(i, shard, &engine, &cancel, cost);
+            if let (ShardState::Done(outcomes, stats, _), Some(j)) = (&state, &journal) {
+                #[cfg(feature = "chaos")]
+                let drop_write = self
+                    .chaos
+                    .as_ref()
+                    .is_some_and(|p| p.should_fail_checkpoint(i));
+                #[cfg(not(feature = "chaos"))]
+                let drop_write = false;
+                if drop_write {
+                    lock(&notes_mx).push(format!(
+                        "journal: chaos-injected write failure for shard {i} (not journaled)"
+                    ));
+                } else if let Err(e) = j.record(i, outcomes, stats) {
+                    lock(&notes_mx).push(format!("journal: failed to record shard {i}: {e}"));
                 }
             }
-            lock(slots_ref)[i] = Some(state);
-        };
-
-        let workers = self.jobs.min(nshards.max(1));
-        if workers <= 1 {
-            for i in 0..nshards {
-                process(i);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= nshards {
-                            break;
-                        }
-                        process(i);
-                    });
-                }
-            });
-        }
+            Some(state)
+        });
 
         // Durability barrier: close the channel and join the writer
         // thread — it drains every pending record and fsyncs the tail
@@ -1399,13 +1372,10 @@ impl<'a> ResilientCampaign<'a> {
         // exactly the partition a clean run produces.
         let mut outcomes = Vec::with_capacity(sim_faults.len());
         let mut stats = CampaignStats::default();
-        let mut diff = DiffStats::default();
-        let mut packed = PackedStats::default();
-        let mut sym = SymbolicEngineStats::default();
+        let mut effort = EngineStats::default();
         let mut failures = Vec::new();
         let mut skipped = Vec::new();
         let mut restored_count = 0;
-        let mut slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
         // Events only here: serial, shard-ordered, thread-count blind.
         let shard_event = |st: &CampaignStats, i: usize, restored: bool| {
             if let Some(tel) = &self.telemetry {
@@ -1423,7 +1393,7 @@ impl<'a> ResilientCampaign<'a> {
                 );
             }
         };
-        for (i, restored_shard) in restored.into_iter().enumerate() {
+        for (i, (restored_shard, state)) in restored.into_iter().zip(states).enumerate() {
             if let Some((outs, st)) = restored_shard {
                 restored_count += 1;
                 shard_event(&st, i, true);
@@ -1431,13 +1401,11 @@ impl<'a> ResilientCampaign<'a> {
                 outcomes.extend(outs);
                 continue;
             }
-            match slots[i].take() {
-                Some(ShardState::Done(outs, st, sd, sp, ss)) => {
+            match state {
+                Some(ShardState::Done(outs, st, e)) => {
                     shard_event(&st, i, false);
                     stats.merge(&st);
-                    diff.merge(&sd);
-                    packed.merge(&sp);
-                    sym.merge(&ss);
+                    effort.merge(&e);
                     outcomes.extend(outs);
                 }
                 Some(ShardState::Poisoned { attempts, message }) => {
@@ -1480,50 +1448,14 @@ impl<'a> ResilientCampaign<'a> {
             tel.counter_add("campaign.shards_restored", restored_count as u64);
             tel.counter_add("campaign.shards_skipped", skipped.len() as u64);
             tel.counter_add("campaign.shards_poisoned", failures.len() as u64);
-            // Differential-effort counters, merged serially in shard
-            // order from freshly simulated shards only (restored shards
-            // did no simulation this run). The packed engine shares the
-            // differential accounting and adds its word counters; the
-            // symbolic engine reports BDD-package effort instead.
-            if matches!(self.engine, Engine::Differential | Engine::Packed) {
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_FAULTS_SKIPPED_BY_INDEX,
-                    diff.faults_skipped_by_index as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_PREFIX_STEPS_SAVED,
-                    diff.prefix_steps_saved as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_DIVERGENCE_REPLAYS,
-                    diff.divergence_replays as u64,
-                );
-            }
-            if self.engine == Engine::Packed {
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_PACKED_WORDS,
-                    packed.packed_words as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_LANES_ACTIVE,
-                    packed.lanes_active as u64,
-                );
-            }
-            // Summed from freshly simulated shards in shard order;
-            // byte-identical across `--jobs` (see `simcov_obs::names`).
-            if self.engine == Engine::Symbolic {
-                tel.counter_add(simcov_obs::names::BDD_UNIQUE_NODES, sym.unique_nodes);
-                tel.counter_add(simcov_obs::names::BDD_ITE_CACHE_HITS, sym.ite_cache_hits);
-                tel.counter_add(
-                    simcov_obs::names::BDD_ITE_CACHE_MISSES,
-                    sym.ite_cache_misses,
-                );
-                tel.counter_add(simcov_obs::names::BDD_GC_COLLECTIONS, sym.gc_collections);
-            }
+            // Engine effort over freshly simulated shards only (restored
+            // shards did no simulation this run), merged in shard order.
+            effort.emit(self.engine, tel);
         }
         drop(span);
         let detected_lo = stats.detected;
         let unsimulated = sim_faults.len() - stats.faults_simulated;
+        let EngineStats { diff, packed, sym } = effort;
         Ok(ResilientRun {
             report: CampaignReport { outcomes },
             stats,
@@ -1550,18 +1482,12 @@ impl<'a> ResilientCampaign<'a> {
     }
 
     /// Attempts one shard with panic isolation and the retry budget.
-    /// `trace` is the shared golden memo (`Some` unless the engine is
-    /// naive); `tables` the shared packed transition tables (`Some` iff
-    /// the engine is packed).
     #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
-    #[allow(clippy::too_many_arguments)] // one optional shared lowering per engine
     fn attempt_shard(
         &self,
         shard_idx: usize,
         shard: &[Fault],
-        trace: Option<&GoldenTrace>,
-        tables: Option<&PackedMealy>,
-        script: Option<&ReplayScript>,
+        engine: &PreparedEngine<'_>,
         cancel: &Cancel,
         cost: u64,
     ) -> ShardState {
@@ -1580,86 +1506,26 @@ impl<'a> ResilientCampaign<'a> {
                         ));
                     }
                 }
-                let mut shard_diff = DiffStats::default();
-                let mut shard_packed = PackedStats::default();
-                let mut shard_sym = SymbolicEngineStats::default();
-                if self.engine == Engine::Symbolic {
-                    // Symbolic engine: like the packed engine the walk is
-                    // shard-at-a-time, so charge the whole shard's budget
-                    // up front with the same per-fault deductions as the
-                    // scalar loop (partial shards are never reported).
-                    for _ in shard {
-                        if !cancel.charge(cost) {
-                            return None;
-                        }
-                    }
-                    let ctx = self
-                        .symbolic
-                        .expect("Engine::Symbolic requires ResilientCampaign::symbolic(ctx)");
-                    let outcomes = simulate_shard_symbolic(
-                        ctx,
-                        self.golden,
-                        shard,
-                        self.tests,
-                        &mut shard_sym,
-                    );
-                    return Some((outcomes, shard_diff, shard_packed, shard_sym));
-                }
-                if let Some(tables) = tables {
-                    // Packed engine: the word replay is shard-at-a-time,
-                    // so charge the whole shard's budget up front — the
-                    // same per-fault deductions, in the same fault order,
-                    // as the scalar loop below, so budgets admit work at
-                    // identical points under every engine. A mid-shard
-                    // refusal cancels the whole shard, exactly like a
-                    // mid-shard refusal in the scalar loop (partial
-                    // shards are never reported or journaled).
-                    for _ in shard {
-                        if !cancel.charge(cost) {
-                            return None;
-                        }
-                    }
-                    let trace = trace.expect("packed engine always builds a trace");
-                    let script = script.expect("packed engine always builds a script");
-                    let outcomes = simulate_shard_packed(
-                        self.golden,
-                        tables,
-                        trace,
-                        script,
-                        shard,
-                        self.tests,
-                        &mut shard_diff,
-                        &mut shard_packed,
-                    );
-                    return Some((outcomes, shard_diff, shard_packed, shard_sym));
-                }
-                let mut outcomes = Vec::with_capacity(shard.len());
-                for f in shard {
-                    // Cancellation charges the full per-fault cost before
-                    // simulating regardless of engine: budgets must admit
-                    // the same prefix of faults under either engine so
-                    // truncation points (and resumes from them) stay
-                    // deterministic and engine-independent.
+                // Admit the whole shard before simulating it, charging the
+                // full per-fault cost in fault order: budgets admit work
+                // at identical points under every engine, so truncation
+                // points (and resumes from them) stay deterministic and
+                // engine-independent. A mid-shard refusal cancels the
+                // whole shard (partial shards are never reported or
+                // journaled).
+                for _ in shard {
                     if !cancel.charge(cost) {
                         return None;
                     }
-                    outcomes.push(match trace {
-                        Some(trace) => simulate_fault_differential(
-                            self.golden,
-                            trace,
-                            f,
-                            self.tests,
-                            &mut shard_diff,
-                        ),
-                        None => simulate_fault(self.golden, f, self.tests),
-                    });
                 }
-                Some((outcomes, shard_diff, shard_packed, shard_sym))
+                let mut effort = EngineStats::default();
+                let outcomes = engine.simulate(shard, &mut effort);
+                Some((outcomes, effort))
             }));
             match result {
-                Ok(Some((outcomes, shard_diff, shard_packed, shard_sym))) => {
+                Ok(Some((outcomes, effort))) => {
                     let stats = CampaignStats::tally(&outcomes);
-                    return ShardState::Done(outcomes, stats, shard_diff, shard_packed, shard_sym);
+                    return ShardState::Done(outcomes, stats, effort);
                 }
                 Ok(None) => return ShardState::Cancelled,
                 Err(payload) => {
@@ -1699,9 +1565,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{enumerate_single_faults, extend_cyclically, FaultSpace};
-    use crate::parallel::FaultCampaign;
+    use crate::faults::{enumerate_single_faults, extend_cyclically, simulate_fault, FaultSpace};
     use crate::testutil::figure2;
+    use simcov_obs::names;
     use simcov_tour::transition_tour;
 
     fn fixture() -> (ExplicitMealy, Vec<Fault>, TestSet) {
@@ -1736,19 +1602,120 @@ mod tests {
     }
 
     #[test]
-    fn complete_run_matches_plain_campaign() {
+    fn complete_run_matches_serial_simulation() {
         let (m, faults, tests) = fixture();
+        let serial = CampaignReport {
+            outcomes: faults
+                .iter()
+                .map(|f| simulate_fault(&m, f, &tests))
+                .collect(),
+        };
         for jobs in [1, 2, 8] {
-            let plain = FaultCampaign::new(&m, &faults, &tests).jobs(jobs).run();
-            let resilient = ResilientCampaign::new(&m, &faults, &tests)
+            let run = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(jobs)
                 .run()
                 .unwrap();
-            assert!(resilient.is_complete);
-            assert_eq!(resilient.stopped, None);
-            assert_eq!(resilient.stats, plain.stats, "jobs={jobs}");
-            assert_eq!(resilient.report, plain.report, "jobs={jobs}");
-            assert_eq!(resilient.bounds.detected_lo, resilient.bounds.detected_hi);
+            assert!(run.is_complete);
+            assert_eq!(run.stopped, None);
+            assert_eq!(run.report, serial, "jobs={jobs}");
+            assert_eq!(run.stats.faults_simulated, faults.len());
+            assert_eq!(run.stats.detected, serial.num_detected());
+            assert_eq!(run.stats.excited, serial.num_excited());
+            assert_eq!(run.stats.escapes, serial.escapes().count());
+            assert_eq!(run.bounds.detected_lo, run.bounds.detected_hi);
+        }
+    }
+
+    #[test]
+    fn jobs_zero_clamps_to_serial() {
+        let (m, faults, tests) = fixture();
+        let zero = ResilientCampaign::new(&m, &faults, &tests)
+            .jobs(0)
+            .run()
+            .unwrap();
+        let one = ResilientCampaign::new(&m, &faults, &tests)
+            .jobs(1)
+            .run()
+            .unwrap();
+        assert_eq!(zero.jobs, 1, "jobs(0) must clamp to serial execution");
+        assert_eq!(zero.stats, one.stats);
+        assert_eq!(zero.report, one.report);
+    }
+
+    #[test]
+    fn shard_size_zero_clamps_to_one_fault_per_shard() {
+        let (m, faults, tests) = fixture();
+        let run = ResilientCampaign::new(&m, &faults, &tests)
+            .jobs(2)
+            .shard_size(0)
+            .run()
+            .unwrap();
+        // Clamped to 1 => exactly one shard per fault, and the outcomes
+        // still match the default partition's.
+        assert_eq!(run.stats.shards, faults.len());
+        assert_eq!(run.total_shards, faults.len());
+        let baseline = ResilientCampaign::new(&m, &faults, &tests)
+            .jobs(1)
+            .run()
+            .unwrap();
+        assert_eq!(run.report, baseline.report);
+    }
+
+    #[test]
+    fn engine_effort_counters_reconcile_with_the_trace() {
+        let (m, faults, tests) = fixture();
+        for engine in [Engine::Differential, Engine::Packed] {
+            let mut efforts = Vec::new();
+            let mut traces = Vec::new();
+            for jobs in [1usize, 2, 8] {
+                let tel = Telemetry::new();
+                let run = ResilientCampaign::new(&m, &faults, &tests)
+                    .engine(engine)
+                    .jobs(jobs)
+                    .telemetry(tel.clone())
+                    .run()
+                    .unwrap();
+                let snap = tel.snapshot();
+                assert_eq!(
+                    snap.counter(names::CAMPAIGN_FAULTS_SKIPPED_BY_INDEX),
+                    Some(run.diff.faults_skipped_by_index as u64)
+                );
+                assert_eq!(
+                    snap.counter(names::CAMPAIGN_PREFIX_STEPS_SAVED),
+                    Some(run.diff.prefix_steps_saved as u64)
+                );
+                assert_eq!(
+                    snap.counter(names::CAMPAIGN_DIVERGENCE_REPLAYS),
+                    Some(run.diff.divergence_replays as u64),
+                    "{engine} emits the differential effort counters"
+                );
+                let packed_words = snap.counter(names::CAMPAIGN_PACKED_WORDS);
+                if engine == Engine::Packed {
+                    assert_eq!(packed_words, Some(run.packed.packed_words as u64));
+                    assert_eq!(
+                        snap.counter(names::CAMPAIGN_LANES_ACTIVE),
+                        Some(run.packed.lanes_active as u64)
+                    );
+                    assert!(
+                        run.packed.packed_words > 0,
+                        "fixture has effective transfers"
+                    );
+                } else {
+                    assert_eq!(packed_words, None, "only the packed engine packs");
+                }
+                efforts.push((run.diff, run.packed));
+                traces.push(snap.to_jsonl());
+            }
+            // The tour-based fixture excites every fault, so nothing is
+            // skipped but plenty of prefix work is saved.
+            assert!(efforts[0].0.prefix_steps_saved > 0);
+            assert!(
+                efforts.iter().all(|e| *e == efforts[0]),
+                "{engine}: effort must not depend on jobs"
+            );
+            assert_eq!(traces[0], traces[1], "{engine}");
+            assert_eq!(traces[0], traces[2], "{engine}");
+            simcov_obs::verify_trace(&traces[0]).expect("trace verifies");
         }
     }
 
@@ -1883,10 +1850,11 @@ mod tests {
         assert!(!run.skipped.is_empty());
         // Every simulated outcome is exact: it matches the clean run's
         // prefix for the completed shards.
-        let clean = FaultCampaign::new(&m, &faults, &tests)
+        let clean = ResilientCampaign::new(&m, &faults, &tests)
             .jobs(1)
             .shard_size(7)
-            .run();
+            .run()
+            .unwrap();
         assert_eq!(
             run.report.outcomes[..],
             clean.report.outcomes[..run.report.outcomes.len()]
@@ -1898,10 +1866,11 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("resume");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
+        let clean = ResilientCampaign::new(&m, &faults, &tests)
             .jobs(2)
             .shard_size(5)
-            .run();
+            .run()
+            .unwrap();
         // Truncated first run: journal whatever completes.
         let cost = tests.total_vectors() as u64;
         let first = ResilientCampaign::new(&m, &faults, &tests)
@@ -1964,11 +1933,12 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("packed_to_naive");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
+        let clean = ResilientCampaign::new(&m, &faults, &tests)
             .engine(Engine::Naive)
             .jobs(2)
             .shard_size(5)
-            .run();
+            .run()
+            .unwrap();
         let cost = tests.total_vectors() as u64;
         let first = ResilientCampaign::new(&m, &faults, &tests)
             .engine(Engine::Packed)
@@ -2032,10 +2002,11 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("any_offset");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
+        let clean = ResilientCampaign::new(&m, &faults, &tests)
             .jobs(1)
             .shard_size(5)
-            .run();
+            .run()
+            .unwrap();
         ResilientCampaign::new(&m, &faults, &tests)
             .jobs(1)
             .shard_size(5)
@@ -2073,10 +2044,11 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("cross_engine");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
+        let clean = ResilientCampaign::new(&m, &faults, &tests)
             .jobs(2)
             .shard_size(5)
-            .run();
+            .run()
+            .unwrap();
         let cost = tests.total_vectors() as u64;
         let first = ResilientCampaign::new(&m, &faults, &tests)
             .engine(Engine::Naive)
@@ -2165,10 +2137,11 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("torn");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
+        let clean = ResilientCampaign::new(&m, &faults, &tests)
             .jobs(1)
             .shard_size(5)
-            .run();
+            .run()
+            .unwrap();
         ResilientCampaign::new(&m, &faults, &tests)
             .jobs(1)
             .shard_size(5)
@@ -2281,10 +2254,11 @@ mod tests {
                 panic_prob: 0.3,
                 ..ChaosPlan::new(7)
             };
-            let clean = FaultCampaign::new(&m, &faults, &tests)
+            let clean = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(2)
                 .shard_size(5)
-                .run();
+                .run()
+                .unwrap();
             let run = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(2)
                 .shard_size(5)
@@ -2326,6 +2300,22 @@ mod tests {
         }
 
         #[test]
+        #[should_panic(expected = "fault campaign incomplete: shard 0")]
+        fn run_complete_refuses_a_gapped_report() {
+            silence_chaos_panics();
+            let (m, faults, tests) = fixture();
+            let plan = ChaosPlan {
+                panic_prob: 1.0,
+                ..ChaosPlan::new(3)
+            };
+            ResilientCampaign::new(&m, &faults, &tests)
+                .jobs(2)
+                .max_retries(0)
+                .chaos(plan)
+                .run_complete();
+        }
+
+        #[test]
         fn checkpoint_write_failures_degrade_not_corrupt() {
             silence_chaos_panics();
             let (m, faults, tests) = fixture();
@@ -2350,10 +2340,11 @@ mod tests {
             );
             // The journal holds a subset of shards; resuming restores that
             // subset, re-runs the rest, and still matches a clean run.
-            let clean = FaultCampaign::new(&m, &faults, &tests)
+            let clean = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(1)
                 .shard_size(5)
-                .run();
+                .run()
+                .unwrap();
             let resumed = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(1)
                 .shard_size(5)
@@ -2400,6 +2391,112 @@ mod tests {
                 assert_eq!(summary.collapsed_faults, 0, "singletons prune nothing");
             }
             assert!(off.collapse.is_none());
+        }
+
+        /// One state, one input, three outputs: the two effective output
+        /// faults at the single cell are genuinely equivalent (both
+        /// detected at the first vector), so collapsing them is sound and
+        /// actually prunes work.
+        fn output_pair_fixture() -> (ExplicitMealy, Vec<Fault>, TestSet, CollapseCertificate) {
+            let mut b = simcov_fsm::MealyBuilder::new();
+            let s0 = b.add_state("s0");
+            let i0 = b.add_input("i0");
+            let o0 = b.add_output("o0");
+            let o1 = b.add_output("o1");
+            let o2 = b.add_output("o2");
+            b.add_transition(s0, i0, s0, o0);
+            let m = b.build(s0).unwrap();
+            let faults: Vec<Fault> = [o1, o2]
+                .into_iter()
+                .map(|new_output| Fault {
+                    state: s0,
+                    input: i0,
+                    kind: FaultKind::Output { new_output },
+                })
+                .collect();
+            let tests = TestSet::single(vec![i0, i0]);
+            let cert = CollapseCertificate::new(
+                &m,
+                &faults,
+                vec![0, 0],
+                vec![ClassKind::Output],
+                Vec::new(),
+            )
+            .unwrap();
+            assert_eq!(cert.collapsed_faults(), 1);
+            (m, faults, tests, cert)
+        }
+
+        #[test]
+        fn collapse_on_matches_off_and_prunes_work() {
+            let (m, faults, tests, cert) = output_pair_fixture();
+            let off = ResilientCampaign::new(&m, &faults, &tests)
+                .jobs(1)
+                .run()
+                .unwrap();
+            for jobs in [1, 2, 8] {
+                let tel = Telemetry::new();
+                let on = ResilientCampaign::new(&m, &faults, &tests)
+                    .jobs(jobs)
+                    .collapse(&cert, CollapseMode::On)
+                    .telemetry(tel.clone())
+                    .run()
+                    .unwrap();
+                assert_eq!(on.report, off.report, "jobs={jobs}");
+                assert_eq!(on.stats, off.stats, "jobs={jobs}");
+                let summary = on.collapse.expect("collapse run carries a summary");
+                assert_eq!(summary.mode, CollapseMode::On);
+                assert_eq!(summary.classes, 1);
+                assert_eq!(summary.collapsed_faults, 1);
+                assert!(summary.violations.is_empty());
+                // Only the representative was simulated.
+                assert_eq!(
+                    tel.snapshot().counter("campaign.faults_simulated"),
+                    Some(1),
+                    "jobs={jobs}"
+                );
+            }
+            assert!(off.collapse.is_none(), "plain runs carry no summary");
+            // Off mode ignores the certificate entirely.
+            let explicit_off = ResilientCampaign::new(&m, &faults, &tests)
+                .collapse(&cert, CollapseMode::Off)
+                .run()
+                .unwrap();
+            assert!(explicit_off.collapse.is_none());
+            assert_eq!(explicit_off.report, off.report);
+        }
+
+        #[test]
+        fn collapse_on_trace_is_byte_identical_across_thread_counts() {
+            let (m, faults, tests) = fixture();
+            let cert = singleton_cert(&m, &faults);
+            let traces: Vec<String> = [1usize, 2, 8]
+                .iter()
+                .map(|&jobs| {
+                    let tel = Telemetry::new();
+                    let run = ResilientCampaign::new(&m, &faults, &tests)
+                        .jobs(jobs)
+                        .collapse(&cert, CollapseMode::On)
+                        .telemetry(tel.clone())
+                        .run()
+                        .unwrap();
+                    let snap = tel.snapshot();
+                    let summary = run.collapse.unwrap();
+                    assert_eq!(
+                        snap.counter(names::CAMPAIGN_CLASSES),
+                        Some(summary.classes as u64)
+                    );
+                    assert_eq!(
+                        snap.counter(names::CAMPAIGN_COLLAPSED_FAULTS),
+                        Some(summary.collapsed_faults as u64)
+                    );
+                    assert_eq!(snap.events.len(), run.total_shards);
+                    snap.to_jsonl()
+                })
+                .collect();
+            assert_eq!(traces[0], traces[1]);
+            assert_eq!(traces[0], traces[2]);
+            simcov_obs::verify_trace(&traces[0]).expect("trace verifies");
         }
 
         #[test]

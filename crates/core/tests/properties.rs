@@ -4,7 +4,8 @@
 use simcov_core::testutil::{forall_cfg, Config, Gen};
 use simcov_core::{
     certify_completeness, detects, enumerate_single_faults, extend_cyclically,
-    forall_k_distinguishable, run_campaign, Engine, Fault, FaultCampaign, FaultKind, FaultSpace,
+    forall_k_distinguishable, run_campaign, Engine, Fault, FaultKind, FaultSpace,
+    ResilientCampaign,
 };
 use simcov_fsm::{ExplicitMealy, InputSym, MealyBuilder, OutputSym, StateId};
 use simcov_tour::{transition_tour, TestSet};
@@ -212,15 +213,17 @@ fn differential_engine_matches_naive_engine() {
                 );
             }
             let tests = TestSet { sequences };
-            let naive = FaultCampaign::new(&m, &faults, &tests)
+            let naive = ResilientCampaign::new(&m, &faults, &tests)
                 .engine(Engine::Naive)
                 .jobs(1)
-                .run();
+                .run()
+                .unwrap();
             for jobs in [1, 2, 8] {
-                let diff = FaultCampaign::new(&m, &faults, &tests)
+                let diff = ResilientCampaign::new(&m, &faults, &tests)
                     .engine(Engine::Differential)
                     .jobs(jobs)
-                    .run();
+                    .run()
+                    .unwrap();
                 assert_eq!(
                     diff.report.outcomes, naive.report.outcomes,
                     "outcomes must be engine-independent at jobs={jobs}"
@@ -229,10 +232,11 @@ fn differential_engine_matches_naive_engine() {
                     diff.stats, naive.stats,
                     "stats must be engine-independent at jobs={jobs}"
                 );
-                let packed = FaultCampaign::new(&m, &faults, &tests)
+                let packed = ResilientCampaign::new(&m, &faults, &tests)
                     .engine(Engine::Packed)
                     .jobs(jobs)
-                    .run();
+                    .run()
+                    .unwrap();
                 assert_eq!(
                     packed.report.outcomes, naive.report.outcomes,
                     "packed outcomes must be engine-independent at jobs={jobs}"

@@ -14,16 +14,13 @@
 use crate::cache::TraceCache;
 use crate::ExitStatus;
 use simcov_analyze::{analyze_collapse, lint_analysis, AnalyzeOptions, AnalyzeTarget};
-use simcov_core::differential::simulate_fault_differential;
 use simcov_core::fingerprint::machine_fingerprint;
-use simcov_core::packed::simulate_shard_packed;
 use simcov_core::{
     default_jobs, enumerate_single_faults, extend_cyclically, run_implicit_campaign,
-    simulate_fault, simulate_shard_symbolic, ClosureConfig, ClosureDriver, CollapseMode, DiffStats,
-    Engine, Fault, FaultSpace, GoldenTrace, ImplicitConfig, PackedStats, ReplayScript,
-    ResilientCampaign, SymbolicContext, SymbolicEngineStats,
+    simulate_fault, ClosureConfig, ClosureDriver, CollapseMode, Engine, EngineStats, Fault,
+    FaultSpace, GoldenTrace, ImplicitConfig, PreparedEngine, ResilientCampaign, SymbolicContext,
 };
-use simcov_fsm::{enumerate_netlist, EnumerateOptions, ExplicitMealy, PackedMealy};
+use simcov_fsm::{enumerate_netlist, EnumerateOptions, ExplicitMealy};
 use simcov_netlist::Netlist;
 use simcov_obs::fnv::Fnv64;
 use simcov_obs::Telemetry;
@@ -405,6 +402,9 @@ pub fn audit_engine(
     if faults.is_empty() || engine == Engine::Naive {
         return true;
     }
+    let Some(prepared) = PreparedEngine::new(engine, m, tests, Some(trace), sym) else {
+        return false;
+    };
     let mut rng = Prng::seed_from_u64(policy.seed);
     let sample: Vec<Fault> = rng
         .choose_multiple(faults, policy.sample.clamp(1, faults.len()))
@@ -412,38 +412,7 @@ pub fn audit_engine(
         .copied()
         .collect();
     let expected: Vec<_> = sample.iter().map(|f| simulate_fault(m, f, tests)).collect();
-    let got = match engine {
-        Engine::Naive => unreachable!("checked above"),
-        Engine::Differential => {
-            let mut diff = DiffStats::default();
-            sample
-                .iter()
-                .map(|f| simulate_fault_differential(m, trace, f, tests, &mut diff))
-                .collect::<Vec<_>>()
-        }
-        Engine::Packed => {
-            let tables = PackedMealy::from_explicit(m);
-            let script = ReplayScript::build(trace, tests);
-            let mut diff = DiffStats::default();
-            let mut packed = PackedStats::default();
-            simulate_shard_packed(
-                m,
-                &tables,
-                trace,
-                &script,
-                &sample,
-                tests,
-                &mut diff,
-                &mut packed,
-            )
-        }
-        Engine::Symbolic => {
-            let Some(ctx) = sym else { return false };
-            let mut stats = SymbolicEngineStats::default();
-            simulate_shard_symbolic(ctx, m, &sample, tests, &mut stats)
-        }
-    };
-    got == expected
+    prepared.simulate(&sample, &mut EngineStats::default()) == expected
 }
 
 /// One rung down the degradation ladder.
@@ -580,13 +549,12 @@ fn execute_campaign(
         .jobs(jobs)
         .max_retries(opts.max_retries)
         .telemetry(tel.clone());
-    if let (Some(trace), true) = (
-        &shared_trace,
-        matches!(engine, Engine::Differential | Engine::Packed),
-    ) {
+    // Engines ignore the artefacts they do not use, so a degraded job can
+    // keep both.
+    if let Some(trace) = &shared_trace {
         campaign = campaign.golden_trace(Arc::clone(trace));
     }
-    if let (Some(ctx), Engine::Symbolic) = (&sym_ctx, engine) {
+    if let Some(ctx) = &sym_ctx {
         campaign = campaign.symbolic(ctx);
     }
     if let Some(a) = &analysis {
@@ -1253,15 +1221,41 @@ mod tests {
 
     #[test]
     fn honest_audit_passes_on_real_engines() {
-        let spec = campaign_spec(5, Engine::Packed);
         let ctx = ExecCtx {
             cache: None,
             audit: Some(AuditPolicy::default()),
             force_audit_fail: None,
         };
-        let out = execute(&spec, &Telemetry::new(), &ctx).unwrap();
-        assert_eq!(out.engine_used, Some(Engine::Packed));
-        assert_eq!(out.degraded, 0);
+        for engine in [Engine::Differential, Engine::Packed, Engine::Symbolic] {
+            let out = execute(&campaign_spec(5, engine), &Telemetry::new(), &ctx).unwrap();
+            assert_eq!(out.engine_used, Some(engine));
+            assert_eq!(out.degraded, 0, "{engine}");
+        }
+
+        // The symbolic audit needs the netlist bridge: it passes with one
+        // and fails without, which descends the ladder.
+        let model = ModelSource::Dlx("reduced-obs".to_string());
+        let n = model.netlist().unwrap();
+        let m = enumerate(&n).unwrap();
+        let faults = enumerate_single_faults(&m, &FaultSpace::default());
+        let tour = generate_tour_traced(&m, TourKind::Postman, &Telemetry::new()).unwrap();
+        let tests = TestSet::single(extend_cyclically(&tour.inputs, 1));
+        let trace = GoldenTrace::build(&m, &tests);
+        let bridge =
+            SymbolicContext::new(&n, &m, &EnumerateOptions::exhaustive(&n).inputs).unwrap();
+        let audit = |sym| {
+            audit_engine(
+                &m,
+                &trace,
+                &faults,
+                &tests,
+                Engine::Symbolic,
+                AuditPolicy::default(),
+                sym,
+            )
+        };
+        assert!(audit(Some(&bridge)));
+        assert!(!audit(None));
     }
 
     fn close_spec(jobs: usize, engine: Engine, format: &str) -> JobSpec {

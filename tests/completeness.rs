@@ -6,7 +6,7 @@
 use simcov::core::models::figure2;
 use simcov::core::{
     certify_completeness, enumerate_single_faults, extend_cyclically, run_campaign,
-    CompletenessViolation, FaultCampaign, FaultSpace,
+    CompletenessViolation, FaultSpace, ResilientCampaign,
 };
 use simcov::dlx::testmodel::{
     reduced_control_netlist, reduced_control_netlist_observable, reduced_valid_inputs,
@@ -45,7 +45,7 @@ fn certified_model_tour_catches_every_fault() {
         let tests = TestSet::single(extend_cyclically(&tour.inputs, cert.k));
         // Drive the parallel engine explicitly (jobs = all cores) so the
         // paper's flagship campaign also exercises the sharded path.
-        let run = FaultCampaign::new(&m, &faults, &tests).run();
+        let run = ResilientCampaign::new(&m, &faults, &tests).run().unwrap();
         assert!(
             run.report.complete(),
             "tour of length {} must detect all faults, got {}",

@@ -9,8 +9,8 @@
 //! three-engine equivalence gate.
 
 use simcov::core::{
-    enumerate_single_faults, extend_cyclically, sample_faults, Engine, FaultCampaign, FaultSpace,
-    PackedStats, ResilientCampaign,
+    enumerate_single_faults, extend_cyclically, sample_faults, Engine, FaultSpace, PackedStats,
+    ResilientCampaign,
 };
 use simcov::dlx::testmodel::{reduced_control_netlist_observable, reduced_valid_inputs};
 use simcov::fsm::{enumerate_netlist, ExplicitMealy, InputSym, MealyBuilder};
@@ -83,23 +83,26 @@ fn assert_three_way(
     jobs: usize,
     ctx: &str,
 ) {
-    let naive = FaultCampaign::new(m, faults, tests)
+    let naive = ResilientCampaign::new(m, faults, tests)
         .engine(Engine::Naive)
         .jobs(jobs)
-        .run();
+        .run()
+        .unwrap();
     assert_eq!(
         naive.packed,
         PackedStats::default(),
         "{ctx}: naive packs nothing"
     );
-    let differential = FaultCampaign::new(m, faults, tests)
+    let differential = ResilientCampaign::new(m, faults, tests)
         .engine(Engine::Differential)
         .jobs(jobs)
-        .run();
-    let packed = FaultCampaign::new(m, faults, tests)
+        .run()
+        .unwrap();
+    let packed = ResilientCampaign::new(m, faults, tests)
         .engine(Engine::Packed)
         .jobs(jobs)
-        .run();
+        .run()
+        .unwrap();
     assert_eq!(
         packed.report.outcomes, naive.report.outcomes,
         "{ctx}: packed vs naive outcomes"
@@ -163,21 +166,23 @@ fn single_shard_word_boundaries_pin_tail_masking() {
     );
     assert!(!transfers.is_empty());
     let naive_all = |faults: &[simcov::core::Fault]| {
-        FaultCampaign::new(&m, faults, &tests)
+        ResilientCampaign::new(&m, faults, &tests)
             .engine(Engine::Naive)
             .shard_size(faults.len())
             .jobs(1)
             .run()
+            .unwrap()
     };
     for count in [1usize, 63, 64, 65, 130] {
         let faults: Vec<simcov::core::Fault> =
             (0..count).map(|i| transfers[i % transfers.len()]).collect();
         let naive = naive_all(&faults);
-        let packed = FaultCampaign::new(&m, &faults, &tests)
+        let packed = ResilientCampaign::new(&m, &faults, &tests)
             .engine(Engine::Packed)
             .shard_size(faults.len())
             .jobs(1)
-            .run();
+            .run()
+            .unwrap();
         assert_eq!(packed.report, naive.report, "{count} transfer faults");
         assert_eq!(packed.stats, naive.stats, "{count} transfer faults");
         // Every excited effective transfer occupies a lane; words are

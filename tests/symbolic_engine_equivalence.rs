@@ -8,8 +8,8 @@
 //! `crates/core/src/symbolic.rs` and of the CI four-engine gate.
 
 use simcov::core::{
-    enumerate_single_faults, extend_cyclically, Engine, FaultCampaign, FaultSpace, SymbolicContext,
-    SymbolicEngineStats,
+    enumerate_single_faults, extend_cyclically, Engine, FaultSpace, ResilientCampaign,
+    SymbolicContext, SymbolicEngineStats,
 };
 use simcov::dlx::testmodel::{reduced_control_netlist_observable, reduced_valid_inputs};
 use simcov::fsm::{enumerate_netlist, EnumerateOptions, ExplicitMealy};
@@ -72,25 +72,28 @@ fn assert_four_way(
     jobs: usize,
     label: &str,
 ) -> SymbolicEngineStats {
-    let naive = FaultCampaign::new(m, faults, tests)
+    let naive = ResilientCampaign::new(m, faults, tests)
         .engine(Engine::Naive)
         .jobs(jobs)
-        .run();
-    let symbolic = FaultCampaign::new(m, faults, tests)
+        .run()
+        .unwrap();
+    let symbolic = ResilientCampaign::new(m, faults, tests)
         .engine(Engine::Symbolic)
         .symbolic(ctx)
         .jobs(jobs)
-        .run();
+        .run()
+        .unwrap();
     assert_eq!(
         symbolic.report.outcomes, naive.report.outcomes,
         "{label}: symbolic vs naive outcomes"
     );
     assert_eq!(symbolic.stats, naive.stats, "{label}: merged stats");
     for engine in [Engine::Differential, Engine::Packed] {
-        let run = FaultCampaign::new(m, faults, tests)
+        let run = ResilientCampaign::new(m, faults, tests)
             .engine(engine)
             .jobs(jobs)
-            .run();
+            .run()
+            .unwrap();
         assert_eq!(
             run.report.outcomes, naive.report.outcomes,
             "{label}: {engine} vs naive outcomes"
