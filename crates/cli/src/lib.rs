@@ -182,7 +182,7 @@ USAGE:
   simcov analyze --dlx <name> [same options]
   simcov close <model.blif> [--max-faults <N>] [--seed <S>] [--rounds <R>]
                [--budget <STEPS>] [--jobs <J>]
-               [--engine naive|differential|packed|symbolic] [--collapse off|on]
+               [--engine naive|differential|packed] [--collapse off|on]
                [--format text|json] [--trace-out <FILE>] [--metrics]
   simcov close --dlx <name> [same options]
   simcov serve [--addr <HOST:PORT>] [--workers <N>] [--queue <N>] [--cache <N>]
@@ -558,7 +558,7 @@ pub fn cmd_analyze(
 /// identified. Exits 0 at closure and [`EXIT_PARTIAL`] when the round
 /// budget, `--budget` step cap or stagnation stopped the loop first.
 /// For a fixed `--seed` the round schedule, report and telemetry trace
-/// are byte-identical for every `--jobs` value and engine.
+/// are byte-identical for every `--jobs` value and explicit engine.
 pub fn cmd_close(
     source: LintSource<'_>,
     opts: &CloseOpts,
@@ -1005,10 +1005,12 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                     Some("naive") => Engine::Naive,
                     Some("differential") => Engine::Differential,
                     Some("packed") => Engine::Packed,
+                    // Refused by the job layer, with the same message
+                    // a served `close` request gets.
                     Some("symbolic") => Engine::Symbolic,
                     Some(other) => {
                         return Err(CliError::usage(format!(
-                            "unknown engine `{other}` (naive|differential|packed|symbolic)"
+                            "unknown engine `{other}` (naive|differential|packed)"
                         )))
                     }
                 },
@@ -1806,6 +1808,19 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.message.contains("unknown engine"));
+        // Symbolic closure is a usage error, not a panic (exit 2).
+        let e = run(&args(&[
+            "close",
+            "--dlx",
+            "reduced-obs",
+            "--engine",
+            "symbolic",
+            "--rounds",
+            "1",
+        ]))
+        .unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("symbolic engine"), "{}", e.message);
         let e = run(&args(&[
             "close",
             "--dlx",

@@ -30,33 +30,31 @@
 //!    partition is a pure function of the fault count
 //!    ([`default_shard_size`]) and per-shard results are deterministic,
 //!    the merged [`CampaignStats`] and [`CampaignReport`] are
-//!    byte-identical to an uninterrupted run. Torn trailing records (the
-//!    `SIGKILL` signature) are detected by a per-record checksum and
-//!    simply re-run.
+//!    byte-identical to an uninterrupted run. A torn trailing record (the
+//!    `SIGKILL` signature) fails its per-record checksum, is cut off
+//!    before the resumed run appends, and its shard simply re-runs.
 //! 4. **Deterministic chaos** *(feature `chaos`, test-only)* — injected
 //!    panics, artificial delays and checkpoint-write failures, all pure
 //!    functions of `(seed, shard, attempt)` via the in-repo
 //!    [`simcov_prng`], so every failure scenario in the test suite is
 //!    reproducible from a single seed.
 //!
-//! The journal format (`simcov-journal v1`) is line-oriented text:
+//! The journal (`simcov-journal v2`) is a [`simcov_obs::recordlog`]:
+//! line-oriented text, one self-checking record per line.
 //!
 //! ```text
-//! simcov-journal v1
-//! campaign faults=210 shards=4 shard_size=64 fingerprint=9bb90e2c07a1f34d
-//! shard 2 faults=64 detected=60 excited=62 masked=3 escapes=2
-//! o 5 1 t 3 0:17 1 0
-//! o 5 1 w 2 - 0 1
-//! ...
-//! end 2 crc=52ae8c11b09df7e3
+//! simcov-journal v2
+//! campaign faults=210 shards=4 shard_size=64 fingerprint=9bb90e2c07a1f34d crc=…
+//! shard 2 faults=64 detected=60 excited=62 masked=3 escapes=2;o 5 1 t 3 0:17 1 0;o 5 1 w 2 - 0 1;… crc=…
 //! ```
 //!
-//! The `campaign` header carries an FNV-1a fingerprint of the machine,
-//! the fault list, the test set and the shard size; resuming against a
-//! different campaign is rejected with [`CampaignError::JournalMismatch`]
-//! instead of silently merging incompatible results. Each `shard … end`
-//! block is self-checking (`crc` over its bytes) and shards are verified
-//! fault-by-fault against the expected fault list on load.
+//! The `campaign` header record carries an FNV-1a fingerprint of the
+//! machine, the fault list, the test set and the shard size; resuming
+//! against a different campaign (or a `v1` journal) is rejected with
+//! [`CampaignError::JournalMismatch`] instead of silently merging
+//! incompatible results, and the file is left untouched. Each shard
+//! record is checked on its own; restored shards are further verified
+//! fault-by-fault against the expected fault list.
 
 use crate::collapse::{CollapseCertificate, CollapseMode, CollapseSummary};
 use crate::differential::{DiffStats, Engine, GoldenTrace};
@@ -67,10 +65,10 @@ use crate::packed::PackedStats;
 use crate::parallel::{default_jobs, default_shard_size, run_sharded, CampaignStats};
 use crate::symbolic::{SymbolicContext, SymbolicEngineStats};
 use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, StateId};
+use simcov_obs::recordlog::{self, RecordLog};
 use simcov_obs::Telemetry;
 use simcov_tour::TestSet;
 use std::fmt;
-use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -133,10 +131,9 @@ impl fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {}
 
 // ---------------------------------------------------------------------------
-// FNV-1a hashing (fingerprints + record checksums): the workspace-wide
-// implementation from `simcov_obs`, so journals and telemetry traces
-// share one checksum discipline. Same algorithm (and therefore the same
-// journal bytes) as the private hasher this module originally carried.
+// FNV-1a hashing for the journal fingerprint: the workspace-wide
+// implementation from `simcov_obs`, the same one the record log uses for
+// its per-record checksums.
 use simcov_obs::fnv::Fnv64 as Fnv;
 
 /// Fingerprints everything the deterministic result depends on: machine
@@ -157,9 +154,10 @@ fn fingerprint(m: &ExplicitMealy, faults: &[Fault], tests: &TestSet, shard_size:
 // ---------------------------------------------------------------------------
 // Journal serialization
 
-const JOURNAL_MAGIC: &str = "simcov-journal v1";
+const JOURNAL_MAGIC: &str = "simcov-journal v2";
 
-/// One `o` line: exact, lossless text encoding of a [`FaultOutcome`].
+/// One `o` item of a shard record: exact, lossless text encoding of a
+/// [`FaultOutcome`].
 fn encode_outcome(o: &FaultOutcome) -> String {
     let (kind, arg) = match o.fault.kind {
         FaultKind::Transfer { new_next } => ('t', new_next.0),
@@ -231,121 +229,45 @@ fn shard_header_line(shard: usize, stats: &CampaignStats) -> String {
     )
 }
 
-/// Durability batch size: [`write_shard`](JournalWriter::write_shard)
-/// fsyncs once at least this many bytes have accumulated since the last
-/// sync, rather than per record. Records are still *written* (flushed to
-/// the OS) per shard, so only a machine crash — not a process crash —
-/// can lose a batch; torn or missing tails are exactly what the loader's
-/// per-record checksum already discards, costing a re-run of those
-/// shards, never correctness.
+/// One completed shard as one record body: its header, then each
+/// outcome, `;`-separated.
+fn shard_record(shard: usize, outcomes: &[FaultOutcome], stats: &CampaignStats) -> String {
+    let mut body = shard_header_line(shard, stats);
+    for o in outcomes {
+        body.push(';');
+        body.push_str(&encode_outcome(o));
+    }
+    body
+}
+
+/// Decodes a shard record, verifying its outcomes fault by fault
+/// against the expected shard and its header against their tally.
+fn decode_shard(body: &str, shards: &[&[Fault]]) -> Option<(usize, RestoredShard)> {
+    let mut items = body.split(';');
+    let header = items.next()?;
+    let (shard, _) = header.strip_prefix("shard ")?.split_once(' ')?;
+    let shard: usize = shard.parse().ok()?;
+    let outcomes: Vec<FaultOutcome> = items.map(decode_outcome).collect::<Option<_>>()?;
+    if !outcomes
+        .iter()
+        .map(|o| o.fault)
+        .eq(shards.get(shard)?.iter().copied())
+    {
+        return None;
+    }
+    let stats = CampaignStats::tally(&outcomes);
+    (shard_header_line(shard, &stats) == header).then_some((shard, (outcomes, stats)))
+}
+
+/// Durability batch size: the journal writer fsyncs once at least this
+/// many bytes have accumulated since the last sync, rather than per
+/// record, and again at the end of the run. Records are still handed to
+/// the OS per shard, so only a machine crash — not a process crash — can
+/// lose a batch; torn or missing tails are exactly what recovery
+/// discards, costing a re-run of those shards, never correctness.
+/// Batching the fsyncs is what keeps checkpointing's overhead near the
+/// plain campaign's wall time.
 const JOURNAL_SYNC_BYTES: usize = 256 * 1024;
-
-/// Append-only journal writer. Every [`write_shard`](Self::write_shard)
-/// flushes, and the writer fsyncs every [`JOURNAL_SYNC_BYTES`] and again
-/// at [`finish`](Self::finish) — so a record either fully lands on disk
-/// or is torn at the tail, and torn tails are exactly what the loader's
-/// per-record checksum discards. Batching the fsyncs (instead of one per
-/// shard) is what keeps checkpointing's overhead near the plain
-/// campaign's wall time.
-struct JournalWriter {
-    path: PathBuf,
-    file: BufWriter<std::fs::File>,
-    /// Bytes written since the last fsync.
-    unsynced: usize,
-}
-
-impl JournalWriter {
-    fn create(
-        path: &Path,
-        fp: u64,
-        faults: usize,
-        shards: usize,
-        shard_size: usize,
-    ) -> Result<Self, CampaignError> {
-        let io = |e: std::io::Error| CampaignError::Journal {
-            path: path.to_path_buf(),
-            detail: e.to_string(),
-        };
-        let file = std::fs::File::create(path).map_err(io)?;
-        let mut w = JournalWriter {
-            path: path.to_path_buf(),
-            file: BufWriter::new(file),
-            unsynced: 0,
-        };
-        writeln!(w.file, "{JOURNAL_MAGIC}").map_err(io)?;
-        writeln!(
-            w.file,
-            "campaign faults={faults} shards={shards} shard_size={shard_size} \
-             fingerprint={fp:016x}"
-        )
-        .map_err(io)?;
-        w.sync().map_err(io)?;
-        Ok(w)
-    }
-
-    fn append(path: &Path) -> Result<Self, CampaignError> {
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| CampaignError::Journal {
-                path: path.to_path_buf(),
-                detail: e.to_string(),
-            })?;
-        Ok(JournalWriter {
-            path: path.to_path_buf(),
-            file: BufWriter::new(file),
-            unsynced: 0,
-        })
-    }
-
-    fn sync(&mut self) -> std::io::Result<()> {
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
-        self.unsynced = 0;
-        Ok(())
-    }
-
-    /// Writes one completed shard as a self-checking record, flushing it
-    /// to the OS immediately and fsyncing once per [`JOURNAL_SYNC_BYTES`]
-    /// batch. Returns the record size in bytes (deterministic: a pure
-    /// function of the shard's outcomes), which feeds the
-    /// `campaign.checkpoint_bytes` counter.
-    fn write_shard(
-        &mut self,
-        shard: usize,
-        outcomes: &[FaultOutcome],
-        stats: &CampaignStats,
-    ) -> Result<usize, String> {
-        let mut block = String::new();
-        block.push_str(&shard_header_line(shard, stats));
-        block.push('\n');
-        for o in outcomes {
-            block.push_str(&encode_outcome(o));
-            block.push('\n');
-        }
-        let mut h = Fnv::new();
-        h.bytes(block.as_bytes());
-        let crc = h.finish();
-        let record = format!("{block}end {shard} crc={crc:016x}\n");
-        self.unsynced += record.len();
-        let res = self.file.write_all(record.as_bytes()).and_then(|()| {
-            if self.unsynced >= JOURNAL_SYNC_BYTES {
-                self.sync()
-            } else {
-                self.file.flush()
-            }
-        });
-        res.map_err(|e| format!("{}: {e}", self.path.display()))?;
-        Ok(record.len())
-    }
-
-    /// Durability barrier at end of run: fsyncs whatever the batched
-    /// [`write_shard`](Self::write_shard)s left pending.
-    fn finish(&mut self) -> Result<(), String> {
-        self.sync()
-            .map_err(|e| format!("{}: {e}", self.path.display()))
-    }
-}
 
 /// Bounded hand-off depth between simulation workers and the journal
 /// writer thread. Small enough that a stalled disk backpressures the
@@ -362,13 +284,13 @@ struct JournalMsg {
 }
 
 /// Off-thread checkpoint writer: completed shards are handed over a
-/// *bounded* channel to a dedicated thread that owns the
-/// [`JournalWriter`], so record encoding, write syscalls and the batched
+/// *bounded* channel to a dedicated thread that owns the journal's
+/// [`RecordLog`], so record encoding, write syscalls and the batched
 /// fsyncs never run on a simulation worker. Workers pay only a memcpy of
 /// the shard's outcomes plus a channel send; when the channel is full
 /// (slow disk) the send blocks, which is the backpressure that keeps
-/// memory bounded. Journal failures degrade to notes exactly as before —
-/// they are collected on the writer thread and merged at
+/// memory bounded. Journal failures degrade to notes — they are
+/// collected on the writer thread and merged at
 /// [`finish`](JournalHandle::finish), which joins the thread and is the
 /// run's durability barrier.
 struct JournalHandle {
@@ -377,12 +299,24 @@ struct JournalHandle {
 }
 
 impl JournalHandle {
-    fn spawn(mut writer: JournalWriter, telemetry: Option<Telemetry>) -> JournalHandle {
+    fn spawn(mut log: RecordLog, telemetry: Option<Telemetry>) -> JournalHandle {
         let (tx, rx) = std::sync::mpsc::sync_channel::<JournalMsg>(JOURNAL_CHANNEL_CAP);
         let thread = std::thread::spawn(move || {
             let mut notes = Vec::new();
+            let mut unsynced = 0;
             for msg in rx {
-                match writer.write_shard(msg.shard, &msg.outcomes, &msg.stats) {
+                let body = shard_record(msg.shard, &msg.outcomes, &msg.stats);
+                let written = log.append(&body).and_then(|bytes| {
+                    unsynced += bytes;
+                    if unsynced >= JOURNAL_SYNC_BYTES {
+                        unsynced = 0;
+                        log.sync()?;
+                    }
+                    Ok(bytes)
+                });
+                match written {
+                    // The record size is a pure function of the shard's
+                    // outcomes, so the counter stays deterministic.
                     Ok(bytes) => {
                         if let Some(tel) = &telemetry {
                             tel.counter_add("campaign.checkpoint_bytes", bytes as u64);
@@ -396,7 +330,7 @@ impl JournalHandle {
                     }
                 }
             }
-            if let Err(e) = writer.finish() {
+            if let Err(e) = log.sync() {
                 notes.push(format!("journal: final sync failed: {e}"));
             }
             notes
@@ -443,130 +377,9 @@ impl JournalHandle {
 /// One restored shard: its outcomes plus the recomputed tally.
 type RestoredShard = (Vec<FaultOutcome>, CampaignStats);
 
-struct LoadedJournal {
-    shards: Vec<Option<RestoredShard>>,
-    notes: Vec<String>,
-}
-
-/// Parses a journal, validating the header against this campaign and each
-/// record against its checksum and the expected fault list. Malformed or
-/// torn records are *discarded with a note* (their shards re-run); only a
-/// header that cannot belong to this campaign is a hard error.
-fn load_journal(
-    path: &Path,
-    fp: u64,
-    expected_shards: usize,
-    shard_size: usize,
-    total_faults: usize,
-    shards: &[&[Fault]],
-) -> Result<LoadedJournal, CampaignError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CampaignError::Journal {
-        path: path.to_path_buf(),
-        detail: e.to_string(),
-    })?;
-    let mismatch = |detail: String| CampaignError::JournalMismatch {
-        path: path.to_path_buf(),
-        detail,
-    };
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(JOURNAL_MAGIC) => {}
-        Some(other) => return Err(mismatch(format!("unknown journal version `{other}`"))),
-        None => return Err(mismatch("empty journal".to_string())),
-    }
-    let header = lines
-        .next()
-        .ok_or_else(|| mismatch("missing campaign header".to_string()))?;
-    let expected_header = format!(
-        "campaign faults={total_faults} shards={expected_shards} shard_size={shard_size} \
-         fingerprint={fp:016x}"
-    );
-    if header != expected_header {
-        return Err(mismatch(format!(
-            "header `{header}` (expected `{expected_header}`)"
-        )));
-    }
-
-    let mut restored: Vec<Option<RestoredShard>> = (0..expected_shards).map(|_| None).collect();
-    let mut notes = Vec::new();
-    let rest: Vec<&str> = lines.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let start = rest[i];
-        if !start.starts_with("shard ") {
-            // Stray line (torn record tail from a previous crash): skip.
-            i += 1;
-            continue;
-        }
-        // Collect the block up to its `end` line.
-        let mut j = i + 1;
-        while j < rest.len() && !rest[j].starts_with("end ") && !rest[j].starts_with("shard ") {
-            j += 1;
-        }
-        if j >= rest.len() || !rest[j].starts_with("end ") {
-            notes.push(format!(
-                "journal: discarded torn record starting at `{start}` (shard re-run)"
-            ));
-            i = j;
-            continue;
-        }
-        let block_ok = (|| -> Option<(usize, RestoredShard)> {
-            let shard: usize = start.split(' ').nth(1)?.parse().ok()?;
-            let expected_faults = shards.get(shard)?.len();
-            // Verify the record checksum over the block's exact bytes.
-            let mut h = Fnv::new();
-            for line in &rest[i..j] {
-                h.bytes(line.as_bytes());
-                h.bytes(b"\n");
-            }
-            let end = rest[j];
-            let crc_field = end.strip_prefix(&format!("end {shard} crc="))?;
-            let crc = u64::from_str_radix(crc_field, 16).ok()?;
-            if crc != h.finish() {
-                return None;
-            }
-            let outcomes: Vec<FaultOutcome> = rest[i + 1..j]
-                .iter()
-                .map(|l| decode_outcome(l))
-                .collect::<Option<_>>()?;
-            if outcomes.len() != expected_faults {
-                return None;
-            }
-            // Outcomes must belong to exactly the faults of this shard.
-            if outcomes
-                .iter()
-                .zip(shards[shard].iter())
-                .any(|(o, f)| o.fault != *f)
-            {
-                return None;
-            }
-            let stats = CampaignStats::tally(&outcomes);
-            if shard_header_line(shard, &stats) != *start {
-                return None;
-            }
-            Some((shard, (outcomes, stats)))
-        })();
-        match block_ok {
-            Some((shard, record)) => {
-                if restored[shard].is_some() {
-                    notes.push(format!(
-                        "journal: duplicate record for shard {shard} ignored"
-                    ));
-                } else {
-                    restored[shard] = Some(record);
-                }
-            }
-            None => notes.push(format!(
-                "journal: discarded corrupt record starting at `{start}` (shard re-run)"
-            )),
-        }
-        i = j + 1;
-    }
-    Ok(LoadedJournal {
-        shards: restored,
-        notes,
-    })
-}
+/// A journal's restored shards, by shard index, plus notes on the
+/// records it discarded.
+type Restored = (Vec<Option<RestoredShard>>, Vec<String>);
 
 // ---------------------------------------------------------------------------
 // Cooperative cancellation
@@ -1276,6 +1089,78 @@ impl<'a> ResilientCampaign<'a> {
         });
     }
 
+    /// Opens the checkpoint journal at `path`. Without a journal to
+    /// resume, a fresh one is created with this campaign's header. On
+    /// resume the journal is first read back without modification: its
+    /// `campaign` header must match this campaign's, and each shard record
+    /// is verified against the expected fault list. Torn or corrupt
+    /// records are *discarded with a note* (their shards re-run); only a
+    /// journal that cannot belong to this campaign is a hard error.
+    fn open_journal(
+        &self,
+        path: &Path,
+        sim_faults: &[Fault],
+        shards: &[&[Fault]],
+    ) -> Result<(RecordLog, Restored), CampaignError> {
+        let fp = fingerprint(self.golden, sim_faults, self.tests, self.shard_size);
+        let header = format!(
+            "campaign faults={} shards={} shard_size={} fingerprint={fp:016x}",
+            sim_faults.len(),
+            shards.len(),
+            self.shard_size
+        );
+        let mismatch = |detail: String| CampaignError::JournalMismatch {
+            path: path.to_path_buf(),
+            detail,
+        };
+        // A wrong magic line is the log's `InvalidData`: not our journal.
+        let io = |e: std::io::Error| match e.kind() {
+            std::io::ErrorKind::InvalidData => mismatch(e.to_string()),
+            _ => CampaignError::Journal {
+                path: path.to_path_buf(),
+                detail: e.to_string(),
+            },
+        };
+        let mut restored: Vec<Option<RestoredShard>> = vec![None; shards.len()];
+        let mut notes = Vec::new();
+        if !(self.resume && path.exists()) {
+            let mut log = RecordLog::create(path, JOURNAL_MAGIC).map_err(io)?;
+            log.append(&header).and_then(|_| log.sync()).map_err(io)?;
+            return Ok((log, (restored, notes)));
+        }
+        let recovered = recordlog::recover(path, JOURNAL_MAGIC).map_err(io)?;
+        let mut records = recovered.records.iter();
+        match records.next() {
+            Some(found) if *found == header => {}
+            Some(found) if found.starts_with("campaign ") => {
+                return Err(mismatch(format!("header `{found}` (expected `{header}`)")))
+            }
+            _ => return Err(mismatch("missing campaign header".to_string())),
+        }
+        if recovered.skipped > 0 {
+            notes.push(format!(
+                "journal: discarded {} torn or corrupt line(s) (their shards re-run)",
+                recovered.skipped
+            ));
+        }
+        for body in records {
+            match decode_shard(body, shards) {
+                Some((shard, record)) if restored[shard].is_none() => {
+                    restored[shard] = Some(record)
+                }
+                Some((shard, _)) => notes.push(format!(
+                    "journal: duplicate record for shard {shard} ignored"
+                )),
+                None => notes.push(format!(
+                    "journal: discarded corrupt record `{}` (shard re-run)",
+                    body.split(';').next().unwrap_or_default()
+                )),
+            }
+        }
+        // Reopened only once the header proved the journal is ours.
+        Ok((RecordLog::reopen(path).map_err(io)?, (restored, notes)))
+    }
+
     /// The supervision loop proper, over whatever fault list the collapse
     /// mode selected (`self.faults`, or the pruned representatives).
     fn run_inner(&self, sim_faults: &[Fault]) -> Result<ResilientRun, CampaignError> {
@@ -1283,33 +1168,16 @@ impl<'a> ResilientCampaign<'a> {
         let shards: Vec<&[Fault]> = sim_faults.chunks(self.shard_size).collect();
         let nshards = shards.len();
 
-        // Checkpoint setup: load restorable shards, then open for append.
-        let mut restored: Vec<Option<RestoredShard>> = (0..nshards).map(|_| None).collect();
-        let mut notes: Vec<String> = Vec::new();
-        let mut journal: Option<JournalHandle> = match &self.checkpoint {
+        // Checkpoint setup stays synchronous (its errors are campaign-
+        // fatal); everything per-shard moves to the writer thread behind
+        // a bounded channel.
+        let (mut journal, restored, notes) = match &self.checkpoint {
             Some(path) => {
-                let fp = fingerprint(self.golden, sim_faults, self.tests, self.shard_size);
-                let writer = if self.resume && path.exists() {
-                    let loaded = load_journal(
-                        path,
-                        fp,
-                        nshards,
-                        self.shard_size,
-                        sim_faults.len(),
-                        &shards,
-                    )?;
-                    restored = loaded.shards;
-                    notes.extend(loaded.notes);
-                    JournalWriter::append(path)?
-                } else {
-                    JournalWriter::create(path, fp, sim_faults.len(), nshards, self.shard_size)?
-                };
-                // Header and journal load stay synchronous (their errors
-                // are campaign-fatal); everything per-shard moves to the
-                // writer thread behind a bounded channel.
-                Some(JournalHandle::spawn(writer, self.telemetry.clone()))
+                let (log, (restored, notes)) = self.open_journal(path, sim_faults, &shards)?;
+                let handle = JournalHandle::spawn(log, self.telemetry.clone());
+                (Some(handle), restored, notes)
             }
-            None => None,
+            None => (None, vec![None; nshards], Vec::new()),
         };
 
         let cancel = Cancel::new(self.deadline, self.max_steps);
@@ -2162,6 +2030,47 @@ mod tests {
         assert!(resumed.is_complete);
         assert_eq!(resumed.stats, clean.stats);
         assert_eq!(resumed.report, clean.report);
+    }
+
+    #[test]
+    fn resume_after_a_torn_record_leaves_a_clean_journal() {
+        // A kill mid-append tears shard 1's record. The resume must cut
+        // the fragment off before appending, or the first new record is
+        // glued onto it and that shard re-runs on every later resume.
+        let (m, faults, tests) = fixture();
+        let path = temp_path("torn_then_clean");
+        let _c = Cleanup(path.clone());
+        let campaign = || {
+            ResilientCampaign::new(&m, &faults, &tests)
+                .jobs(1)
+                .shard_size(5)
+                .checkpoint(&path)
+        };
+        let full = campaign().run().unwrap();
+        assert_eq!(full.total_shards, 47);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cut = text.find("\nshard 1 ").unwrap() + 20;
+        std::fs::write(&path, &text[..cut]).unwrap();
+        let resumed = campaign().resume(true).run().unwrap();
+        assert!(resumed.is_complete, "notes: {:?}", resumed.journal_notes);
+        assert_eq!(resumed.restored_shards, 1);
+        let audit = campaign()
+            .deadline(Duration::ZERO)
+            .resume(true)
+            .run()
+            .unwrap();
+        assert_eq!(
+            audit.restored_shards, audit.total_shards,
+            "notes: {:?}",
+            audit.journal_notes
+        );
+        assert!(
+            !audit.journal_notes.iter().any(|n| n.contains("discarded")),
+            "{:?}",
+            audit.journal_notes
+        );
+        assert_eq!(audit.stats, full.stats);
+        assert_eq!(audit.report, full.report);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! Tiny, stable across platforms and fast enough to checksum journal
 //! records and trace files — corruption detection, not cryptographic
-//! integrity. The checkpoint journal (`simcov_core::resilient`) and the
-//! telemetry trace footer both use this exact function, so a consumer
-//! can verify either artifact with the same ~10 lines of code.
+//! integrity. The [`recordlog`](crate::recordlog) under both journals
+//! (campaign checkpoint and server) and the telemetry trace footer use
+//! this exact function, so a consumer can verify any of them with the
+//! same ~10 lines of code.
 
 /// Incremental FNV-1a 64-bit hasher.
 ///

@@ -22,6 +22,11 @@
 //! * **Events** — an ordered log of named records with integer fields
 //!   ([`Telemetry::event`]), e.g. one record per merged campaign shard.
 //!
+//! Beside them live the workspace's shared on-disk formats: [`fnv`]
+//! hashing, a minimal [`json`] parser, and [`recordlog`], the one
+//! append-only record log under both the campaign checkpoint journal
+//! and the server journal.
+//!
 //! ## Determinism contract
 //!
 //! A [`Snapshot`] renders two ways, with different guarantees:
@@ -33,7 +38,7 @@
 //!   counters, gauges, span paths and counts — *no durations, no
 //!   thread counts, no timestamps*), with maps sorted by key and a
 //!   trailing FNV-64 fingerprint line (the same checksum discipline as
-//!   the checkpoint journal, see [`fnv`]). Two runs that do the same
+//!   the journals' [`recordlog`], see [`fnv`]). Two runs that do the same
 //!   work — regardless of `--jobs` — produce identical traces, which
 //!   is what makes traces diffable in CI.
 //!
@@ -65,6 +70,7 @@
 pub mod fnv;
 pub mod json;
 pub mod names;
+pub mod recordlog;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -771,6 +771,12 @@ fn execute_close(
     tel: &Telemetry,
 ) -> Result<JobOutcome, JobError> {
     report_format(&opts.format)?;
+    // Closure rounds are explicit campaigns over an enumerated machine.
+    if opts.engine == Engine::Symbolic {
+        return Err(JobError::usage(
+            "close does not support the symbolic engine (naive|differential|packed)",
+        ));
+    }
     let n = model.netlist()?;
     let m = enumerate(&n)?;
     let faults = enumerate_single_faults(

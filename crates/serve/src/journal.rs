@@ -10,52 +10,49 @@
 //! polling `query` after a server restart sees exactly the bytes the
 //! first execution produced.
 //!
-//! The format is line-oriented text, one self-checking record per line
-//! (FNV-64 over the record body, the same integrity scheme as the
-//! campaign checkpoint journal):
+//! The format is a [`simcov_obs::recordlog`], the append-only log the
+//! campaign checkpoint journal also uses: one self-checking line per
+//! record, the FNV-64 of the record body after `crc=`. For example:
 //!
 //! ```text
 //! simcov-serve-journal v1
-//! admit 4f1c… "<escaped request JSON>" crc=9a40…
-//! done 4f1c… "<escaped result JSON>" crc=02bd…
+//! admit 0000000000004f1c "{\"type\":\"tour\",\"id\":\"a\"}" crc=645ce6712f413fb0
+//! done 0000000000004f1c "{\"type\":\"result\",\"id\":\"a\",\"exit\":0}" crc=eda506fe16e035e2
 //! ```
 //!
 //! `admit` stores the original *request frame payload*, not a re-encoded
 //! spec: resume re-parses it through the same [`crate::protocol`] path a
 //! live request takes, so a journaled job cannot drift from its wire
-//! meaning. Records failing their CRC (torn tail writes) are dropped
-//! from the tail onward, exactly like the campaign journal.
+//! meaning. Torn or corrupt lines are skipped and every intact record
+//! around them is kept; reopening cuts a torn tail off before the next
+//! record is appended.
 
-use simcov_obs::fnv::Fnv64;
 use simcov_obs::json::{self, Json};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use simcov_obs::recordlog::{self, RecordLog};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 const MAGIC: &str = "simcov-serve-journal v1";
 
-fn record(kind: &str, fingerprint: u64, payload: &str) -> String {
-    let body = format!("{kind} {fingerprint:016x} \"{}\"", json::escape(payload));
-    let crc = Fnv64::hash(body.as_bytes());
-    format!("{body} crc={crc:016x}\n")
-}
-
-fn parse_record(line: &str) -> Option<(&str, u64, String)> {
-    let (body, crc_field) = line.rsplit_once(" crc=")?;
-    let crc = u64::from_str_radix(crc_field, 16).ok()?;
-    if crc != Fnv64::hash(body.as_bytes()) {
-        return None;
-    }
+fn parse_record(body: &str) -> Option<Entry> {
     let (kind, rest) = body.split_once(' ')?;
     let (fp, quoted) = rest.split_once(' ')?;
     let fingerprint = u64::from_str_radix(fp, 16).ok()?;
     // The payload is a JSON string literal; the shared parser unescapes it.
-    let payload = match json::parse(quoted).ok()? {
-        Json::Str(s) => s,
-        _ => return None,
+    let Json::Str(payload) = json::parse(quoted).ok()? else {
+        return None;
     };
-    Some((kind, fingerprint, payload))
+    match kind {
+        "admit" => Some(Entry::Admit {
+            fingerprint,
+            request: payload,
+        }),
+        "done" => Some(Entry::Done {
+            fingerprint,
+            result: payload,
+        }),
+        _ => None,
+    }
 }
 
 /// One recovered journal entry.
@@ -82,7 +79,7 @@ pub enum Entry {
 /// `done` records are flushed but ride the next sync.
 pub struct ServerJournal {
     path: PathBuf,
-    writer: Mutex<BufWriter<File>>,
+    log: Mutex<RecordLog>,
     /// Chaos hook: when set, every write reports failure after `n` more
     /// successful records (deterministic injection for the journal-fault
     /// tests). `usize::MAX` disables.
@@ -91,31 +88,29 @@ pub struct ServerJournal {
 }
 
 impl ServerJournal {
+    fn with_log(path: PathBuf, log: RecordLog) -> ServerJournal {
+        ServerJournal {
+            path,
+            log: Mutex::new(log),
+            #[cfg(feature = "chaos")]
+            fail_after: std::sync::atomic::AtomicUsize::new(usize::MAX),
+        }
+    }
+
     /// Creates (or truncates) a journal at `path` and writes the header.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<ServerJournal> {
         let path = path.as_ref().to_path_buf();
-        let mut writer = BufWriter::new(File::create(&path)?);
-        writeln!(writer, "{MAGIC}")?;
-        writer.flush()?;
-        writer.get_ref().sync_all()?;
-        Ok(ServerJournal {
-            path,
-            writer: Mutex::new(writer),
-            #[cfg(feature = "chaos")]
-            fail_after: std::sync::atomic::AtomicUsize::new(usize::MAX),
-        })
+        let log = RecordLog::create(&path, MAGIC)?;
+        log.sync()?;
+        Ok(ServerJournal::with_log(path, log))
     }
 
-    /// Opens an existing journal for appending (after [`ServerJournal::recover`]).
+    /// Opens an existing journal for appending (after [`ServerJournal::recover`]),
+    /// cutting off any torn tail first.
     pub fn append(path: impl AsRef<Path>) -> std::io::Result<ServerJournal> {
         let path = path.as_ref().to_path_buf();
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(&path)?);
-        Ok(ServerJournal {
-            path,
-            writer: Mutex::new(writer),
-            #[cfg(feature = "chaos")]
-            fail_after: std::sync::atomic::AtomicUsize::new(usize::MAX),
-        })
+        let log = RecordLog::reopen(&path)?;
+        Ok(ServerJournal::with_log(path, log))
     }
 
     /// The journal's path.
@@ -131,7 +126,13 @@ impl ServerJournal {
             .store(n, std::sync::atomic::Ordering::SeqCst);
     }
 
-    fn write_record(&self, line: String, sync: bool) -> std::io::Result<()> {
+    fn write_record(
+        &self,
+        kind: &str,
+        fingerprint: u64,
+        payload: &str,
+        sync: bool,
+    ) -> std::io::Result<()> {
         #[cfg(feature = "chaos")]
         {
             use std::sync::atomic::Ordering;
@@ -143,61 +144,39 @@ impl ServerJournal {
                 self.fail_after.store(remaining - 1, Ordering::SeqCst);
             }
         }
-        let mut writer = self
-            .writer
+        let body = format!("{kind} {fingerprint:016x} \"{}\"", json::escape(payload));
+        let mut log = self
+            .log
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        writer.write_all(line.as_bytes())?;
-        writer.flush()?;
+        log.append(&body)?;
         if sync {
-            writer.get_ref().sync_all()?;
+            log.sync()?;
         }
         Ok(())
     }
 
     /// Records an admission (fsynced — the ack barrier).
     pub fn admit(&self, fingerprint: u64, request: &str) -> std::io::Result<()> {
-        self.write_record(record("admit", fingerprint, request), true)
+        self.write_record("admit", fingerprint, request, true)
     }
 
     /// Records a finished job's result (flushed, synced opportunistically
     /// with the next admit).
     pub fn done(&self, fingerprint: u64, result: &str) -> std::io::Result<()> {
-        self.write_record(record("done", fingerprint, result), false)
+        self.write_record("done", fingerprint, result, false)
     }
 
-    /// Reads a journal back, dropping any torn tail. Returns the entries
-    /// in write order; the caller pairs `admit`s with `done`s.
+    /// Reads a journal back, skipping torn or corrupt records. Returns
+    /// the intact entries in write order; the caller pairs `admit`s with
+    /// `done`s.
     pub fn recover(path: impl AsRef<Path>) -> std::io::Result<Vec<Entry>> {
-        let mut text = String::new();
-        File::open(path.as_ref())?.read_to_string(&mut text)?;
-        let mut lines = text.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(std::io::Error::other(format!(
-                "{}: not a {MAGIC} file",
-                path.as_ref().display()
-            )));
-        }
-        let mut entries = Vec::new();
-        for line in lines {
-            let Some((kind, fingerprint, payload)) = parse_record(line) else {
-                // A record that fails its CRC is a torn tail write from
-                // the crash; nothing after it can be trusted either.
-                break;
-            };
-            match kind {
-                "admit" => entries.push(Entry::Admit {
-                    fingerprint,
-                    request: payload,
-                }),
-                "done" => entries.push(Entry::Done {
-                    fingerprint,
-                    result: payload,
-                }),
-                _ => break,
-            }
-        }
-        Ok(entries)
+        let recovered = recordlog::recover(path.as_ref(), MAGIC)?;
+        Ok(recovered
+            .records
+            .iter()
+            .filter_map(|body| parse_record(body))
+            .collect())
     }
 }
 
@@ -272,20 +251,85 @@ newline"}"#,
     }
 
     #[test]
-    fn torn_tail_is_dropped() {
-        let path = tempfile("torn");
+    fn v1_bytes_are_pinned() {
+        // The module-doc example, byte for byte: journals written before
+        // the shared record log recover unchanged, and new ones match.
+        let expected = concat!(
+            "simcov-serve-journal v1\n",
+            r#"admit 0000000000004f1c "{\"type\":\"tour\",\"id\":\"a\"}" crc=645ce6712f413fb0"#,
+            "\n",
+            r#"done 0000000000004f1c "{\"type\":\"result\",\"id\":\"a\",\"exit\":0}" crc=eda506fe16e035e2"#,
+            "\n",
+        );
+        let request = r#"{"type":"tour","id":"a"}"#;
+        let result = r#"{"type":"result","id":"a","exit":0}"#;
+        let path = tempfile("pinned");
+        let j = ServerJournal::create(&path).unwrap();
+        j.admit(0x4f1c, request).unwrap();
+        j.done(0x4f1c, result).unwrap();
+        drop(j);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        std::fs::write(&path, expected).unwrap();
+        assert_eq!(
+            ServerJournal::recover(&path).unwrap(),
+            vec![
+                Entry::Admit {
+                    fingerprint: 0x4f1c,
+                    request: request.to_string(),
+                },
+                Entry::Done {
+                    fingerprint: 0x4f1c,
+                    result: result.to_string(),
+                },
+            ]
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn records_after_a_torn_admit_survive_resume() {
+        // A kill mid-append leaves an `admit` fragment with no newline.
+        // Reopening must cut it off, so the next records start on a
+        // clean line and survive the following recovery.
+        let path = tempfile("torn_resume");
         let j = ServerJournal::create(&path).unwrap();
         j.admit(1, r#"{"type":"tour","id":"a"}"#).unwrap();
         j.admit(2, r#"{"type":"tour","id":"b"}"#).unwrap();
         drop(j);
-        // Corrupt the last record's CRC byte-for-byte.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.truncate(text.len() - 3);
-        text.push_str("0\n");
-        std::fs::write(&path, text).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 5)
+            .unwrap();
         let entries = ServerJournal::recover(&path).unwrap();
-        assert_eq!(entries.len(), 1, "torn tail record dropped");
-        assert!(matches!(&entries[0], Entry::Admit { fingerprint: 1, .. }));
+        assert_eq!(entries.len(), 1, "the torn admit is not recovered");
+        let j = ServerJournal::append(&path).unwrap();
+        j.admit(3, r#"{"type":"tour","id":"c"}"#).unwrap();
+        j.done(1, r#"{"type":"result","id":"a"}"#).unwrap();
+        drop(j);
+        let entries = ServerJournal::recover(&path).unwrap();
+        assert!(
+            entries.contains(&Entry::Admit {
+                fingerprint: 3,
+                request: r#"{"type":"tour","id":"c"}"#.to_string(),
+            }),
+            "{entries:?}"
+        );
+        assert!(
+            entries.contains(&Entry::Done {
+                fingerprint: 1,
+                result: r#"{"type":"result","id":"a"}"#.to_string(),
+            }),
+            "{entries:?}"
+        );
+        let (completed, pending) = unfinished(&entries);
+        assert_eq!(completed.len(), 1);
+        assert_eq!(
+            pending,
+            vec![(3, r#"{"type":"tour","id":"c"}"#.to_string())]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -299,14 +343,6 @@ newline"}"#,
         let (completed, pending) = unfinished(&ServerJournal::recover(&path).unwrap());
         assert!(completed.is_empty());
         assert_eq!(pending.len(), 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn wrong_magic_is_rejected() {
-        let path = tempfile("magic");
-        std::fs::write(&path, "simcov-serve-journal v999\n").unwrap();
-        assert!(ServerJournal::recover(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -233,3 +233,37 @@ fn disconnect_after_admission_parks_the_result() {
     let summary = handle.join().expect("server thread");
     assert_eq!(summary.completed, 1);
 }
+
+#[test]
+fn symbolic_close_is_a_usage_error_not_a_retry() {
+    // Closure runs explicit campaigns only. A `close` request naming the
+    // symbolic engine must complete with the usage exit code on its
+    // first attempt, never panic into retries and quarantine.
+    let (addr, handle) = start_server();
+    let mut cl = Client::connect(&addr).expect("connect");
+    let frame = cl
+        .run_job(
+            r#"{"type":"close","id":"sym-close","model":{"dlx":"reduced-obs"},"engine":"symbolic","rounds":1}"#,
+            "sym-close",
+        )
+        .expect("job completes");
+    assert_eq!(frame.get("type").and_then(Json::as_str), Some("result"));
+    assert_eq!(
+        frame.get("exit").and_then(Json::as_u64),
+        Some(2),
+        "{frame:?}"
+    );
+    let stats = cl.request(&client::stats()).expect("stats");
+    let counter = |name: &str| {
+        stats
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    assert_eq!(counter("serve.jobs_retried"), 0);
+    assert_eq!(counter("serve.jobs_quarantined"), 0);
+    let _ = cl.request(&client::shutdown()).expect("shutdown");
+    let summary = handle.join().expect("server thread never panics");
+    assert_eq!(summary.quarantined, 0);
+}
