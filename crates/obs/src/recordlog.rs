@@ -16,7 +16,8 @@
 //! Durability is the caller's policy: [`RecordLog::append`] hands each
 //! record to the OS in one write (it survives a process kill), and
 //! [`RecordLog::sync`] makes everything appended so far survive a
-//! machine crash.
+//! machine crash. [`RecordLog::create`] syncs the parent directory once,
+//! so the new file's name survives a crash too.
 //!
 //! Recovery follows two rules, so a crash mid-append costs at most the
 //! record being written:
@@ -56,12 +57,15 @@ pub struct RecordLog {
 }
 
 impl RecordLog {
-    /// Creates (or truncates) the log at `path` and writes the magic
-    /// line. Nothing is synced: call [`sync`](Self::sync) once the
+    /// Creates (or truncates) the log at `path`, writes the magic line
+    /// and `fsync`s the parent directory, so the file itself cannot be
+    /// lost in a crash once the caller has synced records into it. The
+    /// magic line is not synced: call [`sync`](Self::sync) once the
     /// header records the caller needs are appended.
     pub fn create(path: &Path, magic: &str) -> io::Result<RecordLog> {
         let mut file = File::create(path)?;
         file.write_all(format!("{magic}\n").as_bytes())?;
+        File::open(parent_dir(path))?.sync_all()?;
         Ok(RecordLog { file })
     }
 
@@ -95,6 +99,15 @@ impl RecordLog {
     /// Durability barrier: `fsync`s everything appended so far.
     pub fn sync(&self) -> io::Result<()> {
         self.file.sync_all()
+    }
+}
+
+/// The directory holding `path`'s entry: its parent, or `.` for a bare
+/// file name (whose parent is the empty path).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
     }
 }
 
@@ -265,6 +278,14 @@ mod tests {
             let err = recover(&t.0, MAGIC).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
         }
+    }
+
+    #[test]
+    fn a_bare_file_name_syncs_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("serve.journal")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("out/serve.journal")), Path::new("out"));
+        assert_eq!(parent_dir(Path::new("/serve.journal")), Path::new("/"));
+        assert_eq!(parent_dir(Path::new("")), Path::new("."));
     }
 
     #[test]

@@ -46,13 +46,20 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// Connects with `TCP_NODELAY` set, so a request frame leaves at once
+/// instead of waiting in Nagle's buffer for the ACK of the previous one.
+fn connect_nodelay(addr: &str) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 impl Client {
     /// Connects to a server at `addr` (`host:port`).
     pub fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
         Ok(Client {
             addr: addr.to_string(),
-            stream,
+            stream: connect_nodelay(addr)?,
         })
     }
 
@@ -75,7 +82,7 @@ impl Client {
     }
 
     fn reconnect(&mut self) -> std::io::Result<()> {
-        self.stream = TcpStream::connect(&self.addr)?;
+        self.stream = connect_nodelay(&self.addr)?;
         Ok(())
     }
 

@@ -2,7 +2,10 @@
 //!
 //! Frames are a 4-byte big-endian `u32` byte length followed by that many
 //! bytes of UTF-8 JSON, parsed with the in-repo [`simcov_obs::json`]
-//! reader. The framing rules are chosen so a hostile or broken peer can
+//! reader. [`write_frame`] hands prefix and payload to the socket in one
+//! write, and both ends set `TCP_NODELAY`: a prefix sent alone would sit
+//! in Nagle's buffer until the peer's delayed ACK (~40 ms) released the
+//! payload. The framing rules are chosen so a hostile or broken peer can
 //! never panic the server or pin its memory:
 //!
 //! * a length above [`MAX_FRAME_BYTES`] is refused *before any payload
@@ -113,15 +116,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<Json, FrameError> {
     json::parse(&text).map_err(|e| FrameError::Malformed(e.to_string()))
 }
 
-/// Writes one frame carrying `payload` (already-serialized JSON).
+/// Writes one frame carrying `payload` (already-serialized JSON) in a
+/// single write: the length prefix and the payload share one buffer.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     let bytes = payload.as_bytes();
     debug_assert!(
         bytes.len() <= MAX_FRAME_BYTES,
         "server produced an oversized frame"
     );
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -395,6 +401,28 @@ mod tests {
     fn frames_roundtrip() {
         let v = roundtrip(r#"{"type":"stats"}"#).unwrap();
         assert_eq!(v.get("type").and_then(Json::as_str), Some("stats"));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        // Records every `write` call. Two calls would put the prefix on
+        // the wire alone, where Nagle holds the payload for an ACK.
+        struct Recorder(Vec<Vec<u8>>);
+        impl Write for Recorder {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = r#"{"type":"stats"}"#;
+        let mut w = Recorder(Vec::new());
+        write_frame(&mut w, payload).unwrap();
+        let mut expected = (payload.len() as u32).to_be_bytes().to_vec();
+        expected.extend_from_slice(payload.as_bytes());
+        assert_eq!(w.0, [expected]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use simcov_obs::fnv::Fnv64;
 use simcov_obs::json::{self, Json};
 use simcov_obs::{names, Telemetry};
 use simcov_prng::Prng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -46,9 +46,11 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Golden-trace cache bound (traces, not bytes).
     pub cache_capacity: usize,
-    /// Completed-result retention bound (results beyond it evict
-    /// oldest-first; evicted ids answer `query` with an error).
-    pub results_capacity: usize,
+    /// Completed-result retention budget in bytes; a result counts its
+    /// id plus its frame. Results beyond it evict oldest-first (evicted
+    /// ids answer `query` with `unknown job id`); the newest result is
+    /// always kept, however large.
+    pub results_bytes: usize,
     /// Retry budget per job; a job panicking on every attempt is
     /// quarantined.
     pub max_retries: usize,
@@ -75,7 +77,7 @@ impl Default for ServerConfig {
             workers: 0,
             queue_capacity: 256,
             cache_capacity: 8,
-            results_capacity: 4096,
+            results_bytes: 1 << 20,
             max_retries: 2,
             backoff_base_ms: 1,
             seed: 0,
@@ -126,15 +128,52 @@ struct QueuedJob {
     reply: Option<Arc<Mutex<TcpStream>>>,
 }
 
+/// Completed result frames kept for `query`, bounded in bytes (see
+/// [`ServerConfig::results_bytes`]).
 struct ResultStore {
     by_id: HashMap<String, String>,
-    order: Vec<String>,
+    /// Stored ids, oldest first.
+    order: VecDeque<String>,
+    /// Retained bytes: each result's id plus its frame.
+    bytes: usize,
+    budget: usize,
+}
+
+impl ResultStore {
+    fn new(budget: usize) -> ResultStore {
+        ResultStore {
+            by_id: HashMap::new(),
+            order: VecDeque::new(),
+            bytes: 0,
+            budget,
+        }
+    }
+
+    /// Stores `frame` as the newest result, replacing any earlier result
+    /// for `id` (a re-run after resume counts once), then evicts the
+    /// oldest results until the budget holds or only this one is left.
+    fn insert(&mut self, id: &str, frame: String) {
+        if let Some(old) = self.by_id.remove(id) {
+            self.bytes -= id.len() + old.len();
+            self.order.retain(|o| o != id);
+        }
+        self.bytes += id.len() + frame.len();
+        self.order.push_back(id.to_string());
+        self.by_id.insert(id.to_string(), frame);
+        while self.bytes > self.budget && self.order.len() > 1 {
+            let Some(victim) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(frame) = self.by_id.remove(&victim) {
+                self.bytes -= victim.len() + frame.len();
+            }
+        }
+    }
 }
 
 struct Shared {
     queue: JobQueue<QueuedJob>,
     results: Mutex<ResultStore>,
-    results_capacity: usize,
     in_flight: Mutex<HashSet<String>>,
     quarantined: Mutex<HashSet<u64>>,
     telemetry: Telemetry,
@@ -151,15 +190,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 impl Shared {
     fn store_result(&self, id: &str, frame: String) {
-        let mut store = lock(&self.results);
-        if !store.by_id.contains_key(id) {
-            store.order.push(id.to_string());
-            if store.order.len() > self.results_capacity {
-                let victim = store.order.remove(0);
-                store.by_id.remove(&victim);
-            }
-        }
-        store.by_id.insert(id.to_string(), frame);
+        lock(&self.results).insert(id, frame);
         lock(&self.in_flight).remove(id);
     }
 
@@ -268,11 +299,7 @@ impl Server {
         );
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_capacity),
-            results: Mutex::new(ResultStore {
-                by_id: HashMap::new(),
-                order: Vec::new(),
-            }),
-            results_capacity: config.results_capacity.max(1),
+            results: Mutex::new(ResultStore::new(config.results_bytes)),
             in_flight: Mutex::new(HashSet::new()),
             quarantined: Mutex::new(HashSet::new()),
             telemetry,
@@ -332,6 +359,9 @@ impl Server {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Every frame is one write; with Nagle on, each would wait
+            // for the client's delayed ACK of the one before.
+            let _ = stream.set_nodelay(true);
             if let Ok(clone) = stream.try_clone() {
                 lock(&open_streams).insert(conn_id, clone);
             }
@@ -669,5 +699,124 @@ fn connection_loop(shared: &Shared, stream: TcpStream, conn_id: u64) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{self, Client};
+
+    /// Checks the store's bookkeeping and returns the retained ids,
+    /// oldest first.
+    fn retained(store: &ResultStore) -> Vec<&str> {
+        assert_eq!(store.order.len(), store.by_id.len());
+        let bytes: usize = store
+            .order
+            .iter()
+            .map(|id| id.len() + store.by_id[id].len())
+            .sum();
+        assert_eq!(store.bytes, bytes, "retained bytes are counted exactly");
+        store.order.iter().map(String::as_str).collect()
+    }
+
+    #[test]
+    fn retained_bytes_stay_within_the_budget() {
+        let mut store = ResultStore::new(1000);
+        let frame = "x".repeat(97);
+        for i in 0..30 {
+            store.insert(&format!("r{i:02}"), frame.clone());
+        }
+        // 30 results of 100 bytes each: three times the budget.
+        let ids = retained(&store);
+        assert!(store.bytes <= 1000, "{} bytes retained", store.bytes);
+        assert_eq!(ids.len(), 10);
+        assert_eq!(ids.last(), Some(&"r29"), "the newest result is kept");
+        assert_eq!(ids.first(), Some(&"r20"), "eviction is oldest-first");
+    }
+
+    #[test]
+    fn a_result_over_the_budget_is_kept_until_the_next_arrives() {
+        let mut store = ResultStore::new(10);
+        store.insert("big", "x".repeat(100));
+        assert_eq!(retained(&store), ["big"]);
+        assert_eq!(store.bytes, 103);
+        store.insert("next", "y".to_string());
+        assert_eq!(retained(&store), ["next"]);
+    }
+
+    #[test]
+    fn storing_an_id_again_counts_its_bytes_once() {
+        let mut store = ResultStore::new(1000);
+        store.insert("a", "first".to_string());
+        store.insert("b", "other".to_string());
+        store.insert("a", "rerun".to_string());
+        assert_eq!(retained(&store), ["b", "a"], "the re-stored id is newest");
+        assert_eq!(store.bytes, 2 * (1 + 5));
+        assert_eq!(store.by_id["a"], "rerun");
+    }
+
+    #[test]
+    fn query_for_an_evicted_id_is_unknown() {
+        // A 1-byte budget keeps only the newest result.
+        let server = Server::bind(ServerConfig {
+            workers: 1,
+            results_bytes: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || server.serve().unwrap());
+        let mut cl = Client::connect(&addr).unwrap();
+        for id in ["first", "second"] {
+            let payload =
+                format!(r#"{{"type":"lint","id":"{id}","model":{{"dlx":"reduced-obs"}}}}"#);
+            let frame = cl.run_job(&payload, id).unwrap();
+            assert_eq!(frame.get("type").and_then(Json::as_str), Some("result"));
+        }
+        let evicted = cl.request(&client::query("first")).unwrap();
+        assert_eq!(
+            evicted.get("error").and_then(Json::as_str),
+            Some("unknown job id `first`")
+        );
+        let kept = cl.request(&client::query("second")).unwrap();
+        assert_eq!(kept.get("type").and_then(Json::as_str), Some("result"));
+        cl.request(&client::shutdown()).unwrap();
+        assert_eq!(handle.join().unwrap().completed, 2);
+    }
+
+    #[test]
+    fn resume_over_the_budget_keeps_the_newest_results() {
+        let path = std::env::temp_dir().join(format!(
+            "simcov-serve-retention-{}.journal",
+            std::process::id()
+        ));
+        let frame = |i: u64| {
+            format!(
+                r#"{{"type":"result","id":"r{i}","exit":0,"output":"{}"}}"#,
+                "x".repeat(200)
+            )
+        };
+        let journal = ServerJournal::create(&path).unwrap();
+        for i in 0..10 {
+            journal.admit(i, &format!(r#"{{"id":"r{i}"}}"#)).unwrap();
+            journal.done(i, &frame(i)).unwrap();
+        }
+        drop(journal);
+        // Room for three of the ten results.
+        let one = "r0".len() + frame(0).len();
+        let server = Server::bind(ServerConfig {
+            journal: Some(path.to_string_lossy().into_owned()),
+            resume: true,
+            results_bytes: 3 * one,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let store = lock(&server.shared.results);
+        assert_eq!(retained(&store), ["r7", "r8", "r9"]);
+        assert_eq!(store.by_id["r9"], frame(9), "restored byte for byte");
+        drop(store);
+        drop(server);
+        std::fs::remove_file(&path).unwrap();
     }
 }

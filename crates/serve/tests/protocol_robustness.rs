@@ -267,3 +267,24 @@ fn symbolic_close_is_a_usage_error_not_a_retry() {
     let summary = handle.join().expect("server thread never panics");
     assert_eq!(summary.quarantined, 0);
 }
+
+#[test]
+fn sequential_requests_do_not_wait_for_delayed_acks() {
+    // Each request/response pair must cost a loopback round trip, not a
+    // ~40 ms delayed ACK: a frame whose length prefix leaves in a write
+    // of its own waits in Nagle's buffer until the peer ACKs it.
+    let (addr, handle) = start_server();
+    let mut cl = Client::connect(&addr).expect("connect");
+    let start = std::time::Instant::now();
+    for _ in 0..100 {
+        let stats = cl.request(&client::stats()).expect("stats");
+        assert_eq!(stats.get("type").and_then(Json::as_str), Some("stats"));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "100 sequential stats requests took {elapsed:?}"
+    );
+    let _ = cl.request(&client::shutdown()).expect("shutdown");
+    handle.join().expect("server thread never panics");
+}
