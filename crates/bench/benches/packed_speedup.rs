@@ -1,17 +1,20 @@
-//! Bit-parallel (word-packed) vs differential fault simulation. The
-//! packed engine lowers the differential engine's serial pointer chases
-//! — the golden trace build and each divergence replay — onto 64-lane
-//! word steps over struct-of-arrays tables, so its win is memory-level
-//! parallelism, not fewer simulated steps (both engines save exactly
-//! the same steps, as the asserted `DiffStats` equality shows).
+//! Bit-parallel (word-packed) vs differential fault simulation. Both
+//! engines build the same golden trace and classify faults with the
+//! same index fast paths; the packed engine lowers only the serial
+//! pointer chases that remain — each effective transfer fault's
+//! divergence replay — onto 64-lane word steps over packed tables, so
+//! its win is memory-level parallelism, not fewer simulated steps (both
+//! engines save exactly the same steps, as the asserted `DiffStats`
+//! equality shows).
 //!
 //! Where that win shows up is dictated by physics, and the three cases
 //! bracket it:
 //!
 //! * `dlx` — the paper's own workload: a tiny cache-resident table.
-//!   Nothing is latency-bound, so packing is roughly cost-neutral; the
-//!   entry exists to show the engine carries no penalty on the
-//!   methodology's native shape.
+//!   Nothing is latency-bound, so packing is roughly cost-neutral: the
+//!   packed engine pays only for its tables and replay script on top
+//!   of the shared trace. The entry exists to show the engine carries
+//!   no real penalty on the methodology's native shape.
 //! * `ring10k` — large table, but the campaign is *build-bound*: only
 //!   a handful of the 400 sampled faults are effective transfers, so
 //!   both engines spend their time constructing the same golden trace
@@ -156,9 +159,10 @@ fn main() {
     let mut rep = BenchReport::new("packed_speedup");
 
     // The paper's own workload shape: the reduced DLX control model
-    // under a two-lap extended tour. Small table, cache-resident — the
-    // packed win here is modest and that is expected; the entry exists
-    // to track the shape, not to enforce a bar.
+    // under a two-lap extended tour. Small table, cache-resident: the
+    // replays have no miss latency for the lanes to overlap, so the two
+    // engines should time about the same. The entry tracks the shape;
+    // it enforces no bar.
     let dlx = reduced_dlx_machine();
     compare(
         &mut rep,

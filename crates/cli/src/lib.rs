@@ -126,14 +126,10 @@ pub struct ObsOpts {
 }
 
 impl ObsOpts {
-    fn parse(rest: &[&String]) -> ObsOpts {
+    fn parse(args: &Args) -> ObsOpts {
         ObsOpts {
-            trace_out: rest
-                .iter()
-                .position(|a| a.as_str() == "--trace-out")
-                .and_then(|i| rest.get(i + 1))
-                .map(|s| s.to_string()),
-            metrics: rest.iter().any(|a| a.as_str() == "--metrics"),
+            trace_out: args.value("--trace-out").map(str::to_string),
+            metrics: args.has("--metrics"),
         }
     }
 
@@ -743,32 +739,211 @@ pub fn cmd_submit(
     })
 }
 
-/// Parses repeated `--deny/--warn/--allow <code>` severity overrides
-/// (shared by `lint` and `analyze`) into the wire-transportable pair
-/// form, validating eagerly so `--deny bogus` is a usage error before
-/// any model work happens.
-fn severity_overrides(rest: &[&String]) -> Result<SeverityOverrides, CliError> {
-    let mut overrides = SeverityOverrides::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let severity = match rest[i].as_str() {
-            "--deny" => Some("deny"),
-            "--warn" => Some("warn"),
-            "--allow" => Some("allow"),
-            _ => None,
+/// The flags one subcommand accepts, exactly as its [`USAGE`] line
+/// lists them: each name with whether it takes a value.
+type FlagTable = &'static [(&'static str, bool)];
+
+const TOUR_FLAGS: FlagTable = &[
+    ("--greedy", false),
+    ("--state", false),
+    ("--trace-out", true),
+    ("--metrics", false),
+];
+const DISTINGUISH_FLAGS: FlagTable = &[("--k", true), ("--all-pairs", false)];
+const CAMPAIGN_FLAGS: FlagTable = &[
+    ("--dlx", true),
+    ("--max-faults", true),
+    ("--seed", true),
+    ("--k", true),
+    ("--jobs", true),
+    ("--engine", true),
+    ("--collapse", true),
+    ("--deadline", true),
+    ("--max-steps", true),
+    ("--max-retries", true),
+    ("--checkpoint", true),
+    ("--resume", false),
+    ("--trace-out", true),
+    ("--metrics", false),
+];
+const LINT_FLAGS: FlagTable = &[
+    ("--dlx", true),
+    ("--format", true),
+    ("--deny", true),
+    ("--warn", true),
+    ("--allow", true),
+    ("--k", true),
+    ("--trace-out", true),
+    ("--metrics", false),
+];
+const ANALYZE_FLAGS: FlagTable = &[
+    ("--dlx", true),
+    ("--max-faults", true),
+    ("--seed", true),
+    ("--max-nodes", true),
+    ("--format", true),
+    ("--deny", true),
+    ("--warn", true),
+    ("--allow", true),
+    ("--trace-out", true),
+    ("--metrics", false),
+];
+const CLOSE_FLAGS: FlagTable = &[
+    ("--dlx", true),
+    ("--max-faults", true),
+    ("--seed", true),
+    ("--rounds", true),
+    ("--budget", true),
+    ("--jobs", true),
+    ("--engine", true),
+    ("--collapse", true),
+    ("--format", true),
+    ("--trace-out", true),
+    ("--metrics", false),
+];
+const SERVE_FLAGS: FlagTable = &[
+    ("--addr", true),
+    ("--workers", true),
+    ("--queue", true),
+    ("--cache", true),
+    ("--max-retries", true),
+    ("--seed", true),
+    ("--audit-sample", true),
+    ("--journal", true),
+    ("--resume", false),
+    ("--trace-out", true),
+];
+/// `serve`'s fault-injection flags, accepted only in chaos builds.
+#[cfg(feature = "chaos")]
+const CHAOS_FLAGS: FlagTable = &[
+    ("--chaos-seed", true),
+    ("--chaos-drop", true),
+    ("--chaos-slow", true),
+    ("--chaos-panic", true),
+    ("--chaos-audit", true),
+    ("--chaos-journal-fail", true),
+];
+#[cfg(not(feature = "chaos"))]
+const CHAOS_FLAGS: FlagTable = &[];
+const SUBMIT_FLAGS: FlagTable = &[
+    ("--connections", true),
+    ("--dump-dir", true),
+    ("--shutdown", false),
+];
+
+/// A subcommand's arguments, scanned once against its flag table.
+struct Args<'a> {
+    /// Every flag in command-line order, with its value; `None` for a
+    /// switch, or for a value flag that ends the command line.
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    /// The tokens that are neither flags nor flag values, in order.
+    positionals: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `rest` into flags and positionals. A `--flag` missing from
+    /// `table` is a usage error naming it; `--help` is accepted, and
+    /// ignored, everywhere.
+    fn scan(cmd: &str, rest: &'a [String], table: &[(&str, bool)]) -> Result<Self, CliError> {
+        let mut args = Args {
+            flags: Vec::new(),
+            positionals: Vec::new(),
         };
-        if let Some(sev) = severity {
-            let code = rest
-                .get(i + 1)
-                .ok_or_else(|| CliError::usage(format!("{} needs a lint code", rest[i])))?;
-            overrides.push((code.to_string(), sev.to_string()));
-            i += 2;
-        } else {
-            i += 1;
+        let mut tokens = rest.iter().map(String::as_str);
+        while let Some(a) = tokens.next() {
+            if !a.starts_with("--") {
+                args.positionals.push(a);
+                continue;
+            }
+            let takes_value = match table.iter().find(|(name, _)| *name == a) {
+                Some(&(_, takes_value)) => takes_value,
+                None if a == "--help" => false,
+                None => {
+                    return Err(CliError::usage(format!(
+                        "unknown flag `{a}` for `{cmd}`\n\n{USAGE}"
+                    )))
+                }
+            };
+            args.flags
+                .push((a, if takes_value { tokens.next() } else { None }));
+        }
+        Ok(args)
+    }
+
+    /// The value of the first `name` flag.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .and_then(|&(_, value)| value)
+    }
+
+    /// Whether the switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+
+    /// The model path of a command that takes exactly one.
+    fn path(&self, cmd: &str) -> Result<&'a str, CliError> {
+        self.positionals
+            .first()
+            .copied()
+            .ok_or_else(|| CliError::usage(format!("`{cmd}` needs a model path\n\n{USAGE}")))
+    }
+
+    /// The model of a job-shaped command: `--dlx <name>`, else the path.
+    fn source(&self, cmd: &str) -> Result<LintSource<'a>, CliError> {
+        match self.value("--dlx") {
+            Some(which) => Ok(LintSource::Dlx(which)),
+            None => self
+                .positionals
+                .first()
+                .copied()
+                .map(LintSource::Path)
+                .ok_or_else(|| {
+                    CliError::usage(format!("`{cmd}` needs a model path or --dlx\n\n{USAGE}"))
+                }),
         }
     }
-    jobs::lint_config(&overrides)?;
-    Ok(overrides)
+
+    /// Parses the numeric value of flag `name`, if given.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError::usage(format!("{name} must be a number")))
+            })
+            .transpose()
+    }
+
+    /// Parses repeated `--deny/--warn/--allow <code>` severity overrides
+    /// (shared by `lint` and `analyze`) into the wire-transportable pair
+    /// form, validating eagerly so `--deny bogus` is a usage error before
+    /// any model work happens.
+    fn severity_overrides(&self) -> Result<SeverityOverrides, CliError> {
+        let mut overrides = SeverityOverrides::new();
+        for &(flag, value) in &self.flags {
+            let severity = match flag {
+                "--deny" => "deny",
+                "--warn" => "warn",
+                "--allow" => "allow",
+                _ => continue,
+            };
+            let code = value.ok_or_else(|| CliError::usage(format!("{flag} needs a lint code")))?;
+            overrides.push((code.to_string(), severity.to_string()));
+        }
+        jobs::lint_config(&overrides)?;
+        Ok(overrides)
+    }
+
+    /// The `--engine` value, or `default`. `accepted` is the engine list
+    /// named in the error for an unknown one.
+    fn engine(&self, default: Engine, accepted: &str) -> Result<Engine, CliError> {
+        self.value("--engine").map_or(Ok(default), |name| {
+            name.parse()
+                .map_err(|_| CliError::usage(format!("unknown engine `{name}` ({accepted})")))
+        })
+    }
 }
 
 /// Validates a `--format` value for the report-producing commands.
@@ -778,246 +953,102 @@ fn report_format(value: Option<&str>) -> Result<&str, CliError> {
     Ok(format)
 }
 
-/// First token that is neither a flag nor the value of one of
-/// `flags_with_value` — the positional model path for commands whose
-/// flag set includes value-taking flags.
-fn positional_after<'a>(rest: &[&'a String], flags_with_value: &[&str]) -> Option<&'a str> {
-    let mut i = 0;
-    while i < rest.len() {
-        if flags_with_value.contains(&rest[i].as_str()) {
-            i += 2;
-        } else if rest[i].starts_with("--") {
-            i += 1;
-        } else {
-            return Some(rest[i].as_str());
-        }
-    }
-    None
-}
-
-/// Parses a numeric flag value, reporting the flag name on failure.
-fn parse_num<T: std::str::FromStr>(value: Option<&str>, name: &str) -> Result<Option<T>, CliError> {
-    value
-        .map(|v| {
-            v.parse()
-                .map_err(|_| CliError::usage(format!("{name} must be a number")))
-        })
-        .transpose()
-}
-
 /// Parses and dispatches a full argument vector (without the program name).
 pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Err(CliError::usage(USAGE));
     };
-    let rest: Vec<&String> = it.collect();
-    let flag_value = |name: &str| -> Option<&str> {
-        rest.iter()
-            .position(|a| a.as_str() == name)
-            .and_then(|i| rest.get(i + 1))
-            .map(|s| s.as_str())
-    };
-    // Flags that take no value; everything else starting with `--`
-    // consumes the following token, so a positional path is recognised
-    // wherever it appears (`campaign --seed 3 m.blif` and
-    // `campaign m.blif --seed 3` both work).
-    const BOOL_FLAGS: [&str; 7] = [
-        "--greedy",
-        "--state",
-        "--all-pairs",
-        "--resume",
-        "--metrics",
-        "--shutdown",
-        "--help",
-    ];
-    let positional = || -> Result<&str, CliError> {
-        let mut i = 0;
-        while i < rest.len() {
-            let a = rest[i].as_str();
-            if BOOL_FLAGS.contains(&a) {
-                i += 1;
-            } else if a.starts_with("--") {
-                i += 2;
-            } else {
-                return Ok(a);
-            }
+    let cmd = cmd.as_str();
+    let table = match cmd {
+        "help" | "--help" | "-h" => return Ok(USAGE.to_string().into()),
+        "stats" | "dot" | "normalize" | "dlx" => &[][..],
+        "tour" => TOUR_FLAGS,
+        "distinguish" => DISTINGUISH_FLAGS,
+        "campaign" => CAMPAIGN_FLAGS,
+        "lint" => LINT_FLAGS,
+        "analyze" => ANALYZE_FLAGS,
+        "close" => CLOSE_FLAGS,
+        "serve" => &[SERVE_FLAGS, CHAOS_FLAGS].concat(),
+        "submit" => SUBMIT_FLAGS,
+        other => {
+            return Err(CliError::usage(format!(
+                "unknown command `{other}`\n\n{USAGE}"
+            )))
         }
-        Err(CliError::usage(format!(
-            "`{cmd}` needs a model path\n\n{USAGE}"
-        )))
     };
-    match cmd.as_str() {
+    let a = Args::scan(cmd, rest, table)?;
+    match cmd {
         "lint" => {
-            let overrides = severity_overrides(&rest)?;
-            let format = report_format(flag_value("--format"))?;
-            let k = parse_num(flag_value("--k"), "--k")?.unwrap_or(1);
-            let source = match flag_value("--dlx") {
-                Some(which) => LintSource::Dlx(which),
-                None => {
-                    // Positional args must skip flag values, not just flags.
-                    let flags_with_value = [
-                        "--deny",
-                        "--warn",
-                        "--allow",
-                        "--format",
-                        "--k",
-                        "--dlx",
-                        "--trace-out",
-                    ];
-                    LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
-                        || {
-                            CliError::usage(format!(
-                                "`lint` needs a model path or --dlx\n\n{USAGE}"
-                            ))
-                        },
-                    )?)
-                }
-            };
-            return cmd_lint(source, format, &overrides, k, &ObsOpts::parse(&rest));
+            let overrides = a.severity_overrides()?;
+            let format = report_format(a.value("--format"))?;
+            let k = a.num("--k")?.unwrap_or(1);
+            return cmd_lint(a.source(cmd)?, format, &overrides, k, &ObsOpts::parse(&a));
         }
         "analyze" => {
-            let overrides = severity_overrides(&rest)?;
-            let format = report_format(flag_value("--format"))?;
+            let overrides = a.severity_overrides()?;
+            let format = report_format(a.value("--format"))?;
             let defaults = AnalyzeOpts::default();
             let opts = AnalyzeOpts {
-                max_faults: parse_num(flag_value("--max-faults"), "--max-faults")?
-                    .unwrap_or(defaults.max_faults),
-                seed: parse_num(flag_value("--seed"), "--seed")?.unwrap_or(defaults.seed),
-                max_nodes: parse_num(flag_value("--max-nodes"), "--max-nodes")?
-                    .unwrap_or(defaults.max_nodes),
+                max_faults: a.num("--max-faults")?.unwrap_or(defaults.max_faults),
+                seed: a.num("--seed")?.unwrap_or(defaults.seed),
+                max_nodes: a.num("--max-nodes")?.unwrap_or(defaults.max_nodes),
             };
-            let source = match flag_value("--dlx") {
-                Some(which) => LintSource::Dlx(which),
-                None => {
-                    let flags_with_value = [
-                        "--deny",
-                        "--warn",
-                        "--allow",
-                        "--format",
-                        "--max-faults",
-                        "--seed",
-                        "--max-nodes",
-                        "--dlx",
-                        "--trace-out",
-                    ];
-                    LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
-                        || {
-                            CliError::usage(format!(
-                                "`analyze` needs a model path or --dlx\n\n{USAGE}"
-                            ))
-                        },
-                    )?)
-                }
-            };
-            return cmd_analyze(source, format, &overrides, &opts, &ObsOpts::parse(&rest));
+            let source = a.source(cmd)?;
+            return cmd_analyze(source, format, &overrides, &opts, &ObsOpts::parse(&a));
         }
-        "stats" => cmd_stats(positional()?),
+        "stats" => cmd_stats(a.path(cmd)?),
         "tour" => {
-            let kind = if rest.iter().any(|a| a.as_str() == "--greedy") {
+            let kind = if a.has("--greedy") {
                 "greedy"
-            } else if rest.iter().any(|a| a.as_str() == "--state") {
+            } else if a.has("--state") {
                 "state"
             } else {
                 "postman"
             };
-            return cmd_tour(positional()?, kind, &ObsOpts::parse(&rest));
+            return cmd_tour(a.path(cmd)?, kind, &ObsOpts::parse(&a));
         }
         "distinguish" => {
-            let k: usize = flag_value("--k")
-                .ok_or_else(|| CliError::usage("distinguish requires --k <K>"))?
-                .parse()
-                .map_err(|_| CliError::usage("--k must be a number"))?;
-            let all_pairs = rest.iter().any(|a| a.as_str() == "--all-pairs");
-            cmd_distinguish(positional()?, k, all_pairs)
+            let k = a
+                .num("--k")?
+                .ok_or_else(|| CliError::usage("distinguish requires --k <K>"))?;
+            cmd_distinguish(a.path(cmd)?, k, a.has("--all-pairs"))
         }
         "campaign" => {
             let defaults = CampaignOpts::default();
             let opts = CampaignOpts {
-                max_faults: parse_num(flag_value("--max-faults"), "--max-faults")?
-                    .unwrap_or(defaults.max_faults),
-                seed: parse_num(flag_value("--seed"), "--seed")?.unwrap_or(defaults.seed),
-                k: parse_num(flag_value("--k"), "--k")?.unwrap_or(defaults.k),
-                jobs: parse_num(flag_value("--jobs"), "--jobs")?.unwrap_or(defaults.jobs),
-                max_retries: parse_num(flag_value("--max-retries"), "--max-retries")?
-                    .unwrap_or(defaults.max_retries),
-                deadline_ms: parse_num(flag_value("--deadline"), "--deadline")?,
-                max_steps: parse_num(flag_value("--max-steps"), "--max-steps")?,
-                checkpoint: flag_value("--checkpoint").map(str::to_string),
-                resume: rest.iter().any(|a| a.as_str() == "--resume"),
-                engine: match flag_value("--engine") {
-                    None => defaults.engine,
-                    Some("naive") => Engine::Naive,
-                    Some("differential") => Engine::Differential,
-                    Some("packed") => Engine::Packed,
-                    Some("symbolic") => Engine::Symbolic,
-                    Some(other) => {
-                        return Err(CliError::usage(format!(
-                            "unknown engine `{other}` (naive|differential|packed|symbolic)"
-                        )))
-                    }
-                },
-                collapse: match flag_value("--collapse") {
+                max_faults: a.num("--max-faults")?.unwrap_or(defaults.max_faults),
+                seed: a.num("--seed")?.unwrap_or(defaults.seed),
+                k: a.num("--k")?.unwrap_or(defaults.k),
+                jobs: a.num("--jobs")?.unwrap_or(defaults.jobs),
+                max_retries: a.num("--max-retries")?.unwrap_or(defaults.max_retries),
+                deadline_ms: a.num("--deadline")?,
+                max_steps: a.num("--max-steps")?,
+                checkpoint: a.value("--checkpoint").map(str::to_string),
+                resume: a.has("--resume"),
+                engine: a.engine(defaults.engine, "naive|differential|packed|symbolic")?,
+                collapse: match a.value("--collapse") {
                     None => defaults.collapse,
                     Some(mode) => mode.parse().map_err(CliError::usage)?,
                 },
             };
-            let source = match flag_value("--dlx") {
-                Some(which) => LintSource::Dlx(which),
-                None => {
-                    let flags_with_value = [
-                        "--max-faults",
-                        "--seed",
-                        "--k",
-                        "--jobs",
-                        "--engine",
-                        "--collapse",
-                        "--deadline",
-                        "--max-steps",
-                        "--max-retries",
-                        "--checkpoint",
-                        "--dlx",
-                        "--trace-out",
-                    ];
-                    LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
-                        || {
-                            CliError::usage(format!(
-                                "`campaign` needs a model path or --dlx\n\n{USAGE}"
-                            ))
-                        },
-                    )?)
-                }
-            };
-            return cmd_campaign(source, &opts, &ObsOpts::parse(&rest));
+            return cmd_campaign(a.source(cmd)?, &opts, &ObsOpts::parse(&a));
         }
         "close" => {
-            let format = report_format(flag_value("--format"))?;
+            let format = report_format(a.value("--format"))?;
             let defaults = CloseOpts::default();
             let opts = CloseOpts {
-                max_faults: parse_num(flag_value("--max-faults"), "--max-faults")?
-                    .unwrap_or(defaults.max_faults),
-                seed: parse_num(flag_value("--seed"), "--seed")?.unwrap_or(defaults.seed),
-                rounds: parse_num(flag_value("--rounds"), "--rounds")?.unwrap_or(defaults.rounds),
-                budget: parse_num(flag_value("--budget"), "--budget")?,
-                jobs: parse_num(flag_value("--jobs"), "--jobs")?.unwrap_or(defaults.jobs),
-                engine: match flag_value("--engine") {
-                    None => defaults.engine,
-                    Some("naive") => Engine::Naive,
-                    Some("differential") => Engine::Differential,
-                    Some("packed") => Engine::Packed,
-                    // Refused by the job layer, with the same message
-                    // a served `close` request gets.
-                    Some("symbolic") => Engine::Symbolic,
-                    Some(other) => {
-                        return Err(CliError::usage(format!(
-                            "unknown engine `{other}` (naive|differential|packed)"
-                        )))
-                    }
-                },
+                max_faults: a.num("--max-faults")?.unwrap_or(defaults.max_faults),
+                seed: a.num("--seed")?.unwrap_or(defaults.seed),
+                rounds: a.num("--rounds")?.unwrap_or(defaults.rounds),
+                budget: a.num("--budget")?,
+                jobs: a.num("--jobs")?.unwrap_or(defaults.jobs),
+                // `symbolic` parses, then is refused by the job layer with
+                // the same message a served `close` request gets.
+                engine: a.engine(defaults.engine, "naive|differential|packed")?,
                 // Rounds either simulate every fault or one representative
                 // per collapse class; there is no `verify` mode because the
                 // certificate is audited up front by the driver.
-                collapse: match flag_value("--collapse") {
+                collapse: match a.value("--collapse") {
                     None | Some("off") => false,
                     Some("on") => true,
                     Some(other) => {
@@ -1028,55 +1059,25 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                 },
                 format: format.to_string(),
             };
-            let source = match flag_value("--dlx") {
-                Some(which) => LintSource::Dlx(which),
-                None => {
-                    let flags_with_value = [
-                        "--max-faults",
-                        "--seed",
-                        "--rounds",
-                        "--budget",
-                        "--jobs",
-                        "--engine",
-                        "--collapse",
-                        "--format",
-                        "--dlx",
-                        "--trace-out",
-                    ];
-                    LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
-                        || {
-                            CliError::usage(format!(
-                                "`close` needs a model path or --dlx\n\n{USAGE}"
-                            ))
-                        },
-                    )?)
-                }
-            };
-            return cmd_close(source, &opts, &ObsOpts::parse(&rest));
+            return cmd_close(a.source(cmd)?, &opts, &ObsOpts::parse(&a));
         }
         "serve" => {
             let defaults = ServerConfig::default();
             let mut config = ServerConfig {
-                addr: flag_value("--addr").unwrap_or(&defaults.addr).to_string(),
-                workers: parse_num(flag_value("--workers"), "--workers")?
-                    .unwrap_or(defaults.workers),
-                queue_capacity: parse_num(flag_value("--queue"), "--queue")?
-                    .unwrap_or(defaults.queue_capacity),
-                cache_capacity: parse_num(flag_value("--cache"), "--cache")?
-                    .unwrap_or(defaults.cache_capacity),
-                max_retries: parse_num(flag_value("--max-retries"), "--max-retries")?
-                    .unwrap_or(defaults.max_retries),
-                seed: parse_num(flag_value("--seed"), "--seed")?.unwrap_or(defaults.seed),
-                journal: flag_value("--journal").map(str::to_string),
-                resume: rest.iter().any(|a| a.as_str() == "--resume"),
+                addr: a.value("--addr").unwrap_or(&defaults.addr).to_string(),
+                workers: a.num("--workers")?.unwrap_or(defaults.workers),
+                queue_capacity: a.num("--queue")?.unwrap_or(defaults.queue_capacity),
+                cache_capacity: a.num("--cache")?.unwrap_or(defaults.cache_capacity),
+                max_retries: a.num("--max-retries")?.unwrap_or(defaults.max_retries),
+                seed: a.num("--seed")?.unwrap_or(defaults.seed),
+                journal: a.value("--journal").map(str::to_string),
+                resume: a.has("--resume"),
                 ..defaults
             };
             if config.resume && config.journal.is_none() {
                 return Err(CliError::usage("--resume requires --journal <FILE>"));
             }
-            if let Some(sample) =
-                parse_num::<usize>(flag_value("--audit-sample"), "--audit-sample")?
-            {
+            if let Some(sample) = a.num::<usize>("--audit-sample")? {
                 config.audit = (sample > 0).then_some(jobs::AuditPolicy {
                     sample,
                     seed: config.seed,
@@ -1084,13 +1085,12 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
             }
             #[cfg(feature = "chaos")]
             {
-                let seed = parse_num(flag_value("--chaos-seed"), "--chaos-seed")?;
-                let drop = parse_num(flag_value("--chaos-drop"), "--chaos-drop")?;
-                let slow = parse_num(flag_value("--chaos-slow"), "--chaos-slow")?;
-                let panic = parse_num(flag_value("--chaos-panic"), "--chaos-panic")?;
-                let audit = parse_num(flag_value("--chaos-audit"), "--chaos-audit")?;
-                let journal_fail =
-                    parse_num(flag_value("--chaos-journal-fail"), "--chaos-journal-fail")?;
+                let seed = a.num("--chaos-seed")?;
+                let drop = a.num("--chaos-drop")?;
+                let slow = a.num("--chaos-slow")?;
+                let panic = a.num("--chaos-panic")?;
+                let audit = a.num("--chaos-audit")?;
+                let journal_fail = a.num("--chaos-journal-fail")?;
                 if seed.is_some()
                     || drop.is_some()
                     || slow.is_some()
@@ -1107,53 +1107,32 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                     config.chaos = Some(plan);
                 }
             }
-            return cmd_serve(config, flag_value("--trace-out"));
+            return cmd_serve(config, a.value("--trace-out"));
         }
         "submit" => {
-            let flags_with_value = ["--connections", "--dump-dir"];
-            let mut positionals = Vec::new();
-            let mut i = 0;
-            while i < rest.len() {
-                let a = rest[i].as_str();
-                if flags_with_value.contains(&a) {
-                    i += 2;
-                } else if a.starts_with("--") {
-                    i += 1;
-                } else {
-                    positionals.push(a);
-                    i += 1;
-                }
-            }
-            let (addr, file) = match positionals[..] {
-                [addr, file] => (addr, file),
-                _ => {
-                    return Err(CliError::usage(format!(
-                        "`submit` needs <addr> and <jobs.jsonl>\n\n{USAGE}"
-                    )))
-                }
+            let [addr, file] = a.positionals[..] else {
+                return Err(CliError::usage(format!(
+                    "`submit` needs <addr> and <jobs.jsonl>\n\n{USAGE}"
+                )));
             };
-            let connections = parse_num(flag_value("--connections"), "--connections")?.unwrap_or(1);
             return cmd_submit(
                 addr,
                 file,
-                connections,
-                flag_value("--dump-dir"),
-                rest.iter().any(|a| a.as_str() == "--shutdown"),
+                a.num("--connections")?.unwrap_or(1),
+                a.value("--dump-dir"),
+                a.has("--shutdown"),
             );
         }
-        "dot" => cmd_dot(positional()?),
-        "normalize" => cmd_normalize(positional()?),
+        "dot" => cmd_dot(a.path(cmd)?),
+        "normalize" => cmd_normalize(a.path(cmd)?),
         "dlx" => {
-            let which = rest
+            let which = a
+                .positionals
                 .first()
-                .map(|s| s.as_str())
                 .ok_or_else(|| CliError::usage("dlx needs a model name"))?;
             cmd_dlx(which)
         }
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::usage(format!(
-            "unknown command `{other}`\n\n{USAGE}"
-        ))),
+        _ => unreachable!("every command has a flag table"),
     }
     .map(CmdOutput::from)
 }
@@ -1946,5 +1925,72 @@ mod tests {
         assert!(e.message.contains("--k"));
         let e = run(&args(&["campaign", "x.blif", "--max-faults", "abc"])).unwrap_err();
         assert_eq!(e.code, 2);
+    }
+
+    /// Asserts `argv` is refused as a usage error naming `flag`.
+    fn assert_unknown_flag(argv: &[&str], flag: &str) {
+        let e = run(&args(argv)).unwrap_err();
+        assert_eq!(e.code, 2, "{}", e.message);
+        assert!(
+            e.message.contains(&format!("unknown flag `{flag}`")),
+            "{}",
+            e.message
+        );
+    }
+
+    #[test]
+    fn misspelled_campaign_engine_flag_is_refused() {
+        // Would otherwise run the default differential engine and exit 0.
+        assert_unknown_flag(
+            &[
+                "campaign",
+                "--dlx",
+                "reduced-obs",
+                "--max-faults",
+                "100",
+                "--egnine",
+                "packed",
+            ],
+            "--egnine",
+        );
+    }
+
+    #[test]
+    fn misspelled_close_collapse_flag_is_refused() {
+        // Would otherwise run without collapse.
+        assert_unknown_flag(
+            &[
+                "close",
+                "--dlx",
+                "reduced-obs",
+                "--max-faults",
+                "50",
+                "--rounds",
+                "1",
+                "--colapse",
+                "on",
+            ],
+            "--colapse",
+        );
+    }
+
+    #[test]
+    fn misspelled_flag_is_refused_before_its_value_is_read_as_a_path() {
+        // Would otherwise read `packed` as the model path and fail with
+        // "cannot read packed" (exit 1).
+        assert_unknown_flag(&["campaign", "--engin", "packed", "dlx.blif"], "--engin");
+    }
+
+    #[test]
+    fn flags_are_checked_per_subcommand() {
+        // `--help` passes everywhere; a flag another subcommand lists
+        // does not.
+        let e = run(&args(&["campaign", "--help"])).unwrap_err();
+        assert!(
+            e.message.contains("needs a model path or --dlx"),
+            "{}",
+            e.message
+        );
+        assert_unknown_flag(&["serve", "--metrics"], "--metrics");
     }
 }

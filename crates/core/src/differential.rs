@@ -20,9 +20,11 @@
 //!    simulation. An effective output error is classified entirely from
 //!    the index (it never perturbs the state trajectory). Only effective
 //!    transfer errors are simulated, and only from their first divergence
-//!    point, comparing against the memoized golden outputs.
-//! 3. Replay uses the zero-clone
-//!    [`Fault::patch`](crate::error_model::Fault::patch) overlay instead
+//!    point, comparing against the memoized golden outputs. The packed
+//!    engine ([`crate::packed`]) shares this trace and this classification
+//!    and differs only in how it runs those replays.
+//! 3. Replay uses the zero-clone overlay
+//!    [`Fault::patch`](crate::error_model::Fault::patch) builds instead
 //!    of [`Fault::inject`](crate::error_model::Fault::inject)'s full
 //!    table clone.
 //!
@@ -37,7 +39,7 @@
 
 use crate::error_model::{Fault, FaultKind};
 use crate::faults::FaultOutcome;
-use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, PackedMealy, StateId, LANES};
+use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, StateId};
 use simcov_tour::TestSet;
 
 /// Which fault-simulation engine a campaign runs.
@@ -86,6 +88,23 @@ impl Engine {
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Engine {
+    type Err = String;
+
+    /// Parses an [`Engine::name`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [
+            Engine::Naive,
+            Engine::Differential,
+            Engine::Packed,
+            Engine::Symbolic,
+        ]
+        .into_iter()
+        .find(|e| e.name() == s)
+        .ok_or_else(|| format!("unknown engine `{s}` (naive|differential|packed|symbolic)"))
     }
 }
 
@@ -166,10 +185,7 @@ pub struct GoldenTrace {
 /// Builds the CSR excitation index by stable counting sort. `cells`
 /// holds the traversed cell of every golden step in ascending
 /// `(sequence, vector)` order; each sequence contributed exactly
-/// `outputs[si].len()` entries (one per emitted output). Both trace
-/// builders feed this one helper, which is what guarantees their
-/// indices are bit-identical: same flat record order in, same
-/// `(offsets, entries)` out.
+/// `outputs[si].len()` entries (one per emitted output).
 fn csr_index(
     ncells: usize,
     outputs: &[Vec<OutputSym>],
@@ -237,51 +253,6 @@ impl GoldenTrace {
         }
     }
 
-    /// Builds the same trace as [`build`](Self::build) — bit-identical,
-    /// field for field — but walks up to [`LANES`]
-    /// sequences lane-parallel over the packed tables. The scalar build
-    /// is a serial pointer chase (each lookup depends on the previous
-    /// step's state); packing independent sequences keeps that many table
-    /// loads in flight at once, which is where the packed engine's
-    /// trace-construction speedup comes from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed` was not built from `golden`.
-    pub fn build_packed(
-        golden: &ExplicitMealy,
-        packed: &PackedMealy,
-        tests: &TestSet,
-    ) -> GoldenTrace {
-        assert_eq!(packed.num_states(), golden.num_states());
-        assert_eq!(packed.num_inputs(), golden.num_inputs());
-        assert_eq!(packed.reset(), golden.reset());
-        let ni = golden.num_inputs();
-        let mut states = Vec::with_capacity(tests.sequences.len());
-        let mut outputs = Vec::with_capacity(tests.sequences.len());
-        let mut cells: Vec<u32> = Vec::new();
-        let mut total_steps = 0usize;
-        for chunk in tests.sequences.chunks(LANES) {
-            let refs: Vec<&[InputSym]> = chunk.iter().map(|s| s.as_slice()).collect();
-            let (st, out, lane_cells) = packed.walk_lanes(&refs);
-            for ((st, out), lane_cells) in st.into_iter().zip(out).zip(lane_cells) {
-                cells.extend_from_slice(&lane_cells);
-                total_steps += out.len();
-                states.push(st);
-                outputs.push(out);
-            }
-        }
-        let (index_offsets, index_entries) = csr_index(golden.num_states() * ni, &outputs, &cells);
-        GoldenTrace {
-            states,
-            outputs,
-            index_offsets,
-            index_entries,
-            num_inputs: ni,
-            total_steps,
-        }
-    }
-
     /// Positions `(sequence, vector)` where the golden run traverses the
     /// transition `(state, input)`, ascending. Empty iff no sequence ever
     /// excites a fault on that transition.
@@ -314,6 +285,89 @@ impl GoldenTrace {
     }
 }
 
+/// What the excitation index alone decides about one fault.
+pub(crate) enum Classified<'t> {
+    /// The outcome needs no simulation: the fault is never excited, is an
+    /// output error, or is a transfer that leaves the machine unchanged.
+    Final(FaultOutcome),
+    /// An effective transfer error, to be replayed from its first
+    /// excitation in each sequence.
+    Replay {
+        /// Ascending `(sequence, vector)` excitations; never empty.
+        entries: &'t [(u32, u32)],
+        /// The redirected next state.
+        new_next: StateId,
+        /// The golden output of the faulted transition, which the faulty
+        /// machine still emits there.
+        out: OutputSym,
+    },
+}
+
+/// The index fast paths of DESIGN.md §11 (Lemmas 1–2), shared by the
+/// differential and packed engines: decides `fault` from the excitation
+/// index when it can, adding the avoided work to `stats`, and otherwise
+/// returns what its replay needs. Only effective transfer errors reach a
+/// replay in either engine.
+///
+/// # Panics
+///
+/// Panics if the fault's transition is undefined in `golden`.
+#[inline]
+pub(crate) fn classify<'t>(
+    golden: &ExplicitMealy,
+    trace: &'t GoldenTrace,
+    fault: &Fault,
+    stats: &mut DiffStats,
+) -> Classified<'t> {
+    let fault = *fault;
+    let (orig_next, orig_out) = golden
+        .step(fault.state, fault.input)
+        .expect("transition must be defined to be faulted");
+    let entries = trace.excitations(fault.state, fault.input);
+    let decided = |detected: Option<(usize, usize)>, excited: bool| {
+        Classified::Final(FaultOutcome {
+            fault,
+            detected,
+            excited,
+            masked_somewhere: false,
+        })
+    };
+    // Lemma 1: the faulty trajectory coincides with the golden one until
+    // the faulted transition is first traversed, and the first traversal
+    // position of the faulty machine equals the first golden-trace
+    // traversal of the same cell. An empty index therefore proves the
+    // fault is never excited, so golden and faulty runs are identical on
+    // every sequence: not detected (equal outputs, equal truncation) and
+    // not masked (states never diverge).
+    if entries.is_empty() {
+        stats.faults_skipped_by_index += 1;
+        return decided(None, false);
+    }
+    match fault.kind {
+        // An output error never perturbs the state trajectory, so the
+        // faulty run visits exactly the golden states and differs only in
+        // the output emitted at each indexed traversal. Detection is the
+        // globally first traversal iff the relabeling is effective; the
+        // states never diverge, so masking is impossible (Lemma 2).
+        FaultKind::Output { new_output } => {
+            stats.prefix_steps_saved += trace.total_steps;
+            let first = (entries[0].0 as usize, entries[0].1 as usize);
+            decided((new_output != orig_out).then_some(first), true)
+        }
+        // An ineffective redirection leaves the machine unchanged:
+        // excited (the cell is traversed) but nothing to observe.
+        FaultKind::Transfer { new_next } if new_next == orig_next => {
+            stats.prefix_steps_saved += trace.total_steps;
+            decided(None, true)
+        }
+        FaultKind::Transfer { new_next } => Classified::Replay {
+            entries,
+            new_next,
+            out: orig_out,
+        },
+    }
+}
+
 /// Classifies one fault against a [`GoldenTrace`], producing the same
 /// [`FaultOutcome`] as [`simulate_fault`](crate::faults::simulate_fault)
 /// — bit for bit — while skipping all work the single-fault structure
@@ -331,158 +385,110 @@ pub fn simulate_fault_differential(
     tests: &TestSet,
     stats: &mut DiffStats,
 ) -> FaultOutcome {
-    let fault = *fault;
-    let (orig_next, orig_out) = golden
-        .step(fault.state, fault.input)
-        .expect("transition must be defined to be faulted");
     assert_eq!(
         trace.states.len(),
         tests.sequences.len(),
         "golden trace must memoize exactly this test set"
     );
-    let entries = trace.excitations(fault.state, fault.input);
-
-    // Layer-2 fast path (DESIGN.md §11, Lemma 1): the faulty trajectory
-    // coincides with the golden one until the faulted transition is first
-    // traversed, and the first traversal position of the faulty machine
-    // equals the first golden-trace traversal of the same cell. An empty
-    // index therefore proves the fault is never excited, so golden and
-    // faulty runs are identical on every sequence: not detected (equal
-    // outputs, equal truncation) and not masked (states never diverge).
-    if entries.is_empty() {
-        stats.faults_skipped_by_index += 1;
-        return FaultOutcome {
-            fault,
-            detected: None,
-            excited: false,
-            masked_somewhere: false,
-        };
-    }
-
-    match fault.kind {
-        // An output error never perturbs the state trajectory, so the
-        // faulty run visits exactly the golden states and differs only in
-        // the output emitted at each indexed traversal. Detection is the
-        // globally first traversal iff the relabeling is effective; the
-        // states never diverge, so masking is impossible (Lemma 2).
-        FaultKind::Output { new_output } => {
-            stats.prefix_steps_saved += trace.total_steps;
-            let detected =
-                (new_output != orig_out).then(|| (entries[0].0 as usize, entries[0].1 as usize));
-            FaultOutcome {
-                fault,
-                detected,
-                excited: true,
-                masked_somewhere: false,
-            }
+    let (entries, new_next, out) = match classify(golden, trace, fault, stats) {
+        Classified::Final(outcome) => return outcome,
+        Classified::Replay {
+            entries,
+            new_next,
+            out,
+        } => (entries, new_next, out),
+    };
+    let patched = golden.patched(fault.state, fault.input, new_next, out);
+    let mut detected = None;
+    let mut masked_somewhere = false;
+    // `entries` is ascending in (sequence, vector); walk it with a
+    // cursor so each sequence's *first* excitation is O(1).
+    let mut ei = 0usize;
+    for (si, seq) in tests.sequences.iter().enumerate() {
+        while ei < entries.len() && (entries[ei].0 as usize) < si {
+            ei += 1;
         }
-        FaultKind::Transfer { new_next } => {
-            // An ineffective redirection leaves the machine unchanged:
-            // excited (the cell is traversed) but nothing to observe.
-            if new_next == orig_next {
-                stats.prefix_steps_saved += trace.total_steps;
-                return FaultOutcome {
-                    fault,
-                    detected: None,
-                    excited: true,
-                    masked_somewhere: false,
-                };
+        let go = &trace.outputs[si];
+        let gs = &trace.states[si];
+        let gl = go.len();
+        let excitation =
+            (ei < entries.len() && entries[ei].0 as usize == si).then(|| entries[ei].1 as usize);
+        let Some(e) = excitation else {
+            // No excitation on this sequence: the faulty run is the
+            // golden run — nothing detected, nothing masked.
+            stats.prefix_steps_saved += gl;
+            continue;
+        };
+        // Replay only the suffix. Up to and including position e the
+        // trajectories agree (the transfer emits the golden output at e);
+        // the faulty machine then sits in `new_next` at position e + 1
+        // while the golden trace has gs[e + 1].
+        stats.prefix_steps_saved += e + 1;
+        stats.divergence_replays += 1;
+        let mut f_cur = new_next;
+        let mut diverged = false;
+        let mut seq_detect = None;
+        let mut seq_masked = false;
+        let mut p = e + 1;
+        // Loop invariant: the faulty machine has emitted p outputs (all
+        // equal to go[..p]) and sits in f_cur, with p <= gl (we break the
+        // moment the faulty run outlives the golden one).
+        loop {
+            // Masking state-comparison at position p, mirroring
+            // `is_masked_on`'s diverge-then-reconverge scan. The output
+            // comparisons that scan interleaves are redundant here: the
+            // masked flag is only consulted when the sequence detects
+            // nothing, i.e. when no output difference exists at all
+            // (§11, Lemma 3).
+            if gs[p] != f_cur {
+                diverged = true;
+            } else if diverged {
+                seq_masked = true;
             }
-            let patched = fault.patch(golden);
-            let mut detected = None;
-            let mut masked_somewhere = false;
-            // `entries` is ascending in (sequence, vector); walk it with a
-            // cursor so each sequence's *first* excitation is O(1).
-            let mut ei = 0usize;
-            for (si, seq) in tests.sequences.iter().enumerate() {
-                while ei < entries.len() && (entries[ei].0 as usize) < si {
-                    ei += 1;
-                }
-                let go = &trace.outputs[si];
-                let gs = &trace.states[si];
-                let gl = go.len();
-                let excitation = (ei < entries.len() && entries[ei].0 as usize == si)
-                    .then(|| entries[ei].1 as usize);
-                let Some(e) = excitation else {
-                    // No excitation on this sequence: the faulty run is
-                    // the golden run — nothing detected, nothing masked.
-                    stats.prefix_steps_saved += gl;
-                    continue;
-                };
-                // Replay only the suffix. Up to and including position e
-                // the trajectories agree (the transfer emits the golden
-                // output at e); the faulty machine then sits in `new_next`
-                // at position e + 1 while the golden trace has gs[e + 1].
-                stats.prefix_steps_saved += e + 1;
-                stats.divergence_replays += 1;
-                let mut f_cur = new_next;
-                let mut diverged = false;
-                let mut seq_detect = None;
-                let mut seq_masked = false;
-                let mut p = e + 1;
-                // Loop invariant: the faulty machine has emitted p
-                // outputs (all equal to go[..p]) and sits in f_cur, with
-                // p <= gl (we break the moment the faulty run outlives
-                // the golden one).
-                loop {
-                    // Masking state-comparison at position p, mirroring
-                    // `is_masked_on`'s diverge-then-reconverge scan. The
-                    // output comparisons that scan interleaves are
-                    // redundant here: the masked flag is only consulted
-                    // when the sequence detects nothing, i.e. when no
-                    // output difference exists at all (§11, Lemma 3).
-                    if gs[p] != f_cur {
-                        diverged = true;
-                    } else if diverged {
-                        seq_masked = true;
+            if p >= seq.len() {
+                break; // Both runs consumed the whole sequence.
+            }
+            match patched.step_patched(f_cur, seq[p]) {
+                None => {
+                    // Faulty truncates with p outputs. Truncation
+                    // asymmetry detects at the common length.
+                    if gl > p {
+                        seq_detect = Some(p);
                     }
-                    if p >= seq.len() {
-                        break; // Both runs consumed the whole sequence.
-                    }
-                    match patched.step_patched(f_cur, seq[p]) {
-                        None => {
-                            // Faulty truncates with p outputs. Truncation
-                            // asymmetry detects at the common length.
-                            if gl > p {
-                                seq_detect = Some(p);
-                            }
-                            break;
-                        }
-                        Some((nxt, out)) => {
-                            if p >= gl {
-                                // Golden truncated at gl = p but the
-                                // faulty machine stepped on: asymmetry
-                                // detects at the common length gl.
-                                seq_detect = Some(p);
-                                break;
-                            }
-                            if out != go[p] {
-                                seq_detect = Some(p);
-                                break;
-                            }
-                            f_cur = nxt;
-                            p += 1;
-                        }
-                    }
-                }
-                if let Some(vi) = seq_detect {
-                    // First detecting sequence: later sequences can no
-                    // longer change any field of the outcome (excitation
-                    // is already known from the index, and the naive
-                    // engine neither re-detects nor masks past this
-                    // point).
-                    detected = Some((si, vi));
                     break;
                 }
-                masked_somewhere |= seq_masked;
-            }
-            FaultOutcome {
-                fault,
-                detected,
-                excited: true,
-                masked_somewhere,
+                Some((nxt, out)) => {
+                    if p >= gl {
+                        // Golden truncated at gl = p but the faulty
+                        // machine stepped on: asymmetry detects at the
+                        // common length gl.
+                        seq_detect = Some(p);
+                        break;
+                    }
+                    if out != go[p] {
+                        seq_detect = Some(p);
+                        break;
+                    }
+                    f_cur = nxt;
+                    p += 1;
+                }
             }
         }
+        if let Some(vi) = seq_detect {
+            // First detecting sequence: later sequences can no longer
+            // change any field of the outcome (excitation is already
+            // known from the index, and the naive engine neither
+            // re-detects nor masks past this point).
+            detected = Some((si, vi));
+            break;
+        }
+        masked_somewhere |= seq_masked;
+    }
+    FaultOutcome {
+        fault: *fault,
+        detected,
+        excited: true,
+        masked_somewhere,
     }
 }
 
@@ -683,34 +689,16 @@ mod tests {
     }
 
     #[test]
-    fn packed_trace_build_is_field_identical_to_scalar_build() {
-        // Scalar and lane-parallel construction must agree on every field
-        // — trajectories, outputs, the excitation index's entry order and
-        // the step total — including truncation on partial machines.
-        let (m, _) = figure2();
-        let a = m.input_by_label("a").unwrap();
-        let b = m.input_by_label("b").unwrap();
-        let c = m.input_by_label("c").unwrap();
-        let tour = transition_tour(&m).unwrap();
-        let sets = [
-            TestSet::single(extend_cyclically(&tour.inputs, 2)),
-            TestSet {
-                sequences: vec![vec![c, c], vec![], vec![a, a, c], vec![b, a, b, c, a]],
-            },
-            TestSet { sequences: vec![] },
-            // More sequences than LANES forces multiple chunks.
-            TestSet {
-                sequences: (0..150).map(|k| vec![[a, b, c][k % 3]; k % 7]).collect(),
-            },
-        ];
-        let packed = PackedMealy::from_explicit(&m);
-        for tests in &sets {
-            assert_eq!(
-                GoldenTrace::build_packed(&m, &packed, tests),
-                GoldenTrace::build(&m, tests),
-                "{} sequences",
-                tests.sequences.len()
-            );
+    fn engine_names_parse_back() {
+        for e in [
+            Engine::Naive,
+            Engine::Differential,
+            Engine::Packed,
+            Engine::Symbolic,
+        ] {
+            assert_eq!(e.name().parse(), Ok(e));
         }
+        let err = "warp".parse::<Engine>().unwrap_err();
+        assert!(err.contains("unknown engine `warp`"), "{err}");
     }
 }

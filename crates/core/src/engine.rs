@@ -2,8 +2,9 @@
 //!
 //! Every campaign runs an [`Engine`] in two steps. [`PreparedEngine::new`]
 //! builds the engine's read-only artefacts once per campaign: the golden
-//! trace for the differential engine; the packed tables, trace and replay
-//! script for the packed engine; the netlist bridge for the symbolic
+//! trace ([`GoldenTrace::build`]) for the differential engine; the same
+//! trace plus the packed tables and replay script, which lower only its
+//! replays, for the packed engine; the netlist bridge for the symbolic
 //! engine. [`PreparedEngine::simulate`] then classifies one shard of
 //! faults against them and accumulates the engine's effort into
 //! [`EngineStats`]. The artefacts are shared by reference across worker
@@ -128,9 +129,8 @@ impl<'a> PreparedEngine<'a> {
     ///
     /// `trace` is an already-built golden trace to share instead of
     /// building one (a cross-request cache, say); it must have been
-    /// built from this `golden` and `tests`. [`GoldenTrace::build`] and
-    /// [`GoldenTrace::build_packed`] agree field for field, so either
-    /// serves both engines that use a trace. `symbolic` is the netlist
+    /// built by [`GoldenTrace::build`] from this `golden` and `tests`,
+    /// and serves both engines that use a trace. `symbolic` is the netlist
     /// bridge [`Engine::Symbolic`] needs, validated against `golden`
     /// ([`SymbolicContext::new`]). Engines ignore what they do not use.
     ///
@@ -142,21 +142,18 @@ impl<'a> PreparedEngine<'a> {
         trace: Option<&'a GoldenTrace>,
         symbolic: Option<&'a SymbolicContext<'a>>,
     ) -> Option<Self> {
+        let trace = || match trace {
+            Some(t) => Cow::Borrowed(t),
+            None => Cow::Owned(GoldenTrace::build(golden, tests)),
+        };
         let artefacts = match engine {
             Engine::Naive => Artefacts::Naive,
-            Engine::Differential => Artefacts::Differential(match trace {
-                Some(t) => Cow::Borrowed(t),
-                None => Cow::Owned(GoldenTrace::build(golden, tests)),
-            }),
+            Engine::Differential => Artefacts::Differential(trace()),
             Engine::Packed => {
-                let tables = PackedMealy::from_explicit(golden);
-                let trace = match trace {
-                    Some(t) => Cow::Borrowed(t),
-                    None => Cow::Owned(GoldenTrace::build_packed(golden, &tables, tests)),
-                };
+                let trace = trace();
                 let script = ReplayScript::build(&trace, tests);
                 Artefacts::Packed {
-                    tables,
+                    tables: PackedMealy::from_explicit(golden),
                     trace,
                     script,
                 }

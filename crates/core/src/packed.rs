@@ -1,26 +1,29 @@
 //! Bit-parallel (word-packed) fault simulation: up to 64 suffix replays
-//! advanced lane-parallel over struct-of-arrays transition tables.
+//! advanced lane-parallel over word-packed transition tables.
 //!
-//! The differential engine ([`crate::differential`]) already skips every
-//! provably redundant step, but what remains — the golden-trace build and
-//! each divergence replay — is a *serial pointer chase*: every table
-//! lookup depends on the state the previous lookup produced, so on a
-//! model whose table outgrows L1 the engine is latency-bound, not
-//! compute-bound. This module attacks exactly that:
+//! The packed engine shares everything with the differential engine
+//! ([`crate::differential`]) except the replays: the same
+//! [`GoldenTrace`], built by [`GoldenTrace::build`], and the same index
+//! fast paths (unexcited skip, index-only output classification,
+//! ineffective transfer), run in fault order. What remains is each
+//! effective transfer fault's divergence replay, a *serial pointer
+//! chase*: every table lookup depends on the state the previous lookup
+//! produced, so on a model whose table outgrows L1 a scalar replay is
+//! latency-bound, not compute-bound. This module lowers only those
+//! replays:
 //!
-//! 1. Faults in a shard are classified in fault order with the same O(1)
-//!    index fast paths as the differential engine (unexcited skip,
-//!    index-only output classification, ineffective transfer). Only
-//!    **effective transfer faults** — the ones needing replay — enter
-//!    the `LanePool`, which keeps up to [`LANES`] of them in flight.
+//! 1. Effective transfer faults enter the `LanePool` in fault order; it
+//!    keeps up to [`LANES`] of them in flight.
 //! 2. The pool replays its live lanes together, one micro-step per lane
-//!    per round, over the [`PackedMealy`] struct-of-arrays tables, and
-//!    refills a slot the moment its lane retires. Each lane carries its
-//!    own [`LanePatch`] (the packed `PatchedMealy`), its own excitation
-//!    cursor and its own masking scan, so the 64 mutants stay fully
-//!    independent — but their table loads are issued back-to-back with
-//!    no data dependency, letting the memory system overlap the cache
-//!    misses a scalar replay would serialise.
+//!    per round, over the [`PackedMealy`] tables (through its narrow
+//!    32-bit records when the machine's id ranges allow them), against
+//!    a [`ReplayScript`] of the golden run, and refills a slot the moment
+//!    its lane retires. Each lane carries its own [`LanePatch`] (the
+//!    packed `PatchedMealy`), its own excitation cursor and its own
+//!    masking scan, so the 64 mutants stay fully independent — but their
+//!    table loads are issued back-to-back with no data dependency,
+//!    letting the memory system overlap the cache misses a scalar replay
+//!    would serialise.
 //!
 //! Per lane, the replay mirrors [`crate::simulate_fault_differential`]'s loop
 //! **exactly** — same masking comparison at each position, same
@@ -32,8 +35,8 @@
 //! they carried, surfaced as the `campaign.packed_words` and
 //! `campaign.lanes_active` telemetry counters.
 
-use crate::differential::{DiffStats, GoldenTrace};
-use crate::error_model::{Fault, FaultKind};
+use crate::differential::{classify, Classified, DiffStats, GoldenTrace};
+use crate::error_model::Fault;
 use crate::faults::FaultOutcome;
 use simcov_fsm::{
     ExplicitMealy, LanePatch, PackedMealy, LANES, UNDEFINED_NARROW, UNDEFINED_RECORD,
@@ -575,8 +578,9 @@ impl<'t> LanePool<'t> {
 /// [`crate::simulate_fault_differential`] (and hence
 /// [`simulate_fault`](crate::faults::simulate_fault)) over the shard.
 ///
-/// Faults are classified in fault order; effective transfer faults enter
-/// the `LanePool` in that same order and are replayed lane-parallel
+/// Faults are classified in fault order by the differential engine's
+/// index fast paths; effective transfer faults enter the `LanePool` in
+/// that same order and are replayed lane-parallel
 /// (up to [`LANES`] in flight, slots refilled as lanes retire), with
 /// outcomes written back by position — so the returned vector is in
 /// fault order regardless of scheduling. `diff` accumulates the same
@@ -614,48 +618,15 @@ pub fn simulate_shard_packed<'t>(
     let mut outcomes: Vec<Option<FaultOutcome>> = vec![None; shard.len()];
     let mut pool = LanePool::new();
     for (slot, fault) in shard.iter().enumerate() {
-        let fault = *fault;
-        let (orig_next, orig_out) = golden
-            .step(fault.state, fault.input)
-            .expect("transition must be defined to be faulted");
-        let entries = trace.excitations(fault.state, fault.input);
-        // The differential engine's index fast paths, verbatim (DESIGN.md
-        // §11 Lemmas 1–2): only effective transfer faults reach a word.
-        if entries.is_empty() {
-            diff.faults_skipped_by_index += 1;
-            outcomes[slot] = Some(FaultOutcome {
-                fault,
-                detected: None,
-                excited: false,
-                masked_somewhere: false,
-            });
-            continue;
-        }
-        match fault.kind {
-            FaultKind::Output { new_output } => {
-                diff.prefix_steps_saved += trace.total_steps();
-                let detected = (new_output != orig_out)
-                    .then(|| (entries[0].0 as usize, entries[0].1 as usize));
-                outcomes[slot] = Some(FaultOutcome {
-                    fault,
-                    detected,
-                    excited: true,
-                    masked_somewhere: false,
-                });
-            }
-            FaultKind::Transfer { new_next } => {
-                if new_next == orig_next {
-                    diff.prefix_steps_saved += trace.total_steps();
-                    outcomes[slot] = Some(FaultOutcome {
-                        fault,
-                        detected: None,
-                        excited: true,
-                        masked_somewhere: false,
-                    });
-                    continue;
-                }
-                let patch = packed.lane_patch(fault.state, fault.input, new_next, orig_out);
-                pool.push(slot, fault, patch, entries);
+        match classify(golden, trace, fault, diff) {
+            Classified::Final(outcome) => outcomes[slot] = Some(outcome),
+            Classified::Replay {
+                entries,
+                new_next,
+                out,
+            } => {
+                let patch = packed.lane_patch(fault.state, fault.input, new_next, out);
+                pool.push(slot, *fault, patch, entries);
             }
         }
     }
@@ -669,7 +640,8 @@ pub fn simulate_shard_packed<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::differential::{simulate_fault_differential, GoldenTrace};
+    use crate::differential::simulate_fault_differential;
+    use crate::error_model::FaultKind;
     use crate::faults::{enumerate_single_faults, extend_cyclically, simulate_fault, FaultSpace};
     use crate::testutil::figure2;
     use simcov_fsm::{InputSym, MealyBuilder, OutputSym};
@@ -682,8 +654,6 @@ mod tests {
     fn assert_three_way(m: &ExplicitMealy, faults: &[Fault], tests: &TestSet) {
         let trace = GoldenTrace::build(m, tests);
         let packed = PackedMealy::from_explicit(m);
-        let packed_trace = GoldenTrace::build_packed(m, &packed, tests);
-        assert_eq!(packed_trace, trace, "packed trace build must be identical");
         let mut diff_p = DiffStats::default();
         let mut pstats = PackedStats::default();
         let script = ReplayScript::build(&trace, tests);

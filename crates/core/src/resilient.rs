@@ -915,10 +915,9 @@ impl<'a> ResilientCampaign<'a> {
     /// for cross-request caches (`simcov serve` keys its cache by
     /// *(machine fingerprint, test-set fingerprint)*, which is exactly the
     /// contract here: the trace must have been built from this `golden`
-    /// and this test set). Safe across engines because
-    /// [`GoldenTrace::build`] and [`GoldenTrace::build_packed`] are
-    /// bit-identical field for field. Ignored by the naive and symbolic
-    /// engines.
+    /// and this test set). Safe across engines because the differential
+    /// and packed engines both use the one trace [`GoldenTrace::build`]
+    /// makes. Ignored by the naive and symbolic engines.
     pub fn golden_trace(mut self, trace: Arc<GoldenTrace>) -> Self {
         self.shared_trace = Some(trace);
         self

@@ -601,7 +601,7 @@ impl<'c, 'n, 's> ShardEngine<'c, 'n, 's> {
 
     /// One image step: `R'(z, y) = ∃x (R ∧ ∧_j parts_j)`, renamed back to
     /// the `x` variables.
-    fn step(&mut self, i: usize, r: Bdd) -> Bdd {
+    fn image_step(&mut self, i: usize, r: Bdd) -> Bdd {
         self.ensure_input(i);
         let d = self.per_input[i].as_ref().expect("built");
         let (parts, pre, steps) = (d.parts.clone(), d.pre_cube, d.step_cubes.clone());
@@ -711,7 +711,7 @@ pub fn simulate_shard_symbolic(
             let vneq = eng.mgr.and(eng.validz, neq);
             div = eng.mgr.or(div, vneq);
             if idx < n {
-                r = eng.step(seq[idx].index(), r);
+                r = eng.image_step(seq[idx].index(), r);
             }
         }
         det_global = det_seq;

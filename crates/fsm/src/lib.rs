@@ -13,10 +13,11 @@
 //! * [`enumerate`] — extraction of an [`ExplicitMealy`] from a netlist by
 //!   forward enumeration of the reachable state graph under a declared set
 //!   of valid input vectors (the paper's input don't-cares);
-//! * [`PackedMealy`] — word-packed struct-of-arrays transition tables
-//!   stepping up to [`LANES`] independent machines per round, with
-//!   [`LanePatch`] one-cell overlays: the substrate of the bit-parallel
-//!   fault-simulation engine.
+//! * [`PackedMealy`] — word-packed transition tables (fused 64-bit
+//!   records, a narrow 32-bit mirror when the id ranges allow one, and a
+//!   definedness bitset) with [`LanePatch`] one-cell overlays: the tables
+//!   the bit-parallel engine's lane replay gathers from, up to [`LANES`]
+//!   faulty machines per round.
 //!
 //! # Example
 //!

@@ -1,37 +1,32 @@
-//! Word-packed (bit-parallel) transition tables for lane-parallel fault
-//! simulation.
+//! Word-packed transition tables for lane-parallel fault simulation.
 //!
-//! The scalar [`ExplicitMealy::step`] walk is latency-bound: every table
-//! lookup depends on the state produced by the previous one, so a long
-//! replay is a serial pointer chase through a table that rarely fits in
-//! L1. The classic fix — bit-parallel fault simulation — packs up to
-//! [`LANES`] (= 64) *independent* machines into one batch and advances
-//! each of them one step per round: the per-lane lookups of a round carry
-//! no data dependency on each other, so the memory system overlaps their
-//! cache misses instead of serialising them.
+//! A scalar replay over [`ExplicitMealy::step`] is latency-bound: every
+//! table lookup depends on the state produced by the previous one, so a
+//! long replay is a serial pointer chase through a table that rarely fits
+//! in L1. The classic fix — bit-parallel fault simulation — advances up
+//! to [`LANES`] (= 64) *independent* faulty machines one step per round:
+//! the per-lane lookups of a round carry no data dependency on each
+//! other, so the memory system overlaps their cache misses instead of
+//! serialising them.
 //!
 //! [`PackedMealy`] is the packed-table mirror of the dense
 //! [`ExplicitMealy`] table — one fused `(next, out)` word per cell plus
 //! a definedness bitset — so a lane-step costs exactly one random cache
 //! line, where the array-of-`Option` layout costs more bytes and the
 //! naive two-array split would cost two lines. [`LanePatch`] is the packed
-//! counterpart of [`PatchedMealy`]: a one-cell overlay applied to exactly
-//! one lane, which is how a fault word simulates 64 *different*
-//! single-fault mutants against one shared table.
+//! counterpart of [`PatchedMealy`](crate::PatchedMealy): a one-cell
+//! overlay applied to exactly one lane, which is how a fault word
+//! simulates 64 *different* single-fault mutants against one shared
+//! table.
 //!
-//! Lane semantics are defined to be *exactly* those of the scalar
-//! machinery: for every lane `l`,
-//! [`step_lanes`](PackedMealy::step_lanes) computes what
-//! [`PatchedMealy::step_patched`] (or [`ExplicitMealy::step`] under
-//! [`LanePatch::INACTIVE`]) would, with an undefined transition reported
-//! in the returned mask instead of `None`. The property tests below pin
-//! that equivalence on random machines, including the all-lanes-divergent
-//! and single-lane-patched edge cases.
+//! This module owns only the tables; the lane replay loop that gathers
+//! from them lives in `simcov-core`'s packed engine, whose three-way
+//! equivalence tests pin every lane to the scalar engines' outcomes. The
+//! property tests below pin the tables themselves to the scalar table.
 
 use crate::explicit::{ExplicitMealy, InputSym, OutputSym, StateId};
 
-/// Number of lanes in a packed word: one fault (or one golden sequence)
-/// per bit of a `u64` mask.
+/// Number of lanes in a packed word: one fault per bit of a `u64` mask.
 pub const LANES: usize = 64;
 
 /// Sentinel filling undefined cells of [`PackedMealy`]'s fused table.
@@ -56,26 +51,15 @@ pub const UNDEFINED_NARROW: u32 = u32::MAX;
 ///
 /// `cell` is a dense-table index (`state * num_inputs + input`); a lane
 /// stepping through its patched cell takes `(next, out)` instead of the
-/// base table entry. [`LanePatch::INACTIVE`] never matches any real cell,
-/// so a lane carrying it behaves exactly like the unpatched machine.
+/// base table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LanePatch {
-    /// Dense-table cell index of the overlaid transition
-    /// (`usize::MAX` = no overlay).
+    /// Dense-table cell index of the overlaid transition.
     pub cell: usize,
     /// Replacement next state (raw id) for that cell.
     pub next: u32,
     /// Replacement output symbol (raw id) for that cell.
     pub out: u32,
-}
-
-impl LanePatch {
-    /// A patch that matches no cell: the lane steps the base machine.
-    pub const INACTIVE: LanePatch = LanePatch {
-        cell: usize::MAX,
-        next: 0,
-        out: 0,
-    };
 }
 
 /// Packed transition tables of an [`ExplicitMealy`].
@@ -86,7 +70,7 @@ impl LanePatch {
 /// table's, so cell indices are interchangeable between the two.
 ///
 /// ```
-/// use simcov_fsm::{LanePatch, MealyBuilder, PackedMealy, LANES};
+/// use simcov_fsm::{MealyBuilder, PackedMealy};
 ///
 /// let mut b = MealyBuilder::new();
 /// let s0 = b.add_state("s0");
@@ -94,18 +78,16 @@ impl LanePatch {
 /// let i = b.add_input("i");
 /// let o = b.add_output("o");
 /// b.add_transition(s0, i, s1, o);
-/// b.add_transition(s1, i, s0, o);
 /// let m = b.build(s0).unwrap();
 /// let packed = PackedMealy::from_explicit(&m);
-/// let mut states = [0u32; LANES];
-/// states[1] = 1; // lane 1 sits in s1, lane 0 in s0
-/// let inputs = [0u32; LANES];
-/// let patches = [LanePatch::INACTIVE; LANES];
-/// let mut next = [0u32; LANES];
-/// let mut out = [0u32; LANES];
-/// let undef = packed.step_lanes(&states, &inputs, &patches, 0b11, &mut next, &mut out);
-/// assert_eq!(undef, 0);
-/// assert_eq!((next[0], next[1]), (1, 0)); // the two lanes swap states
+/// // (s0, i) -> (s1, o): next-state id low, output id high.
+/// let cell = packed.cell_index(s0, i);
+/// assert!(packed.is_defined(cell));
+/// assert_eq!(packed.raw_record(cell), u64::from(o.0) << 32 | u64::from(s1.0));
+/// // (s1, i) is undefined; a fault on (s0, i) redirects one lane to s0.
+/// assert!(!packed.is_defined(packed.cell_index(s1, i)));
+/// let patch = packed.lane_patch(s0, i, s0, o);
+/// assert_eq!((patch.cell, patch.next), (cell, s0.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedMealy {
@@ -132,7 +114,6 @@ pub struct PackedMealy {
     defined: Vec<u64>,
     num_states: usize,
     num_inputs: usize,
-    reset: StateId,
 }
 
 impl PackedMealy {
@@ -178,15 +159,7 @@ impl PackedMealy {
             defined,
             num_states: ns,
             num_inputs: ni,
-            reset: m.reset(),
         }
-    }
-
-    /// Decodes the fused record at `cell` as `(next, out)` raw ids.
-    #[inline]
-    fn record(&self, cell: usize) -> (u32, u32) {
-        let rec = self.table[cell];
-        (rec as u32, (rec >> 32) as u32)
     }
 
     /// Number of states.
@@ -197,11 +170,6 @@ impl PackedMealy {
     /// Number of input symbols.
     pub fn num_inputs(&self) -> usize {
         self.num_inputs
-    }
-
-    /// The reset state.
-    pub fn reset(&self) -> StateId {
-        self.reset
     }
 
     /// Dense-table cell index of `(state, input)` — identical to the
@@ -226,8 +194,7 @@ impl PackedMealy {
     /// raw so a replay round can be software-pipelined: one tight gather
     /// pass issuing every lane's independent table load back-to-back
     /// (maximal memory-level parallelism), then a bookkeeping pass over
-    /// the L1-resident rest. [`step_lane`](Self::step_lane) is the
-    /// one-call equivalent when pipelining isn't needed.
+    /// the L1-resident rest.
     #[inline]
     pub fn raw_record(&self, cell: usize) -> u64 {
         self.table[cell]
@@ -244,36 +211,6 @@ impl PackedMealy {
     /// registers.
     pub fn narrow_table(&self) -> Option<(&[u32], u32)> {
         self.narrow.as_deref().map(|t| (t, self.narrow_shift))
-    }
-
-    /// Scalar parity check: the packed tables' view of one transition,
-    /// bit-identical to [`ExplicitMealy::step`].
-    pub fn step(&self, state: StateId, input: InputSym) -> Option<(StateId, OutputSym)> {
-        let cell = self.cell_index(state, input);
-        self.is_defined(cell).then(|| {
-            let (n, o) = self.record(cell);
-            (StateId(n), OutputSym(o))
-        })
-    }
-
-    /// Single-lane patched step on raw ids: exactly what
-    /// [`PatchedMealy::step_patched`](crate::PatchedMealy::step_patched)
-    /// (or [`ExplicitMealy::step`] under [`LanePatch::INACTIVE`]) would
-    /// produce, with `None` for an undefined transition. `#[inline]` so
-    /// a caller's fused round loop — e.g. the packed replay in
-    /// `simcov-core` — compiles down to direct table access with no
-    /// cross-crate call per lane-step.
-    #[inline]
-    pub fn step_lane(&self, state: u32, input: u32, patch: &LanePatch) -> Option<(u32, u32)> {
-        let cell = state as usize * self.num_inputs + input as usize;
-        if cell == patch.cell {
-            return Some((patch.next, patch.out));
-        }
-        if self.is_defined(cell) {
-            Some(self.record(cell))
-        } else {
-            None
-        }
     }
 
     /// Builds a [`LanePatch`] overlaying `(state, input)` with
@@ -296,164 +233,6 @@ impl PackedMealy {
             next: next.0,
             out: output.0,
         }
-    }
-
-    /// Advances every lane selected by `live` one step: lane `l` steps
-    /// from raw state `states[l]` on raw input `inputs[l]` under its
-    /// overlay `patches[l]`, writing the raw successor into
-    /// `next_states[l]` and the raw output into `outputs[l]`.
-    ///
-    /// Returns the subset of `live` whose transition was **undefined**
-    /// (those lanes' output slots are not written). Lanes outside `live`
-    /// are untouched — callers own tail masking for partial words. The
-    /// per-lane result is exactly what the scalar
-    /// [`PatchedMealy::step_patched`](crate::PatchedMealy::step_patched)
-    /// would produce; the point of the batch is that the lane lookups are
-    /// independent loads the memory system can keep in flight together.
-    pub fn step_lanes(
-        &self,
-        states: &[u32; LANES],
-        inputs: &[u32; LANES],
-        patches: &[LanePatch; LANES],
-        live: u64,
-        next_states: &mut [u32; LANES],
-        outputs: &mut [u32; LANES],
-    ) -> u64 {
-        let mut undefined = 0u64;
-        let mut m = live;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            match self.step_lane(states[l], inputs[l], &patches[l]) {
-                Some((n, o)) => {
-                    next_states[l] = n;
-                    outputs[l] = o;
-                }
-                None => undefined |= 1u64 << l,
-            }
-        }
-        undefined
-    }
-
-    /// Unpatched lane-parallel *walk* for golden-trace construction: runs
-    /// every lane from reset over its own input sequence, producing for
-    /// lane `l` exactly what [`ExplicitMealy::run`] from reset would —
-    /// visited states (`len + 1` entries, truncated at the first
-    /// undefined transition), emitted outputs (`len` entries) — plus the
-    /// dense cell index traversed at each step (`states[r] * ni +
-    /// inputs[r]`, one per output).
-    ///
-    /// This is the hot loop of packed trace construction, fused into one
-    /// pass with direct table access: while every lane is still inside
-    /// its sequence and defined, each round is a dense `w`-wide sweep of
-    /// independent table loads with indexed stores — no live-mask scans,
-    /// no patch compares, no per-push capacity checks. A masked loop
-    /// handles ragged tails and truncation, retiring lanes individually
-    /// with semantics identical to the scalar walk's `break`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`LANES`] sequences are given.
-    #[allow(clippy::type_complexity)]
-    pub fn walk_lanes(
-        &self,
-        seqs: &[&[InputSym]],
-    ) -> (Vec<Vec<StateId>>, Vec<Vec<OutputSym>>, Vec<Vec<u32>>) {
-        let w = seqs.len();
-        assert!(w <= LANES, "at most {LANES} lanes per word");
-        let ni = self.num_inputs;
-        let mut st: Vec<Vec<StateId>> = seqs
-            .iter()
-            .map(|s| {
-                let mut v = Vec::with_capacity(s.len() + 1);
-                v.push(self.reset);
-                v
-            })
-            .collect();
-        let mut out: Vec<Vec<OutputSym>> =
-            seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut cells: Vec<Vec<u32>> = seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut cur = [0u32; LANES];
-        for slot in cur.iter_mut().take(w) {
-            *slot = self.reset.0;
-        }
-
-        // Fast phase: rounds where every lane is live. A round stores
-        // optimistically and rolls `cur` back from the already-recorded
-        // `st` if any lane hit an undefined transition, leaving the
-        // masked loop to replay that round lane by lane.
-        let min_len = seqs.iter().map(|s| s.len()).min().unwrap_or(0);
-        let mut done = 0usize;
-        if min_len > 0 {
-            for l in 0..w {
-                st[l].resize(min_len + 1, StateId(0));
-                out[l].resize(min_len, OutputSym(0));
-                cells[l].resize(min_len, 0);
-            }
-            'fast: for r in 0..min_len {
-                let mut undef = false;
-                for l in 0..w {
-                    let cell = cur[l] as usize * ni + seqs[l][r].0 as usize;
-                    // Sentinel pre-filter: no bitset load on the fast
-                    // path. A (pathological) defined cell that encodes
-                    // the sentinel bits just demotes the walk to the
-                    // masked phase, which consults the real bitset.
-                    let rec = self.table[cell];
-                    undef |= rec == UNDEFINED_RECORD;
-                    let n = rec as u32;
-                    cells[l][r] = cell as u32;
-                    st[l][r + 1] = StateId(n);
-                    out[l][r] = OutputSym((rec >> 32) as u32);
-                    cur[l] = n;
-                }
-                if undef {
-                    for l in 0..w {
-                        cur[l] = st[l][r].0;
-                    }
-                    break 'fast;
-                }
-                done = r + 1;
-            }
-            // Trim the pre-sizing back to the rounds that completed.
-            for l in 0..w {
-                st[l].truncate(done + 1);
-                out[l].truncate(done);
-                cells[l].truncate(done);
-            }
-        }
-
-        // Masked phase: ragged tails past the shortest sequence, plus any
-        // round the fast phase abandoned to an undefined transition.
-        let mut live = 0u64;
-        let mut pos = [0usize; LANES];
-        for l in 0..w {
-            pos[l] = done;
-            if done < seqs[l].len() {
-                live |= 1 << l;
-            }
-        }
-        while live != 0 {
-            let mut m = live;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let cell = cur[l] as usize * ni + seqs[l][pos[l]].0 as usize;
-                if (self.defined[cell >> 6] >> (cell & 63)) & 1 == 0 {
-                    live &= !(1 << l);
-                    continue;
-                }
-                let (n, o) = self.record(cell);
-                cells[l].push(cell as u32);
-                st[l].push(StateId(n));
-                out[l].push(OutputSym(o));
-                cur[l] = n;
-                pos[l] += 1;
-                if pos[l] >= seqs[l].len() {
-                    live &= !(1 << l);
-                }
-            }
-        }
-        (st, out, cells)
     }
 }
 
@@ -488,18 +267,6 @@ mod tests {
         b.build(states[0]).unwrap()
     }
 
-    /// One random word of lane states/inputs for `m`, with a random live
-    /// mask.
-    fn random_word(g: &mut Gen, m: &ExplicitMealy) -> ([u32; LANES], [u32; LANES], u64) {
-        let mut states = [0u32; LANES];
-        let mut inputs = [0u32; LANES];
-        for l in 0..LANES {
-            states[l] = g.int_in(0..m.num_states()) as u32;
-            inputs[l] = g.int_in(0..m.num_inputs()) as u32;
-        }
-        (states, inputs, g.u64())
-    }
-
     #[test]
     fn packed_tables_mirror_the_scalar_table() {
         forall_cfg("packed_mirror", Config::with_cases(48), |g: &mut Gen| {
@@ -507,10 +274,17 @@ mod tests {
             let p = PackedMealy::from_explicit(&m);
             assert_eq!(p.num_states(), m.num_states());
             assert_eq!(p.num_inputs(), m.num_inputs());
-            assert_eq!(p.reset(), m.reset());
             for s in m.states() {
                 for i in m.inputs() {
-                    assert_eq!(p.step(s, i), m.step(s, i), "cell ({s:?}, {i:?})");
+                    let cell = p.cell_index(s, i);
+                    let rec = p.raw_record(cell);
+                    let packed = p
+                        .is_defined(cell)
+                        .then_some((StateId(rec as u32), OutputSym((rec >> 32) as u32)));
+                    assert_eq!(packed, m.step(s, i), "cell ({s:?}, {i:?})");
+                    // The sentinel pre-filter agrees with the bitset on
+                    // these small machines.
+                    assert_eq!(rec == UNDEFINED_RECORD, packed.is_none());
                 }
             }
         });
@@ -536,192 +310,6 @@ mod tests {
                 assert_eq!(widened, p.raw_record(cell), "cell {cell}");
             }
         });
-    }
-
-    #[test]
-    fn unpatched_lanes_match_scalar_step() {
-        forall_cfg(
-            "packed_step_lanes",
-            Config::with_cases(48),
-            |g: &mut Gen| {
-                let m = random_machine(g, 20);
-                let p = PackedMealy::from_explicit(&m);
-                let (states, inputs, live) = random_word(g, &m);
-                let patches = [LanePatch::INACTIVE; LANES];
-                let sentinel = u32::MAX;
-                let mut next = [sentinel; LANES];
-                let mut out = [sentinel; LANES];
-                let undef = p.step_lanes(&states, &inputs, &patches, live, &mut next, &mut out);
-                assert_eq!(undef & !live, 0, "undefined mask must be a subset of live");
-                for l in 0..LANES {
-                    let scalar = m.step(StateId(states[l]), InputSym(inputs[l]));
-                    if live >> l & 1 == 0 {
-                        // Dead lanes are untouched: tail masking is the
-                        // caller's job and stale slots must stay stale.
-                        assert_eq!((next[l], out[l]), (sentinel, sentinel), "lane {l}");
-                    } else if undef >> l & 1 == 1 {
-                        assert_eq!(scalar, None, "lane {l}");
-                    } else {
-                        assert_eq!(
-                            scalar,
-                            Some((StateId(next[l]), OutputSym(out[l]))),
-                            "lane {l}"
-                        );
-                    }
-                }
-            },
-        );
-    }
-
-    #[test]
-    fn step_lane_matches_scalar_patched_step() {
-        // The inlined single-lane primitive is the packed replay's hot
-        // path: pin it against PatchedMealy::step_patched (patched) and
-        // ExplicitMealy::step (inactive patch) on random cells.
-        forall_cfg("packed_step_lane", Config::with_cases(48), |g: &mut Gen| {
-            let m = random_machine(g, 20);
-            let p = PackedMealy::from_explicit(&m);
-            let defined: Vec<_> = m.transitions().collect();
-            let t = defined[g.int_in(0..defined.len())];
-            let new_next = StateId(g.int_in(0..m.num_states()) as u32);
-            let new_out = OutputSym(g.int_in(0..m.num_outputs()) as u32);
-            let scalar_patched = m.patched(t.state, t.input, new_next, new_out);
-            let patch = p.lane_patch(t.state, t.input, new_next, new_out);
-            for _ in 0..16 {
-                let s = g.int_in(0..m.num_states()) as u32;
-                let i = g.int_in(0..m.num_inputs()) as u32;
-                let expect = scalar_patched
-                    .step_patched(StateId(s), InputSym(i))
-                    .map(|(n, o)| (n.0, o.0));
-                assert_eq!(p.step_lane(s, i, &patch), expect, "patched ({s}, {i})");
-                let expect = m.step(StateId(s), InputSym(i)).map(|(n, o)| (n.0, o.0));
-                assert_eq!(
-                    p.step_lane(s, i, &LanePatch::INACTIVE),
-                    expect,
-                    "inactive ({s}, {i})"
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn walk_lanes_matches_scalar_run_lane_by_lane() {
-        // The fused walk (fast uniform phase + masked ragged tail) must
-        // reproduce ExplicitMealy::run from reset exactly per lane,
-        // including truncation at undefined transitions — random partial
-        // machines with random-length sequences hit both phases and the
-        // mid-round rollback.
-        forall_cfg(
-            "packed_walk_lanes",
-            Config::with_cases(48),
-            |g: &mut Gen| {
-                let m = random_machine(g, 20);
-                let p = PackedMealy::from_explicit(&m);
-                let w = g.int_in(1..LANES + 1);
-                let seqs: Vec<Vec<InputSym>> = (0..w)
-                    .map(|_| {
-                        let len = g.int_in(0..30usize);
-                        (0..len)
-                            .map(|_| InputSym(g.int_in(0..m.num_inputs()) as u32))
-                            .collect()
-                    })
-                    .collect();
-                let refs: Vec<&[InputSym]> = seqs.iter().map(|s| s.as_slice()).collect();
-                let (st, out, cells) = p.walk_lanes(&refs);
-                for l in 0..w {
-                    let (es, eo) = m.run(m.reset(), &seqs[l]);
-                    assert_eq!(st[l], es, "lane {l} states");
-                    assert_eq!(out[l], eo, "lane {l} outputs");
-                    let ec: Vec<u32> = es
-                        .iter()
-                        .zip(&seqs[l])
-                        .take(eo.len())
-                        .map(|(s, i)| p.cell_index(*s, *i) as u32)
-                        .collect();
-                    assert_eq!(cells[l], ec, "lane {l} cells");
-                }
-            },
-        );
-    }
-
-    #[test]
-    fn single_patched_lane_matches_patched_mealy() {
-        forall_cfg("packed_one_patch", Config::with_cases(48), |g: &mut Gen| {
-            let m = random_machine(g, 20);
-            let p = PackedMealy::from_explicit(&m);
-            // Pick a defined transition to patch and a lane to carry it.
-            let defined: Vec<_> = m.transitions().collect();
-            let t = defined[g.int_in(0..defined.len())];
-            let new_next = StateId(g.int_in(0..m.num_states()) as u32);
-            let new_out = OutputSym(g.int_in(0..m.num_outputs()) as u32);
-            let scalar_patched = m.patched(t.state, t.input, new_next, new_out);
-            let lane_patched = p.lane_patch(t.state, t.input, new_next, new_out);
-            let victim = g.int_in(0..LANES);
-
-            let (states, inputs, _) = random_word(g, &m);
-            let mut patches = [LanePatch::INACTIVE; LANES];
-            patches[victim] = lane_patched;
-            let mut next = [0u32; LANES];
-            let mut out = [0u32; LANES];
-            let undef = p.step_lanes(&states, &inputs, &patches, u64::MAX, &mut next, &mut out);
-            for l in 0..LANES {
-                let s = StateId(states[l]);
-                let i = InputSym(inputs[l]);
-                // Only the victim lane sees the overlay; every other lane
-                // must behave as the base machine even on the same cell.
-                let expect = if l == victim {
-                    scalar_patched.step_patched(s, i)
-                } else {
-                    m.step(s, i)
-                };
-                if undef >> l & 1 == 1 {
-                    assert_eq!(expect, None, "lane {l}");
-                } else {
-                    assert_eq!(
-                        expect,
-                        Some((StateId(next[l]), OutputSym(out[l]))),
-                        "lane {l}"
-                    );
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn all_lanes_divergent_word_steps_64_distinct_states() {
-        // Edge case named by the harness spec: every lane in a different
-        // state of a 64-state ring — one round must advance all of them
-        // correctly with no cross-lane interference.
-        let mut b = MealyBuilder::new();
-        let states: Vec<StateId> = (0..LANES).map(|i| b.add_state(format!("s{i}"))).collect();
-        let i = b.add_input("i");
-        let o: Vec<OutputSym> = (0..LANES).map(|k| b.add_output(format!("o{k}"))).collect();
-        for k in 0..LANES {
-            b.add_transition(states[k], i, states[(k + 1) % LANES], o[k]);
-        }
-        let m = b.build(states[0]).unwrap();
-        let p = PackedMealy::from_explicit(&m);
-        let mut lane_states = [0u32; LANES];
-        for (l, slot) in lane_states.iter_mut().enumerate() {
-            *slot = l as u32;
-        }
-        let inputs = [0u32; LANES];
-        let patches = [LanePatch::INACTIVE; LANES];
-        let mut next = [0u32; LANES];
-        let mut out = [0u32; LANES];
-        let undef = p.step_lanes(
-            &lane_states,
-            &inputs,
-            &patches,
-            u64::MAX,
-            &mut next,
-            &mut out,
-        );
-        assert_eq!(undef, 0);
-        for l in 0..LANES {
-            assert_eq!(next[l], ((l + 1) % LANES) as u32, "lane {l}");
-            assert_eq!(out[l], l as u32, "lane {l}");
-        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! *(machine fingerprint, test-set fingerprint)* — the same FNV-64
 //! identities the checkpoint journal binds to — so any two jobs whose
 //! machine and tests are identical share one immutable [`Arc`]'d trace,
-//! regardless of engine ([`GoldenTrace::build`] and `build_packed` are
-//! bit-identical field-for-field, which is what makes one cache safe for
-//! both).
+//! regardless of engine: both engines use the one trace
+//! [`GoldenTrace::build`] makes, which is what makes one cache safe for
+//! both.
 //!
 //! Capacity is bounded with LRU eviction, and concurrent requests for
 //! the same missing key are deduplicated: the first requester builds,

@@ -156,6 +156,24 @@ fn get_opt_u64(obj: &Json, field: &str) -> Result<Option<u64>, String> {
     }
 }
 
+fn get_bool(obj: &Json, field: &str) -> Result<bool, String> {
+    match obj.get(field) {
+        None => Ok(false),
+        Some(Json::Bool(b)) => Ok(*b),
+        Some(_) => Err(format!("`{field}` must be a boolean")),
+    }
+}
+
+fn get_engine(obj: &Json) -> Result<Engine, String> {
+    match obj.get("engine") {
+        None => Ok(Engine::default()),
+        Some(v) => v
+            .as_str()
+            .and_then(|name| name.parse().ok())
+            .ok_or_else(|| "`engine` must be naive|differential|packed|symbolic".to_string()),
+    }
+}
+
 fn parse_model(req: &Json) -> Result<ModelSource, String> {
     let model = req.get("model").ok_or("missing `model` object")?;
     match (model.get("dlx"), model.get("blif")) {
@@ -243,20 +261,7 @@ pub fn parse_request(req: &Json) -> Result<Request, String> {
                             ));
                         }
                     }
-                    let engine = match req.get("engine") {
-                        None => Engine::default(),
-                        Some(v) => match v.as_str() {
-                            Some("naive") => Engine::Naive,
-                            Some("differential") => Engine::Differential,
-                            Some("packed") => Engine::Packed,
-                            Some("symbolic") => Engine::Symbolic,
-                            _ => {
-                                return Err(
-                                    "`engine` must be naive|differential|packed|symbolic".into()
-                                )
-                            }
-                        },
-                    };
+                    let engine = get_engine(req)?;
                     let collapse = match req.get("collapse") {
                         None => CollapseMode::Off,
                         Some(v) => v
@@ -317,20 +322,7 @@ pub fn parse_request(req: &Json) -> Result<Request, String> {
                     }
                 }
                 "close" => {
-                    let engine = match req.get("engine") {
-                        None => Engine::default(),
-                        Some(v) => match v.as_str() {
-                            Some("naive") => Engine::Naive,
-                            Some("differential") => Engine::Differential,
-                            Some("packed") => Engine::Packed,
-                            Some("symbolic") => Engine::Symbolic,
-                            _ => {
-                                return Err(
-                                    "`engine` must be naive|differential|packed|symbolic".into()
-                                )
-                            }
-                        },
-                    };
+                    let engine = get_engine(req)?;
                     let defaults = CloseOpts::default();
                     JobKind::Close(CloseOpts {
                         max_faults: get_u64(req, "max_faults", defaults.max_faults as u64)?
@@ -340,7 +332,7 @@ pub fn parse_request(req: &Json) -> Result<Request, String> {
                         budget: get_opt_u64(req, "budget")?,
                         jobs: get_u64(req, "jobs", defaults.jobs as u64)? as usize,
                         engine,
-                        collapse: matches!(req.get("collapse"), Some(Json::Bool(true))),
+                        collapse: get_bool(req, "collapse")?,
                         format: req
                             .get("format")
                             .map(|v| v.as_str().map(str::to_string))
@@ -350,7 +342,7 @@ pub fn parse_request(req: &Json) -> Result<Request, String> {
                 }
                 _ => unreachable!("matched above"),
             };
-            let want_trace = matches!(req.get("trace"), Some(Json::Bool(true)));
+            let want_trace = get_bool(req, "trace")?;
             Ok(Request::Submit {
                 spec: JobSpec {
                     id,
@@ -516,6 +508,61 @@ mod tests {
                 other => panic!("expected close, got {other:?}"),
             },
             other => panic!("expected submit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wire_booleans_must_be_booleans() {
+        for (req, field) in [
+            (
+                r#"{"type":"close","id":"c","model":{"dlx":"reduced-obs"},"collapse":"on"}"#,
+                "collapse",
+            ),
+            (
+                r#"{"type":"campaign","id":"j","model":{"dlx":"reduced-obs"},"trace":1}"#,
+                "trace",
+            ),
+        ] {
+            let err = parse_request(&simcov_obs::json::parse(req).unwrap()).unwrap_err();
+            assert_eq!(err, format!("`{field}` must be a boolean"), "{req}");
+        }
+        let req = simcov_obs::json::parse(
+            r#"{"type":"campaign","id":"j","model":{"dlx":"reduced-obs"},"trace":true}"#,
+        )
+        .unwrap();
+        assert!(matches!(
+            parse_request(&req).unwrap(),
+            Request::Submit {
+                want_trace: true,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn wire_engines_parse_by_name() {
+        let parse = |engine: &str| {
+            let req = format!(
+                r#"{{"type":"close","id":"c","model":{{"dlx":"reduced-obs"}},"engine":{engine}}}"#
+            );
+            match parse_request(&simcov_obs::json::parse(&req).unwrap())? {
+                Request::Submit {
+                    spec:
+                        JobSpec {
+                            kind: JobKind::Close(opts),
+                            ..
+                        },
+                    ..
+                } => Ok(opts.engine),
+                other => panic!("expected a close submit, got {other:?}"),
+            }
+        };
+        assert_eq!(parse(r#""packed""#), Ok(Engine::Packed));
+        for bad in [r#""warp""#, "7"] {
+            assert_eq!(
+                parse(bad),
+                Err("`engine` must be naive|differential|packed|symbolic".to_string())
+            );
         }
     }
 
