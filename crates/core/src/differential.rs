@@ -27,6 +27,13 @@
 //!    [`Fault::patch`](crate::error_model::Fault::patch) builds instead
 //!    of [`Fault::inject`](crate::error_model::Fault::inject)'s full
 //!    table clone.
+//! 4. A replay replays only the excursion. Once the faulty run rejoins
+//!    the golden state trajectory (a masked transfer error, the paper's
+//!    Def 4), the two runs coincide until the next golden traversal of
+//!    the faulted cell, so the replay jumps straight there, or ends the
+//!    sequence masked when it has none. Both replay loops find that
+//!    traversal with one cursor helper over the excitation index,
+//!    `next_excitation`.
 //!
 //! The result is **bit-identical** to the naive engine — same
 //! [`FaultOutcome`]s, hence same merged
@@ -34,8 +41,9 @@
 //! §11 proves and the property tests plus the CI equivalence gate
 //! enforce. [`DiffStats`] counts the work the short-cuts avoided and is
 //! surfaced through the `campaign.faults_skipped_by_index`,
-//! `campaign.prefix_steps_saved` and `campaign.divergence_replays`
-//! telemetry counters (see [`simcov_obs::names`]).
+//! `campaign.prefix_steps_saved`, `campaign.divergence_replays` and
+//! `campaign.reconverged_steps_skipped` telemetry counters (see
+//! [`simcov_obs::names`]).
 
 use crate::error_model::{Fault, FaultKind};
 use crate::faults::FaultOutcome;
@@ -130,6 +138,11 @@ pub struct DiffStats {
     /// Suffix replays performed — one per `(fault, sequence)` pair that
     /// was actually re-simulated from its first divergence point.
     pub divergence_replays: usize,
+    /// Golden-trace vectors a replay skipped after reconverging with the
+    /// golden run (DESIGN.md §11, Lemma 4): `q − p` for a reconvergence at
+    /// `p` that jumps to the next excitation `q`, and `gl − p` for one
+    /// that ends its sequence because no excitation follows.
+    pub reconverged_steps_skipped: usize,
 }
 
 impl DiffStats {
@@ -139,6 +152,7 @@ impl DiffStats {
         self.faults_skipped_by_index += other.faults_skipped_by_index;
         self.prefix_steps_saved += other.prefix_steps_saved;
         self.divergence_replays += other.divergence_replays;
+        self.reconverged_steps_skipped += other.reconverged_steps_skipped;
     }
 }
 
@@ -368,6 +382,28 @@ pub(crate) fn classify<'t>(
     }
 }
 
+/// The next golden traversal of a fault's cell at or after vector `p` of
+/// sequence `si`. `entries` is the cell's ascending excitation index and
+/// `ei` a cursor into it: the cursor moves past every entry before
+/// `(si, p)` and never backwards, so all of one fault's lookups scan its
+/// entries once in total. `p = 0` finds a sequence's first excitation.
+#[inline]
+pub(crate) fn next_excitation(
+    entries: &[(u32, u32)],
+    ei: &mut usize,
+    si: usize,
+    p: usize,
+) -> Option<usize> {
+    let at = (si as u32, p as u32);
+    while *ei < entries.len() && entries[*ei] < at {
+        *ei += 1;
+    }
+    match entries.get(*ei) {
+        Some(&(s, q)) if s as usize == si => Some(q as usize),
+        _ => None,
+    }
+}
+
 /// Classifies one fault against a [`GoldenTrace`], producing the same
 /// [`FaultOutcome`] as [`simulate_fault`](crate::faults::simulate_fault)
 /// — bit for bit — while skipping all work the single-fault structure
@@ -401,19 +437,14 @@ pub fn simulate_fault_differential(
     let patched = golden.patched(fault.state, fault.input, new_next, out);
     let mut detected = None;
     let mut masked_somewhere = false;
-    // `entries` is ascending in (sequence, vector); walk it with a
-    // cursor so each sequence's *first* excitation is O(1).
+    // `entries` is ascending in (sequence, vector); one forward cursor
+    // finds each sequence's first excitation and every later one.
     let mut ei = 0usize;
     for (si, seq) in tests.sequences.iter().enumerate() {
-        while ei < entries.len() && (entries[ei].0 as usize) < si {
-            ei += 1;
-        }
         let go = &trace.outputs[si];
         let gs = &trace.states[si];
         let gl = go.len();
-        let excitation =
-            (ei < entries.len() && entries[ei].0 as usize == si).then(|| entries[ei].1 as usize);
-        let Some(e) = excitation else {
+        let Some(e) = next_excitation(entries, &mut ei, si, 0) else {
             // No excitation on this sequence: the faulty run is the
             // golden run — nothing detected, nothing masked.
             stats.prefix_steps_saved += gl;
@@ -422,28 +453,38 @@ pub fn simulate_fault_differential(
         // Replay only the suffix. Up to and including position e the
         // trajectories agree (the transfer emits the golden output at e);
         // the faulty machine then sits in `new_next` at position e + 1
-        // while the golden trace has gs[e + 1].
+        // while the golden trace has gs[e + 1], a different state: the
+        // replay starts diverged.
         stats.prefix_steps_saved += e + 1;
         stats.divergence_replays += 1;
         let mut f_cur = new_next;
-        let mut diverged = false;
         let mut seq_detect = None;
         let mut seq_masked = false;
         let mut p = e + 1;
+        debug_assert_ne!(gs[p], f_cur, "an effective transfer diverges");
         // Loop invariant: the faulty machine has emitted p outputs (all
         // equal to go[..p]) and sits in f_cur, with p <= gl (we break the
         // moment the faulty run outlives the golden one).
         loop {
             // Masking state-comparison at position p, mirroring
-            // `is_masked_on`'s diverge-then-reconverge scan. The output
-            // comparisons that scan interleaves are redundant here: the
-            // masked flag is only consulted when the sequence detects
-            // nothing, i.e. when no output difference exists at all
-            // (§11, Lemma 3).
-            if gs[p] != f_cur {
-                diverged = true;
-            } else if diverged {
+            // `is_masked_on`'s diverge-then-reconverge scan: the replay
+            // starts diverged, so equal states mean it reconverged. The
+            // output comparisons that scan interleaves are redundant
+            // here: the masked flag is only consulted when the sequence
+            // detects nothing, i.e. when no output difference exists at
+            // all (§11, Lemma 3).
+            if gs[p] == f_cur {
                 seq_masked = true;
+                // Lemma 4: the runs now coincide until the golden run
+                // next traverses the faulted cell. Jump there, or end the
+                // sequence undetected if it never does.
+                let Some(q) = next_excitation(entries, &mut ei, si, p) else {
+                    stats.reconverged_steps_skipped += gl - p;
+                    break;
+                };
+                stats.reconverged_steps_skipped += q - p;
+                p = q;
+                f_cur = gs[q];
             }
             if p >= seq.len() {
                 break; // Both runs consumed the whole sequence.
@@ -664,11 +705,13 @@ mod tests {
             faults_skipped_by_index: 3,
             prefix_steps_saved: 100,
             divergence_replays: 7,
+            reconverged_steps_skipped: 40,
         };
         let b = DiffStats {
             faults_skipped_by_index: 1,
             prefix_steps_saved: 9,
             divergence_replays: 2,
+            reconverged_steps_skipped: 5,
         };
         let mut ab = a;
         ab.merge(&b);
@@ -678,6 +721,7 @@ mod tests {
         assert_eq!(ab.faults_skipped_by_index, 4);
         assert_eq!(ab.prefix_steps_saved, 109);
         assert_eq!(ab.divergence_replays, 9);
+        assert_eq!(ab.reconverged_steps_skipped, 45);
     }
 
     #[test]

@@ -68,6 +68,10 @@ impl EngineStats {
                 names::CAMPAIGN_DIVERGENCE_REPLAYS,
                 d.divergence_replays as u64,
             );
+            tel.counter_add(
+                names::CAMPAIGN_RECONVERGED_STEPS_SKIPPED,
+                d.reconverged_steps_skipped as u64,
+            );
         }
         if engine == Engine::Packed {
             tel.counter_add(

@@ -31,11 +31,16 @@
 //! same [`DiffStats`] accounting — so outcomes and effort counters are
 //! bit-identical to both scalar engines (DESIGN.md §12 gives the
 //! argument; the three-way equivalence tests and the CI gate enforce it).
+//! That includes the scalar loop's reconvergence jump: a lane whose
+//! faulty state rejoins the golden run leaves the fast tier, and the
+//! exception tier moves it to the next golden traversal of its faulted
+//! cell, or ends its sequence so the slot refills (DESIGN.md §11,
+//! Lemma 4).
 //! [`PackedStats`] additionally counts the words formed and the lanes
 //! they carried, surfaced as the `campaign.packed_words` and
 //! `campaign.lanes_active` telemetry counters.
 
-use crate::differential::{classify, Classified, DiffStats, GoldenTrace};
+use crate::differential::{classify, next_excitation, Classified, DiffStats, GoldenTrace};
 use crate::error_model::Fault;
 use crate::faults::FaultOutcome;
 use simcov_fsm::{
@@ -170,10 +175,10 @@ struct Suffix<'t> {
 ///
 /// Only the *cold* per-lane state lives here — identity, excitation
 /// cursor and the accumulated outcome, touched when a lane crosses a
-/// sequence boundary, detects, or retires. The hot per-step state
-/// (position, faulty state, cached slices, diverge/reconverge flags)
-/// lives in [`LanePool::replay`]'s struct-of-arrays locals so a round
-/// touches a few dense arrays instead of 64 scattered structs.
+/// sequence boundary, reconverges, detects, or retires. The hot per-step
+/// state (position, faulty state, cached slices, masking flag) lives in
+/// [`LanePool::replay`]'s struct-of-arrays locals so a round touches a
+/// few dense arrays instead of 64 scattered structs.
 struct Lane<'t> {
     /// Index into the shard's outcome vector.
     slot: usize,
@@ -181,7 +186,7 @@ struct Lane<'t> {
     patch: LanePatch,
     /// Ascending `(sequence, vector)` excitation entries for this cell.
     entries: &'t [(u32, u32)],
-    /// Cursor into `entries` (first entry not before `si`).
+    /// Cursor into `entries` (see [`next_excitation`]).
     ei: usize,
     /// Current sequence index.
     si: usize,
@@ -200,16 +205,12 @@ impl<'t> Lane<'t> {
         diff: &mut DiffStats,
     ) -> Option<Suffix<'t>> {
         while self.si < script.per_seq.len() {
-            while self.ei < self.entries.len() && (self.entries[self.ei].0 as usize) < self.si {
-                self.ei += 1;
-            }
             // The script holds gl + 1 cells (golden output count plus a
             // terminator).
             let gl = script.per_seq[self.si].len() - 1;
-            if self.ei < self.entries.len() && self.entries[self.ei].0 as usize == self.si {
+            if let Some(e) = next_excitation(self.entries, &mut self.ei, self.si, 0) {
                 // First excitation of this sequence: replay from e + 1 in
                 // the redirected state, exactly like the scalar engine.
-                let e = self.entries[self.ei].1 as usize;
                 diff.prefix_steps_saved += e + 1;
                 diff.divergence_replays += 1;
                 return Some(Suffix {
@@ -361,13 +362,15 @@ impl<'t> LanePool<'t> {
         // shared mask register would make every lane's flag update a
         // read-modify-write of the same register, chaining the otherwise
         // independent lanes through it and capping instruction-level
-        // parallelism at the chain latency.
-        let mut diverged = [false; LANES];
+        // parallelism at the chain latency. No `diverged` flag: a replay
+        // starts diverged (the redirected state differs from the golden
+        // successor), so every later state match is a reconvergence.
         let mut seq_masked = [false; LANES];
         let mut alive = [false; LANES];
         let mut live_count = 0usize;
         // Next pending lane to feed into a freed slot.
         let mut pending = 0usize;
+        // Starts slot `l` on a fresh suffix, not yet masked.
         macro_rules! install {
             ($l:expr, $s:expr) => {{
                 let s = $s;
@@ -376,6 +379,7 @@ impl<'t> LanePool<'t> {
                 scr[$l] = s.script;
                 lens[$l] = s.seq_len;
                 gls[$l] = (s.script.len() - 1) as u32;
+                seq_masked[$l] = false;
             }};
         }
         // Hands slot `l` the next pending lane that actually has a suffix
@@ -397,12 +401,21 @@ impl<'t> LanePool<'t> {
                         patch_rec[$l] =
                             u64::from(lane.patch.out) << 32 | u64::from(lane.patch.next);
                         install!($l, s);
-                        diverged[$l] = false;
-                        seq_masked[$l] = false;
                         alive[$l] = true;
                         live_count += 1;
                         break;
                     }
+                }
+            }};
+        }
+        // Ends slot `l`'s sequence undetected, masked or not, and starts
+        // the lane's next replay there, or refills the slot when the lane
+        // is final.
+        macro_rules! end_sequence {
+            ($l:expr, $masked:expr) => {{
+                match self.lanes[slot_lane[$l]].finish_sequence($masked, script, diff) {
+                    Some(s) => install!($l, s),
+                    None => refill!($l),
                 }
             }};
         }
@@ -424,9 +437,11 @@ impl<'t> LanePool<'t> {
             // all exceptional conditions are OR-folded into one `bad`
             // flag, and a single rarely-taken branch either commits the
             // step or defers the lane untouched to the exception tier.
-            // The two speculative indexings are clamped (`pi1.min(gl)`,
-            // `min(ncells - 1)`) so a deferred lane's garbage values
-            // stay in bounds; nothing is committed for such a lane.
+            // A reconvergence is one of those conditions, so a committed
+            // step never changes the masking flag. The two speculative
+            // indexings are clamped (`pi1.min(gl)`, `min(ncells - 1)`)
+            // so a deferred lane's garbage values stay in bounds; nothing
+            // is committed for such a lane.
             let mut exc = 0u64;
             for l in 0..LANES {
                 if !alive[l] {
@@ -436,18 +451,16 @@ impl<'t> LanePool<'t> {
                 let hit = cells[l] == patch_cell[l];
                 let rec = if hit { patch_rec[l] } else { recs[l] };
                 let gl = gls[l] as usize;
-                let mut bad = !staged[l]
-                    | hit
-                    | (rec == UNDEFINED_RECORD)
-                    | (pi >= gl)
-                    | ((rec >> 32) as u32 != go_stage[l]);
                 let st = rec as u32;
                 let pi1 = pi + 1;
                 let c = scr[l][pi1.min(gl)];
-                let neq = c.gs != st;
-                let dv = diverged[l] | neq;
-                let sm = seq_masked[l] | (diverged[l] & !neq);
-                bad |= pi1 >= lens[l] as usize;
+                let bad = !staged[l]
+                    | hit
+                    | (rec == UNDEFINED_RECORD)
+                    | (pi >= gl)
+                    | ((rec >> 32) as u32 != go_stage[l])
+                    | (c.gs == st)
+                    | (pi1 >= lens[l] as usize);
                 let cell = (st as usize * ni + c.inp as usize).min(ncells - 1);
                 let r2 = g.load(cell);
                 if bad {
@@ -456,16 +469,15 @@ impl<'t> LanePool<'t> {
                 }
                 state[l] = st;
                 pos[l] = pi1 as u32;
-                diverged[l] = dv;
-                seq_masked[l] = sm;
                 cells[l] = cell;
                 recs[l] = r2;
                 go_stage[l] = c.go;
             }
             // Exception tier: the scalar loop's exact case analysis for
             // the deferred lanes — detection, truncation, patch overlay,
-            // sequence turnover and first-visit staging. A lane leaves
-            // this tier either dead or staged with a fresh gather.
+            // reconvergence jumps, sequence turnover and first-visit
+            // staging. A lane leaves this tier either dead or staged with
+            // a fresh gather.
             while exc != 0 {
                 let l = exc.trailing_zeros() as usize;
                 exc &= exc - 1;
@@ -498,15 +510,7 @@ impl<'t> LanePool<'t> {
                             lane.detected = Some((lane.si, pi));
                             refill!(l);
                         } else {
-                            let lane = &mut self.lanes[slot_lane[l]];
-                            match lane.finish_sequence(seq_masked[l], script, diff) {
-                                Some(s) => {
-                                    install!(l, s);
-                                    diverged[l] = false;
-                                    seq_masked[l] = false;
-                                }
-                                None => refill!(l),
-                            }
+                            end_sequence!(l, seq_masked[l]);
                         }
                     } else if pi >= gls[l] as usize {
                         // Golden truncated at gl = p but the faulty
@@ -525,34 +529,39 @@ impl<'t> LanePool<'t> {
                     }
                 }
                 // Stage: masking scan at the (possibly just-advanced)
-                // position, end-of-sequence bookkeeping, and the next
-                // gather. The loop re-stages immediately when a sequence
-                // ends or a fresh lane lands in the slot, so every visit
-                // leaves a live slot with exactly one gather in flight.
-                // One fused script load per visit covers the golden
-                // state, the input and the golden output at `pi`.
+                // position, reconvergence jump, end-of-sequence
+                // bookkeeping, and the next gather. The loop re-stages
+                // immediately when a sequence ends or a fresh lane lands
+                // in the slot, so every visit leaves a live slot with
+                // exactly one gather in flight. One fused script load per
+                // visit covers the golden state, the input and the golden
+                // output at `pi`.
                 while alive[l] && !staged[l] {
                     let pi = pos[l] as usize;
-                    let c = scr[l][pi];
+                    let mut c = scr[l][pi];
                     // Masking state-comparison at position p, mirroring
-                    // the scalar loop (which mirrors `is_masked_on`'s
-                    // diverge-then-reconverge scan), branchless over the
-                    // per-lane flag bytes.
-                    let neq = c.gs != state[l];
-                    seq_masked[l] |= diverged[l] & !neq;
-                    diverged[l] |= neq;
-                    if pi >= lens[l] as usize {
+                    // the scalar loop: the replay starts diverged, so
+                    // equal states mean it reconverged.
+                    if c.gs == state[l] {
+                        seq_masked[l] = true;
+                        // Lemma 4: jump to the golden run's next traversal
+                        // of the faulted cell, or end the sequence
+                        // undetected when none follows.
+                        let lane = &mut self.lanes[slot_lane[l]];
+                        let Some(q) = next_excitation(lane.entries, &mut lane.ei, lane.si, pi)
+                        else {
+                            diff.reconverged_steps_skipped += gls[l] as usize - pi;
+                            end_sequence!(l, true);
+                            continue;
+                        };
+                        diff.reconverged_steps_skipped += q - pi;
+                        c = scr[l][q];
+                        state[l] = c.gs;
+                        pos[l] = q as u32;
+                    } else if pi >= lens[l] as usize {
                         // Both runs consumed the whole sequence: no
                         // detection.
-                        let lane = &mut self.lanes[slot_lane[l]];
-                        match lane.finish_sequence(seq_masked[l], script, diff) {
-                            Some(s) => {
-                                install!(l, s);
-                                diverged[l] = false;
-                                seq_masked[l] = false;
-                            }
-                            None => refill!(l),
-                        }
+                        end_sequence!(l, seq_masked[l]);
                         continue;
                     }
                     cells[l] = state[l] as usize * ni + c.inp as usize;

@@ -10,9 +10,10 @@
 //! 1. **Sharding** is a pure function of the fault count
 //!    ([`default_shard_size`]): the fault list is split into contiguous
 //!    index ranges of a fixed size, never influenced by the thread count.
-//! 2. **Scheduling** is dynamic ([`run_sharded`]): a `std::thread::scope`
-//!    worker pool drains shards from an atomic work queue, so a slow
-//!    shard does not stall the rest (work stealing by construction).
+//! 2. **Scheduling** is dynamic ([`run_sharded`]): the calling thread
+//!    and its `std::thread::scope` helpers drain shards from an atomic
+//!    work queue, so a slow shard does not stall the rest (work stealing
+//!    by construction).
 //! 3. **Merging** is commutative and order-restoring: each shard yields
 //!    outcomes plus a [`CampaignStats`] tally; shards are re-assembled in
 //!    index order and tallies are combined with [`CampaignStats::merge`],
@@ -46,13 +47,15 @@ pub fn default_shard_size(len: usize) -> usize {
     len.div_ceil(256).max(1)
 }
 
-/// Runs `work` over contiguous shards of `items` on a pool of `jobs`
-/// scoped threads and returns the per-shard results **in shard order**.
+/// Runs `work` over contiguous shards of `items` on `jobs` workers and
+/// returns the per-shard results **in shard order**.
 ///
 /// `work` receives the shard index and the shard's slice. Shards are
 /// handed out through an atomic queue, so workers that finish early pick
-/// up the remaining shards. With `jobs <= 1` (or a single shard) the
-/// work runs on the calling thread — no thread is spawned, which keeps
+/// up the remaining shards. The calling thread is one of the workers: it
+/// spawns `workers − 1` scoped threads and drains the queue beside them,
+/// where `workers` is `jobs` capped at the shard count. With `jobs <= 1`
+/// (or a single shard) no thread is spawned at all, which keeps
 /// single-threaded callers allocation- and syscall-cheap.
 pub fn run_sharded<T, R, F>(items: &[T], shard_size: usize, jobs: usize, work: F) -> Vec<R>
 where
@@ -68,15 +71,17 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..shards.len()).map(|_| None).collect());
+    let drain = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(shard) = shards.get(i) else { break };
+        let r = work(i, shard);
+        slots.lock().expect("no worker panicked holding the lock")[i] = Some(r);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(shard) = shards.get(i) else { break };
-                let r = work(i, shard);
-                slots.lock().expect("no worker panicked holding the lock")[i] = Some(r);
-            });
+        for _ in 1..workers {
+            scope.spawn(drain);
         }
+        drain();
     });
     slots
         .into_inner()
@@ -192,6 +197,29 @@ mod tests {
         assert!(run_sharded(&none, 4, 8, |_, s| s.len()).is_empty());
         let one = [42u32];
         assert_eq!(run_sharded(&one, 4, 8, |_, s| s.len()), vec![1]);
+    }
+
+    #[test]
+    fn run_sharded_works_shards_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        use std::thread::{self, ThreadId};
+        // Shards 0 and 1 each block until two workers hold one of them,
+        // so both workers must run: two thread ids, one the caller's.
+        let barrier = Barrier::new(2);
+        let items: Vec<usize> = (0..8).collect();
+        let ids: Vec<ThreadId> = run_sharded(&items, 1, 2, |i, _| {
+            if i < 2 {
+                barrier.wait();
+            }
+            thread::current().id()
+        });
+        let distinct: HashSet<ThreadId> = ids.into_iter().collect();
+        assert_eq!(distinct.len(), 2, "jobs = 2 runs exactly two workers");
+        assert!(
+            distinct.contains(&thread::current().id()),
+            "the calling thread is one of them"
+        );
     }
 
     #[test]

@@ -27,6 +27,13 @@ pub const CAMPAIGN_PREFIX_STEPS_SAVED: &str = "campaign.prefix_steps_saved";
 /// engine; see `simcov_core::differential::DiffStats::divergence_replays`).
 pub const CAMPAIGN_DIVERGENCE_REPLAYS: &str = "campaign.divergence_replays";
 
+/// Golden-trace vectors a suffix replay skipped after its faulty run
+/// reconverged with the golden run: the jump to the next traversal of the
+/// faulted cell, or the rest of a sequence that has none (differential
+/// and packed engines; see
+/// `simcov_core::differential::DiffStats::reconverged_steps_skipped`).
+pub const CAMPAIGN_RECONVERGED_STEPS_SKIPPED: &str = "campaign.reconverged_steps_skipped";
+
 /// Fault words replayed by the bit-parallel engine, each batching up to
 /// 64 effective transfer faults (packed engine; see
 /// `simcov_core::packed::PackedStats::packed_words`).
@@ -182,6 +189,7 @@ mod tests {
             CAMPAIGN_FAULTS_SKIPPED_BY_INDEX,
             CAMPAIGN_PREFIX_STEPS_SAVED,
             CAMPAIGN_DIVERGENCE_REPLAYS,
+            CAMPAIGN_RECONVERGED_STEPS_SKIPPED,
             CAMPAIGN_PACKED_WORDS,
             CAMPAIGN_LANES_ACTIVE,
             CAMPAIGN_COLLAPSED_FAULTS,
