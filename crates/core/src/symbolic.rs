@@ -44,8 +44,8 @@
 use crate::error_model::{Fault, FaultKind};
 use crate::faults::FaultOutcome;
 use simcov_bdd::{Bdd, BddManager, Var};
-use simcov_fsm::{ExplicitMealy, PairFsm, StateId};
-use simcov_netlist::{Netlist, NodeKind};
+use simcov_fsm::{lower_netlist, ExplicitMealy, PairFsm, StateId};
+use simcov_netlist::Netlist;
 use simcov_tour::TestSet;
 use std::collections::HashMap;
 
@@ -435,44 +435,14 @@ impl<'c, 'n, 's> ShardEngine<'c, 'n, 's> {
     /// Golden next-state and output cones over the `x` variables with the
     /// primary inputs folded to the concrete vector `in_bits`.
     fn golden_cones(&mut self, in_bits: &[bool]) -> (Vec<Bdd>, Vec<Bdd>) {
-        let n = self.ctx.netlist;
         let nz = self.nz;
-        let mut sig: Vec<Bdd> = Vec::with_capacity(n.num_nodes());
-        for idx in 0..n.num_nodes() {
-            let b = match n.node_at(idx).expect("in range") {
-                NodeKind::Const(v) => self.mgr.constant(v),
-                NodeKind::Input(i) => self.mgr.constant(in_bits[i.index()]),
-                NodeKind::LatchOut(l) => self.mgr.var(nz + 2 * l.index() as u32),
-                NodeKind::Not(a) => {
-                    let a = sig[a.index()];
-                    self.mgr.not(a)
-                }
-                NodeKind::And(a, b) => {
-                    let (a, b) = (sig[a.index()], sig[b.index()]);
-                    self.mgr.and(a, b)
-                }
-                NodeKind::Or(a, b) => {
-                    let (a, b) = (sig[a.index()], sig[b.index()]);
-                    self.mgr.or(a, b)
-                }
-                NodeKind::Xor(a, b) => {
-                    let (a, b) = (sig[a.index()], sig[b.index()]);
-                    self.mgr.xor(a, b)
-                }
-                NodeKind::Mux(s, t, e) => {
-                    let (s, t, e) = (sig[s.index()], sig[t.index()], sig[e.index()]);
-                    self.mgr.ite(s, t, e)
-                }
-            };
-            sig.push(b);
-        }
-        let delta = n
-            .latches()
-            .iter()
-            .map(|l| sig[l.next.expect("checked").index()])
-            .collect();
-        let omega = n.outputs().iter().map(|(_, s)| sig[s.index()]).collect();
-        (delta, omega)
+        let cones = lower_netlist(
+            &mut self.mgr,
+            self.ctx.netlist,
+            |m, i| m.constant(in_bits[i.index()]),
+            |m, l| m.var(nz + 2 * l.index() as u32),
+        );
+        (cones.next, cones.outputs)
     }
 
     /// Builds the patched relation for input symbol `i` if not yet built.

@@ -18,9 +18,13 @@
 //! hundreds of millions (1552 states × 184k valid vectors here) collapses
 //! to an explicitly tractable quotient — which is how the full-scale
 //! transition tour of the case study is generated.
+//!
+//! The two input copies `i` and `i'` are two [`lower_netlist`]s of the
+//! design sharing the state variables.
 
+use crate::lower::lower_netlist;
 use simcov_bdd::{Bdd, BddManager, Var};
-use simcov_netlist::{Netlist, NodeKind};
+use simcov_netlist::{LatchId, Netlist};
 
 /// The input equivalence classes of a netlist under a valid-input
 /// constraint, restricted to a reachable state set.
@@ -67,51 +71,25 @@ pub fn input_equivalence_classes(
     restrict_reachable: bool,
     max_classes: usize,
 ) -> Option<InputClasses> {
-    let problems = netlist.check();
-    assert!(problems.is_empty(), "malformed netlist: {problems:?}");
     let nl = netlist.num_latches();
     let ni = netlist.num_inputs();
     // Variable order: state x_j at level j (top), then inputs interleaved:
     // i_k at nl + 2k, i'_k at nl + 2k + 1.
     let total = (nl + 2 * ni) as u32;
     let mut mgr = BddManager::new(total.max(1));
-    let build_copy = |mgr: &mut BddManager, input_base_odd: bool| -> Vec<Bdd> {
-        let mut sig: Vec<Bdd> = Vec::with_capacity(netlist.num_nodes());
-        for idx in 0..netlist.num_nodes() {
-            let b = match netlist.node_at(idx).expect("in range") {
-                NodeKind::Const(v) => mgr.constant(v),
-                NodeKind::Input(i) => {
-                    let lvl = nl as u32 + 2 * i.index() as u32 + input_base_odd as u32;
-                    mgr.var(lvl)
-                }
-                NodeKind::LatchOut(l) => mgr.var(l.index() as u32),
-                NodeKind::Not(a) => {
-                    let a = sig[a.index()];
-                    mgr.not(a)
-                }
-                NodeKind::And(a, b) => {
-                    let (a, b) = (sig[a.index()], sig[b.index()]);
-                    mgr.and(a, b)
-                }
-                NodeKind::Or(a, b) => {
-                    let (a, b) = (sig[a.index()], sig[b.index()]);
-                    mgr.or(a, b)
-                }
-                NodeKind::Xor(a, b) => {
-                    let (a, b) = (sig[a.index()], sig[b.index()]);
-                    mgr.xor(a, b)
-                }
-                NodeKind::Mux(s, t, e) => {
-                    let (s, t, e) = (sig[s.index()], sig[t.index()], sig[e.index()]);
-                    mgr.ite(s, t, e)
-                }
-            };
-            sig.push(b);
-        }
-        sig
-    };
-    let sig_a = build_copy(&mut mgr, false);
-    let sig_b = build_copy(&mut mgr, true);
+    let latch = |m: &mut BddManager, l: LatchId| m.var(l.index() as u32);
+    let a = lower_netlist(
+        &mut mgr,
+        netlist,
+        |m, i| m.var((nl + 2 * i.index()) as u32),
+        latch,
+    );
+    let b = lower_netlist(
+        &mut mgr,
+        netlist,
+        |m, i| m.var((nl + 2 * i.index() + 1) as u32),
+        latch,
+    );
     let input_var = |name: &str| -> Var {
         let k = netlist
             .input_names()
@@ -138,7 +116,7 @@ pub fn input_equivalence_classes(
     // reachability here is computed over the x variables directly using
     // the same manager with temporary variables appended.
     let reached = if restrict_reachable {
-        Some(reachable_over(&mut mgr, netlist, &sig_a, valid_i))
+        Some(reachable_over(&mut mgr, netlist, &a.next, valid_i))
     } else {
         None
     };
@@ -153,12 +131,11 @@ pub fn input_equivalence_classes(
         let dr = mgr.and_exists(d, restrict, x_cube);
         *diff = mgr.or(*diff, dr);
     };
-    for l in netlist.latches() {
-        let nx = l.next.expect("checked");
-        add_term(&mut mgr, sig_a[nx.index()], sig_b[nx.index()], &mut diff);
+    for (&fa, &fb) in a.next.iter().zip(&b.next) {
+        add_term(&mut mgr, fa, fb, &mut diff);
     }
-    for &(_, s) in netlist.outputs() {
-        add_term(&mut mgr, sig_a[s.index()], sig_b[s.index()], &mut diff);
+    for (&fa, &fb) in a.outputs.iter().zip(&b.outputs) {
+        add_term(&mut mgr, fa, fb, &mut diff);
     }
     let ndiff = mgr.not(diff);
     let mut equiv = mgr.and(ndiff, valid_i);
@@ -211,7 +188,7 @@ pub fn input_equivalence_classes(
 /// Reachability over the `x` variables of the dual-input manager: appends
 /// temporary next-state variables at the bottom of the order, computes
 /// the fixed point, and returns the set over `x`.
-fn reachable_over(mgr: &mut BddManager, netlist: &Netlist, sig_a: &[Bdd], valid_i: Bdd) -> Bdd {
+fn reachable_over(mgr: &mut BddManager, netlist: &Netlist, next_fns: &[Bdd], valid_i: Bdd) -> Bdd {
     let nl = netlist.num_latches();
     let ni = netlist.num_inputs();
     let y_base = mgr.add_vars(nl as u32).0;
@@ -222,11 +199,6 @@ fn reachable_over(mgr: &mut BddManager, netlist: &Netlist, sig_a: &[Bdd], valid_
         init = mgr.and(init, lit);
     }
     // Quantification schedule: x and i vars after their last use.
-    let next_fns: Vec<Bdd> = netlist
-        .latches()
-        .iter()
-        .map(|l| sig_a[l.next.expect("checked").index()])
-        .collect();
     let mut last_use: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     for (j, &f) in next_fns.iter().enumerate() {
         for v in mgr.support(f) {

@@ -10,6 +10,10 @@
 //!   reachability analysis and exact state/transition counting in the style
 //!   of Touati et al. (ICCAD 1990) — the machinery behind Section 7.2's
 //!   statistics;
+//! * [`lower_netlist`] — the one lowering of a netlist's gates into BDDs,
+//!   under a caller-chosen variable layout; the symbolic machine, the
+//!   pair machine, the input classes and the symbolic campaign engine in
+//!   `simcov-core` are all built on it;
 //! * [`enumerate`] — extraction of an [`ExplicitMealy`] from a netlist by
 //!   forward enumeration of the reachable state graph under a declared set
 //!   of valid input vectors (the paper's input don't-cares);
@@ -46,6 +50,7 @@
 pub mod enumerate;
 mod explicit;
 mod input_classes;
+mod lower;
 mod minimize;
 mod packed;
 mod product;
@@ -57,6 +62,7 @@ pub use explicit::{
     BuildError, ExplicitMealy, InputSym, MealyBuilder, OutputSym, PatchedMealy, StateId, Transition,
 };
 pub use input_classes::{input_equivalence_classes, InputClasses};
+pub use lower::{lower_netlist, NetlistBdds};
 pub use minimize::{minimize, Minimized};
 pub use packed::{LanePatch, PackedMealy, LANES, UNDEFINED_NARROW, UNDEFINED_RECORD};
 pub use product::{forall_k_symbolic, PairAnalysisResult, PairFsm, TransferDetectPrep};

@@ -6,7 +6,8 @@
 //! Variable order (interleaved for narrow equality relations): for latch
 //! `j`, copy-A current state at level `4j`, copy-B current state at
 //! `4j + 1`, copy-A next state at `4j + 2`, copy-B next state at
-//! `4j + 3`; shared primary input `k` at `4·L + k`.
+//! `4j + 3`; shared primary input `k` at `4·L + k`. Each copy is one
+//! [`lower_netlist`] of the design under its half of that layout.
 //!
 //! The analysis iterates the *equal-output-reachable* pair relation
 //! exactly like the explicit checker in `simcov-core`:
@@ -20,8 +21,9 @@
 //! A pair of distinct reachable states in `E_k` violates
 //! ∀k-distinguishability.
 
+use crate::lower::lower_netlist;
 use simcov_bdd::{Bdd, BddManager, Var};
-use simcov_netlist::{Netlist, NodeKind};
+use simcov_netlist::{InputId, Netlist};
 
 /// Result of the symbolic ∀k-distinguishability analysis.
 #[derive(Debug, Clone, Copy)]
@@ -96,63 +98,21 @@ impl PairFsm {
     ///
     /// Panics if the netlist fails [`Netlist::check`].
     pub fn from_netlist(n: &Netlist) -> Self {
-        let problems = n.check();
-        assert!(problems.is_empty(), "malformed netlist: {problems:?}");
         let nl = n.num_latches();
         let ni = n.num_inputs();
         let total = (4 * nl + ni) as u32;
         let mut mgr = BddManager::new(total.max(1));
-        let build_copy = |mgr: &mut BddManager, state_base: u32| -> Vec<Bdd> {
-            let mut sig: Vec<Bdd> = Vec::with_capacity(n.num_nodes());
-            for idx in 0..n.num_nodes() {
-                let b = match n.node_at(idx).expect("in range") {
-                    NodeKind::Const(v) => mgr.constant(v),
-                    NodeKind::Input(i) => mgr.var(4 * nl as u32 + i.index() as u32),
-                    NodeKind::LatchOut(l) => mgr.var(4 * l.index() as u32 + state_base),
-                    NodeKind::Not(a) => {
-                        let a = sig[a.index()];
-                        mgr.not(a)
-                    }
-                    NodeKind::And(a, b) => {
-                        let (a, b) = (sig[a.index()], sig[b.index()]);
-                        mgr.and(a, b)
-                    }
-                    NodeKind::Or(a, b) => {
-                        let (a, b) = (sig[a.index()], sig[b.index()]);
-                        mgr.or(a, b)
-                    }
-                    NodeKind::Xor(a, b) => {
-                        let (a, b) = (sig[a.index()], sig[b.index()]);
-                        mgr.xor(a, b)
-                    }
-                    NodeKind::Mux(s, t, e) => {
-                        let (s, t, e) = (sig[s.index()], sig[t.index()], sig[e.index()]);
-                        mgr.ite(s, t, e)
-                    }
-                };
-                sig.push(b);
-            }
-            sig
-        };
-        let sig_a = build_copy(&mut mgr, 0);
-        let sig_b = build_copy(&mut mgr, 1);
-        let next_of = |sig: &[Bdd]| -> Vec<Bdd> {
-            n.latches()
-                .iter()
-                .map(|l| sig[l.next.expect("checked").index()])
-                .collect()
-        };
-        let outs_of = |sig: &[Bdd]| -> Vec<Bdd> {
-            n.outputs().iter().map(|&(_, s)| sig[s.index()]).collect()
-        };
+        let input = |m: &mut BddManager, i: InputId| m.var((4 * nl + i.index()) as u32);
+        let a = lower_netlist(&mut mgr, n, input, |m, l| m.var(4 * l.index() as u32));
+        let b = lower_netlist(&mut mgr, n, input, |m, l| m.var(4 * l.index() as u32 + 1));
         PairFsm {
             num_latches: nl,
             num_inputs: ni,
             input_names: n.input_names().map(str::to_string).collect(),
-            next_a: next_of(&sig_a),
-            next_b: next_of(&sig_b),
-            out_a: outs_of(&sig_a),
-            out_b: outs_of(&sig_b),
+            next_a: a.next,
+            next_b: b.next,
+            out_a: a.outputs,
+            out_b: b.outputs,
             valid: Bdd::TRUE,
             mgr,
         }
@@ -171,16 +131,6 @@ impl PairFsm {
     /// Number of latches of one machine copy.
     pub fn num_latches(&self) -> usize {
         self.num_latches
-    }
-
-    /// Copy-A current-state variable of latch `j`.
-    pub fn state_var_a(&self, j: usize) -> Var {
-        Var(4 * j as u32)
-    }
-
-    /// Copy-B current-state variable of latch `j`.
-    pub fn state_var_b(&self, j: usize) -> Var {
-        Var(4 * j as u32 + 1)
     }
 
     /// The shared input variable `k`.

@@ -1,12 +1,16 @@
 //! Symbolic (BDD-based) Mealy machines and implicit reachability.
 //!
+//! The next-state and output functions come from [`lower_netlist`] (the
+//! crate's one gate-to-BDD mapping) under this module's variable layout.
+//!
 //! Variable order: for latch `j`, the current-state variable sits at level
 //! `2j` and the next-state variable at level `2j + 1` (interleaving keeps
 //! the `y ⇔ f(x)` constraints narrow); primary input `k` sits at level
 //! `2 · num_latches + k`.
 
+use crate::lower::{lower_netlist, NetlistBdds};
 use simcov_bdd::{Bdd, BddManager, Var};
-use simcov_netlist::{Netlist, NodeKind};
+use simcov_netlist::Netlist;
 
 /// Result of a reachability fixed-point computation.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +70,6 @@ pub struct SymbolicFsm {
     output_fns: Vec<(String, Bdd)>,
     init: Bdd,
     valid: Bdd,
-    latch_names: Vec<String>,
     input_names: Vec<String>,
     /// `(y_j ⇔ f_j)` conjuncts, built lazily.
     trans_parts: Option<Vec<Bdd>>,
@@ -83,55 +86,21 @@ impl SymbolicFsm {
     /// Panics if the netlist fails [`Netlist::check`] (e.g. a latch without
     /// a next-state function).
     pub fn from_netlist(n: &Netlist) -> Self {
-        let problems = n.check();
-        assert!(problems.is_empty(), "malformed netlist: {problems:?}");
         let num_latches = n.num_latches();
         let num_inputs = n.num_inputs();
         let total_vars = (2 * num_latches + num_inputs) as u32;
         let mut mgr = BddManager::new(total_vars.max(1));
-        // Map each netlist signal to a BDD, in topological (index) order.
-        let mut sig_bdd: Vec<Bdd> = Vec::new();
-        for idx in 0.. {
-            let sig = match n.node_at(idx) {
-                Some(k) => k,
-                None => break,
-            };
-            let b = match sig {
-                NodeKind::Const(v) => mgr.constant(v),
-                NodeKind::Input(i) => mgr.var(2 * num_latches as u32 + i.index() as u32),
-                NodeKind::LatchOut(l) => mgr.var(2 * l.index() as u32),
-                NodeKind::Not(a) => {
-                    let a = sig_bdd[a.index()];
-                    mgr.not(a)
-                }
-                NodeKind::And(a, b) => {
-                    let (a, b) = (sig_bdd[a.index()], sig_bdd[b.index()]);
-                    mgr.and(a, b)
-                }
-                NodeKind::Or(a, b) => {
-                    let (a, b) = (sig_bdd[a.index()], sig_bdd[b.index()]);
-                    mgr.or(a, b)
-                }
-                NodeKind::Xor(a, b) => {
-                    let (a, b) = (sig_bdd[a.index()], sig_bdd[b.index()]);
-                    mgr.xor(a, b)
-                }
-                NodeKind::Mux(s, t, e) => {
-                    let (s, t, e) = (sig_bdd[s.index()], sig_bdd[t.index()], sig_bdd[e.index()]);
-                    mgr.ite(s, t, e)
-                }
-            };
-            sig_bdd.push(b);
-        }
-        let next_fns: Vec<Bdd> = n
-            .latches()
-            .iter()
-            .map(|l| sig_bdd[l.next.expect("checked").index()])
-            .collect();
+        let NetlistBdds { next, outputs } = lower_netlist(
+            &mut mgr,
+            n,
+            |m, i| m.var((2 * num_latches + i.index()) as u32),
+            |m, l| m.var(2 * l.index() as u32),
+        );
         let output_fns: Vec<(String, Bdd)> = n
             .outputs()
             .iter()
-            .map(|(name, s)| (name.clone(), sig_bdd[s.index()]))
+            .map(|(name, _)| name.clone())
+            .zip(outputs)
             .collect();
         // Initial state cube.
         let mut init = Bdd::TRUE;
@@ -144,11 +113,10 @@ impl SymbolicFsm {
             mgr,
             num_latches,
             num_inputs,
-            next_fns,
+            next_fns: next,
             output_fns,
             init,
             valid: Bdd::TRUE,
-            latch_names: n.latches().iter().map(|l| l.name.clone()).collect(),
             input_names: n.input_names().map(str::to_string).collect(),
             trans_parts: None,
             schedule: None,
@@ -192,11 +160,6 @@ impl SymbolicFsm {
             .map(|k| self.input_var(k))
     }
 
-    /// Index of the latch with the given name.
-    pub fn latch_index_by_name(&self, name: &str) -> Option<usize> {
-        self.latch_names.iter().position(|n| n == name)
-    }
-
     /// The input names, cloned (useful when the borrow checker forbids
     /// holding a reference across `mgr()` calls).
     pub fn input_names_owned(&self) -> Vec<String> {
@@ -229,11 +192,6 @@ impl SymbolicFsm {
     /// input and current-state variables.
     pub fn set_valid_inputs(&mut self, valid: Bdd) {
         self.valid = valid;
-    }
-
-    /// The next-state function of latch `j` (over state and input vars).
-    pub fn next_fn(&self, j: usize) -> Bdd {
-        self.next_fns[j]
     }
 
     /// The named output functions (over state and input vars).

@@ -2,10 +2,12 @@
 //! minimization invariants, and machine-level invariants — all on the
 //! workspace's hermetic `forall` driver.
 
+use simcov_bdd::{Bdd, BddManager};
 use simcov_core::testutil::{forall_cfg, Config, Gen};
+use simcov_core::{run_implicit_campaign, ImplicitConfig};
 use simcov_fsm::{
-    enumerate_netlist, minimize, EnumerateOptions, ExplicitMealy, InputSym, MealyBuilder, PairFsm,
-    StateId, SymbolicFsm,
+    enumerate_netlist, lower_netlist, minimize, EnumerateOptions, ExplicitMealy, InputSym,
+    MealyBuilder, PairFsm, StateId, SymbolicFsm,
 };
 use simcov_netlist::{Netlist, SignalId};
 
@@ -21,8 +23,15 @@ struct Recipe {
 }
 
 fn recipe(g: &mut Gen) -> Recipe {
-    let num_inputs = g.int_in(1..3usize);
-    let latch_inits: Vec<bool> = (0..g.int_in(1..5usize)).map(|_| g.bool()).collect();
+    recipe_sized(g, 2, 4)
+}
+
+/// A recipe with 1..=`max_inputs` inputs and 1..=`max_latches` latches.
+fn recipe_sized(g: &mut Gen, max_inputs: usize, max_latches: usize) -> Recipe {
+    let num_inputs = g.int_in(1..max_inputs + 1);
+    let latch_inits: Vec<bool> = (0..g.int_in(1..max_latches + 1))
+        .map(|_| g.bool())
+        .collect();
     let gates = (0..g.int_in(0..16usize))
         .map(|_| (g.int_in(0..5u8), g.u16(), g.u16(), g.u16()))
         .collect();
@@ -162,6 +171,197 @@ fn pair_analysis_agrees_with_bruteforce() {
             let sym = pf.forall_k(&n.initial_state(), k, true);
             assert_eq!(sym.violating_pairs, brute);
             assert_eq!(sym.reachable_states, nn as u128);
+        },
+    );
+}
+
+/// The BDD lowering computes the evaluator's functions. Under a random
+/// variable layout, with each input either a variable or fixed to a
+/// constant (the campaign engine's layout), every next-state and output
+/// BDD evaluates at random `(state, input)` points to the value
+/// [`Netlist::eval_all`] computes for its signal.
+#[test]
+fn lowering_agrees_with_eval_all() {
+    forall_cfg(
+        "lowering_agrees_with_eval_all",
+        Config::with_cases(64),
+        |g| {
+            let n = build(&recipe(g));
+            let (nl, ni) = (n.num_latches(), n.num_inputs());
+            // Leaf j (latches first, then inputs) sits at level `levels[j]`.
+            let mut levels: Vec<u32> = (0..(nl + ni) as u32).collect();
+            g.rng().shuffle(&mut levels);
+            let fixed: Vec<Option<bool>> = (0..ni).map(|_| g.bool().then(|| g.bool())).collect();
+            let mut mgr = BddManager::new((nl + ni) as u32);
+            let bdds = lower_netlist(
+                &mut mgr,
+                &n,
+                |m, i| match fixed[i.index()] {
+                    Some(v) => m.constant(v),
+                    None => m.var(levels[nl + i.index()]),
+                },
+                |m, l| m.var(levels[l.index()]),
+            );
+            assert_eq!(bdds.next.len(), nl);
+            assert_eq!(bdds.outputs.len(), n.num_outputs());
+            for _ in 0..8 {
+                let state: Vec<bool> = (0..nl).map(|_| g.bool()).collect();
+                let inputs: Vec<bool> = (0..ni)
+                    .map(|i| fixed[i].unwrap_or_else(|| g.bool()))
+                    .collect();
+                let mut assignment = vec![false; nl + ni];
+                for (j, &v) in state.iter().chain(&inputs).enumerate() {
+                    assignment[levels[j] as usize] = v;
+                }
+                let vals = n.eval_all(&state, &inputs);
+                for (l, &f) in n.latches().iter().zip(&bdds.next) {
+                    let sig = l.next.expect("built netlists are complete");
+                    assert_eq!(
+                        mgr.eval(f, &assignment),
+                        vals[sig.index()],
+                        "latch {}",
+                        l.name
+                    );
+                }
+                for ((name, sig), &f) in n.outputs().iter().zip(&bdds.outputs) {
+                    assert_eq!(mgr.eval(f, &assignment), vals[sig.index()], "output {name}");
+                }
+            }
+        },
+    );
+}
+
+/// `v`'s low `width` bits, bit `j` first.
+fn bits(v: usize, width: usize) -> Vec<bool> {
+    (0..width).map(|j| (v >> j) & 1 == 1).collect()
+}
+
+/// The inverse of [`bits`].
+fn pack(bits: &[bool]) -> usize {
+    bits.iter().rev().fold(0, |acc, &b| (acc << 1) | b as usize)
+}
+
+/// The implicit campaign agrees with a brute force over all `2^L` states:
+/// reachable states and cells, valid inputs, and the transfer flips
+/// detected within `k` — those whose golden successor `y` and flipped
+/// successor `y ⊕ e_j` are told apart by every valid `k`-long
+/// continuation (Theorem 1's guarantee). The flipped successor may be
+/// unreachable, so the brute force steps the netlist from it.
+#[test]
+fn implicit_campaign_matches_bruteforce() {
+    forall_cfg(
+        "implicit_campaign_matches_bruteforce",
+        Config::with_cases(48),
+        |g| {
+            let n = build(&recipe_sized(g, 3, 5));
+            let k = g.int_in(1..4usize);
+            let jobs = g.int_in(1..3usize);
+            let (nl, ni) = (n.num_latches(), n.num_inputs());
+            // No constraint, then a random cube: each input free, 0 or 1.
+            let random_cube = (0..ni)
+                .map(|_| match g.int_in(0..3u8) {
+                    0 => None,
+                    v => Some(v == 2),
+                })
+                .collect();
+            for cube in [vec![None; ni], random_cube] {
+                let valid: Vec<Vec<bool>> = (0..1usize << ni)
+                    .map(|v| bits(v, ni))
+                    .filter(|v| cube.iter().zip(v).all(|(c, &b)| c.is_none_or(|c| c == b)))
+                    .collect();
+                // step[s][v] = (successor state, outputs) of state `s` under
+                // valid input `v`.
+                let step: Vec<Vec<(usize, Vec<bool>)>> = (0..1usize << nl)
+                    .map(|s| {
+                        valid
+                            .iter()
+                            .map(|inp| {
+                                let (next, outs) = n.step(&bits(s, nl), inp);
+                                (pack(&next), outs)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                // Reachable states from reset.
+                let init = pack(&n.initial_state());
+                let mut reached = vec![false; 1 << nl];
+                reached[init] = true;
+                let mut frontier = vec![init];
+                while let Some(s) = frontier.pop() {
+                    for &(t, _) in &step[s] {
+                        if !std::mem::replace(&mut reached[t], true) {
+                            frontier.push(t);
+                        }
+                    }
+                }
+                let reach: Vec<usize> = (0..1 << nl).filter(|&s| reached[s]).collect();
+                // E_t(a, b): some valid t-long continuation keeps the
+                // outputs of `a` and `b` equal.
+                let ns = 1usize << nl;
+                let mut e = vec![true; ns * ns];
+                for _ in 0..k {
+                    e = (0..ns * ns)
+                        .map(|ab| {
+                            let (a, b) = (ab / ns, ab % ns);
+                            step[a]
+                                .iter()
+                                .zip(&step[b])
+                                .any(|((na, oa), (nb, ob))| oa == ob && e[na * ns + nb])
+                        })
+                        .collect();
+                }
+                // detected[j]: reachable cells whose flip of latch j is
+                // detected.
+                let mut detected = vec![0u128; nl];
+                for &s in &reach {
+                    for &(y, _) in &step[s] {
+                        for (j, d) in detected.iter_mut().enumerate() {
+                            if !e[y * ns + (y ^ (1 << j))] {
+                                *d += 1;
+                            }
+                        }
+                    }
+                }
+
+                let constraint = |pf: &mut PairFsm| {
+                    let mut c = Bdd::TRUE;
+                    for (i, lit) in cube.iter().enumerate() {
+                        if let Some(v) = *lit {
+                            let level = pf.input_var(i).0;
+                            let x = if v {
+                                pf.mgr().var(level)
+                            } else {
+                                pf.mgr().nvar(level)
+                            };
+                            c = pf.mgr().and(c, x);
+                        }
+                    }
+                    c
+                };
+                let report = run_implicit_campaign(&n, constraint, &ImplicitConfig { k, jobs });
+                let what = format!("k={k} jobs={jobs} cube={cube:?}");
+                assert_eq!(report.valid_inputs, valid.len() as u128, "{what}");
+                assert_eq!(report.reachable_states, reach.len() as u128, "{what}");
+                assert_eq!(
+                    report.reachable_cells,
+                    (reach.len() * valid.len()) as u128,
+                    "{what}"
+                );
+                assert_eq!(
+                    report.transfer_detected,
+                    detected.iter().sum::<u128>(),
+                    "{what}"
+                );
+                // The total could hide two flips' counts trading places:
+                // check each latch's query too.
+                let mut pf = PairFsm::from_netlist(&n);
+                let v = constraint(&mut pf);
+                pf.set_valid_inputs(v);
+                let prep = pf.transfer_detect_prep(&n.initial_state(), k);
+                for (j, &d) in detected.iter().enumerate() {
+                    assert_eq!(pf.transfer_flip_detectable(&prep, j), d, "{what} flip {j}");
+                }
+            }
         },
     );
 }

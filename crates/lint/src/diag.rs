@@ -9,7 +9,7 @@
 //! model vocabulary (state, transition, latch, signal, abstraction class)
 //! rather than a file/line pair.
 
-use crate::json::json_escape;
+use simcov_obs::json;
 use std::fmt;
 
 /// How a diagnostic affects the lint verdict.
@@ -147,7 +147,7 @@ impl Location {
             out.push_str(",\"");
             out.push_str(k);
             out.push_str("\":\"");
-            out.push_str(&json_escape(v));
+            out.push_str(&json::escape(v));
             out.push('"');
         };
         out.push_str("{\"kind\":\"");
@@ -450,7 +450,7 @@ impl Diagnostics {
                 d.code.code, d.code.name, d.severity
             ));
             d.location.render_json(&mut s);
-            s.push_str(&format!(",\"message\":\"{}\"", json_escape(&d.message)));
+            s.push_str(&format!(",\"message\":\"{}\"", json::escape(&d.message)));
             if !d.notes.is_empty() {
                 s.push_str(",\"notes\":[");
                 for (j, n) in d.notes.iter().enumerate() {
@@ -458,7 +458,7 @@ impl Diagnostics {
                         s.push(',');
                     }
                     s.push('"');
-                    s.push_str(&json_escape(n));
+                    s.push_str(&json::escape(n));
                     s.push('"');
                 }
                 s.push(']');

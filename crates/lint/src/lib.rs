@@ -51,7 +51,6 @@
 pub mod abstraction;
 pub mod codes;
 pub mod diag;
-mod json;
 pub mod model;
 pub mod netlist;
 

@@ -19,19 +19,7 @@ fn mark_cone(n: &Netlist, root: SignalId, seen: &mut [bool]) {
             continue;
         }
         seen[idx] = true;
-        match n.node(s) {
-            NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::LatchOut(_) => {}
-            NodeKind::Not(a) => stack.push(a),
-            NodeKind::And(a, b) | NodeKind::Or(a, b) | NodeKind::Xor(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            NodeKind::Mux(a, b, c) => {
-                stack.push(a);
-                stack.push(b);
-                stack.push(c);
-            }
-        }
+        stack.extend(n.fanin(s));
     }
 }
 

@@ -37,12 +37,15 @@ impl InputId {
     }
 }
 
-/// A gate in the combinational DAG.
+/// A gate of the combinational DAG, generic over its operands: the node
+/// table stores [`NodeKind`]s (operands are [`SignalId`]s), and
+/// [`Netlist::fold`] hands its closure `Gate`s whose operands are the
+/// closure's own results for those signals.
 ///
 /// The node set is minimal but complete (`Mux` is included because control
 /// logic is mux-heavy and it keeps cones readable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeKind {
+pub enum Gate<S> {
     /// Constant 0 or 1.
     Const(bool),
     /// Primary input.
@@ -50,16 +53,19 @@ pub enum NodeKind {
     /// Output of a latch (current-state bit).
     LatchOut(LatchId),
     /// Negation.
-    Not(SignalId),
+    Not(S),
     /// Conjunction.
-    And(SignalId, SignalId),
+    And(S, S),
     /// Disjunction.
-    Or(SignalId, SignalId),
+    Or(S, S),
     /// Exclusive or.
-    Xor(SignalId, SignalId),
+    Xor(S, S),
     /// `Mux(sel, t, e)` = `sel ? t : e`.
-    Mux(SignalId, SignalId, SignalId),
+    Mux(S, S, S),
 }
+
+/// A node of the netlist's gate DAG.
+pub type NodeKind = Gate<SignalId>;
 
 /// A state element: a D-latch clocked by the single global clock.
 #[derive(Debug, Clone)]
@@ -362,6 +368,46 @@ impl Netlist {
         self.latches.iter().map(|l| l.init).collect()
     }
 
+    /// One forward pass over the node table: hands each node to `f` with
+    /// its operands replaced by `f`'s results for them, and returns every
+    /// node's result (indexable by [`SignalId::index`]). Nodes are stored
+    /// in topological order (operands precede users), so each operand is
+    /// ready before its users and `f` sees the nodes in index order.
+    pub fn fold<T: Copy>(&self, mut f: impl FnMut(Gate<T>) -> T) -> Vec<T> {
+        let mut vals: Vec<T> = Vec::with_capacity(self.nodes.len());
+        for &kind in &self.nodes {
+            let val = |s: SignalId| vals[s.index()];
+            // `f` is called in every arm rather than once on a mapped gate:
+            // each inlined copy then matches a known variant, which keeps
+            // `eval_all` at the speed of a hand-written loop.
+            let v = match kind {
+                Gate::Const(c) => f(Gate::Const(c)),
+                Gate::Input(i) => f(Gate::Input(i)),
+                Gate::LatchOut(l) => f(Gate::LatchOut(l)),
+                Gate::Not(a) => f(Gate::Not(val(a))),
+                Gate::And(a, b) => f(Gate::And(val(a), val(b))),
+                Gate::Or(a, b) => f(Gate::Or(val(a), val(b))),
+                Gate::Xor(a, b) => f(Gate::Xor(val(a), val(b))),
+                Gate::Mux(s, t, e) => f(Gate::Mux(val(s), val(t), val(e))),
+            };
+            vals.push(v);
+        }
+        vals
+    }
+
+    /// The operands of `sig`'s gate, in operand order, for backward cone
+    /// walks. Constants, inputs and latch outputs have none: a cone stops
+    /// at a latch boundary.
+    pub fn fanin(&self, sig: SignalId) -> impl Iterator<Item = SignalId> {
+        let (ops, len) = match self.node(sig) {
+            NodeKind::Const(_) | NodeKind::Input(_) | NodeKind::LatchOut(_) => ([sig; 3], 0),
+            NodeKind::Not(a) => ([a; 3], 1),
+            NodeKind::And(a, b) | NodeKind::Or(a, b) | NodeKind::Xor(a, b) => ([a, b, b], 2),
+            NodeKind::Mux(s, t, e) => ([s, t, e], 3),
+        };
+        ops.into_iter().take(len)
+    }
+
     /// Evaluates every node under the given state and input vectors,
     /// returning the full value table (indexable by [`SignalId::index`]).
     ///
@@ -371,28 +417,22 @@ impl Netlist {
     pub fn eval_all(&self, state: &[bool], inputs: &[bool]) -> Vec<bool> {
         assert_eq!(state.len(), self.latches.len(), "state width mismatch");
         assert_eq!(inputs.len(), self.inputs.len(), "input width mismatch");
-        let mut vals = vec![false; self.nodes.len()];
-        // Nodes are created in topological order (operands precede users),
-        // so a single forward pass evaluates everything.
-        for (i, kind) in self.nodes.iter().enumerate() {
-            vals[i] = match *kind {
-                NodeKind::Const(v) => v,
-                NodeKind::Input(id) => inputs[id.index()],
-                NodeKind::LatchOut(id) => state[id.index()],
-                NodeKind::Not(a) => !vals[a.index()],
-                NodeKind::And(a, b) => vals[a.index()] && vals[b.index()],
-                NodeKind::Or(a, b) => vals[a.index()] || vals[b.index()],
-                NodeKind::Xor(a, b) => vals[a.index()] ^ vals[b.index()],
-                NodeKind::Mux(s, t, e) => {
-                    if vals[s.index()] {
-                        vals[t.index()]
-                    } else {
-                        vals[e.index()]
-                    }
+        self.fold(|g: Gate<bool>| match g {
+            Gate::Const(v) => v,
+            Gate::Input(id) => inputs[id.index()],
+            Gate::LatchOut(id) => state[id.index()],
+            Gate::Not(a) => !a,
+            Gate::And(a, b) => a && b,
+            Gate::Or(a, b) => a || b,
+            Gate::Xor(a, b) => a ^ b,
+            Gate::Mux(s, t, e) => {
+                if s {
+                    t
+                } else {
+                    e
                 }
-            };
-        }
-        vals
+            }
+        })
     }
 
     /// Advances the circuit one clock cycle: returns `(next_state,
@@ -427,17 +467,14 @@ impl Netlist {
             }
         }
         let n = self.nodes.len() as u32;
-        let mut check_sig = |s: SignalId, what: &str| {
-            if s.0 >= n {
-                problems.push(format!("{what}: dangling signal {}", s.0));
-            }
-        };
         for (name, s) in &self.outputs {
-            check_sig(*s, &format!("output `{name}`"));
+            if s.0 >= n {
+                problems.push(format!("output `{name}`: dangling signal {}", s.0));
+            }
         }
         for l in &self.latches {
-            if let Some(nx) = l.next {
-                check_sig(nx, &format!("latch `{}` next", l.name));
+            if let Some(nx) = l.next.filter(|nx| nx.0 >= n) {
+                problems.push(format!("latch `{}` next: dangling signal {}", l.name, nx.0));
             }
         }
         problems

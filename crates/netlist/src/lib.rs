@@ -17,7 +17,15 @@
 //!   needed — control logic is bit-level).
 //! * Structural transforms live in [`transform`]: cone-of-influence
 //!   analysis, sweeping, latch/module removal with cut-signals-to-inputs
-//!   semantics, one-hot → binary re-encoding.
+//!   semantics, one-hot → binary re-encoding. Each is a set of per-input
+//!   and per-latch plans for one rewriter.
+//!
+//! This crate is the only one that matches on a gate's kind. Everything
+//! else walks the DAG through two methods: [`Netlist::fold`], one forward
+//! pass that hands each node to a closure as a [`Gate`] over the
+//! closure's own results for its operands (the evaluator, constant
+//! propagation and the BDD lowering in `simcov-fsm` are folds), and
+//! [`Netlist::fanin`], a node's operands for backward cone walks.
 //!
 //! # Example
 //!
@@ -41,9 +49,10 @@
 pub mod blif;
 mod build;
 mod circuit;
-mod packed;
 pub mod transform;
 
 pub use blif::{from_blif, to_blif, BlifError};
 pub use build::Word;
-pub use circuit::{InputId, Latch, LatchId, Netlist, NetlistStats, NodeKind, SignalId, SimState};
+pub use circuit::{
+    Gate, InputId, Latch, LatchId, Netlist, NetlistStats, NodeKind, SignalId, SimState,
+};

@@ -13,14 +13,17 @@
 //! and unused primary inputs disappear from the statistics — the latch
 //! counts of Fig 3(b) are exactly `result.stats().latches`.
 
-use crate::circuit::{InputId, LatchId, Netlist, NodeKind, SignalId};
-use std::collections::{HashMap, HashSet};
+use crate::circuit::{Gate, LatchId, Netlist, NodeKind, SignalId};
+use std::collections::HashSet;
 
 /// How the rewriter treats each source latch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Plan {
     /// Copy the latch into the destination.
     Keep,
+    /// Remove the latch; nothing reachable from the outputs reads it
+    /// (the sweep's plan for dead state).
+    Drop,
     /// Remove the latch; its output becomes a fresh primary input
     /// (the paper's cut-signals-become-inputs semantics).
     CutToInput,
@@ -33,6 +36,17 @@ enum Plan {
     /// Member of a one-hot group being re-encoded: uses of its output are
     /// replaced by a decode of the group's new binary register.
     OneHotMember,
+}
+
+/// How the rewriter treats each source primary input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InputPlan {
+    /// Copy the input into the destination.
+    Keep,
+    /// Remove the input; nothing reachable from the outputs reads it.
+    Drop,
+    /// Remove the input; its uses read a constant instead.
+    Constant(bool),
 }
 
 /// A one-hot latch group scheduled for binary re-encoding.
@@ -76,56 +90,70 @@ impl std::fmt::Display for ReencodeError {
 
 impl std::error::Error for ReencodeError {}
 
+/// Copies a netlist under per-input and per-latch plans: every transform
+/// in this module is one plan set. Cones are mapped on demand, depth
+/// first in operand order, so the destination's node order is a function
+/// of the source and the plans alone.
 struct Rewriter<'a> {
     src: &'a Netlist,
     dst: Netlist,
     plans: Vec<Plan>,
-    memo: HashMap<SignalId, SignalId>,
-    input_sigs: Vec<SignalId>,
-    kept_latch_out: HashMap<u32, SignalId>,
-    cut_input_out: HashMap<u32, SignalId>,
-    group_decode: HashMap<u32, SignalId>,
+    memo: Vec<Option<SignalId>>,
+    /// Destination signal of each source input (`None` when dropped).
+    input_sigs: Vec<Option<SignalId>>,
+    /// Destination signal standing for each kept, cut or one-hot member
+    /// latch's output.
+    latch_sigs: Vec<Option<SignalId>>,
+    /// `(source latch, destination latch)` for each kept latch.
+    kept: Vec<(usize, LatchId)>,
     group_handles: Vec<crate::build::RegisterHandle>,
-    bypass_stack: HashSet<u32>,
+    bypass_stack: HashSet<usize>,
 }
 
 impl<'a> Rewriter<'a> {
-    fn new(src: &'a Netlist, plans: Vec<Plan>, groups: &[OneHotGroup]) -> Self {
+    fn new(
+        src: &'a Netlist,
+        inputs: &[InputPlan],
+        plans: Vec<Plan>,
+        groups: &[OneHotGroup],
+    ) -> Self {
+        assert_eq!(inputs.len(), src.num_inputs());
         assert_eq!(plans.len(), src.num_latches());
         let mut dst = Netlist::new();
         // Inputs first, preserving order and names.
-        let input_sigs: Vec<SignalId> = src
+        let input_sigs = src
             .input_names()
-            .map(|n| dst.add_input(n.to_string()))
-            .collect::<Vec<_>>();
+            .zip(inputs)
+            .map(|(name, plan)| match *plan {
+                InputPlan::Keep => Some(dst.add_input(name.to_string())),
+                InputPlan::Drop => None,
+                InputPlan::Constant(v) => Some(dst.constant(v)),
+            })
+            .collect();
         // Kept latches next, preserving order, names, modules and inits.
-        let mut kept_latch_out = HashMap::new();
+        let mut latch_sigs = vec![None; src.num_latches()];
+        let mut kept = Vec::new();
         for (i, l) in src.latches().iter().enumerate() {
             if plans[i] == Plan::Keep {
                 let nl = dst.add_latch_in(l.name.clone(), l.init, l.module.clone());
-                let out = dst.latch_output(nl);
-                kept_latch_out.insert(i as u32, out);
+                latch_sigs[i] = Some(dst.latch_output(nl));
+                kept.push((i, nl));
             }
         }
         // Fresh inputs for cut latches (named after the latch).
-        let mut cut_input_out = HashMap::new();
         for (i, l) in src.latches().iter().enumerate() {
             if plans[i] == Plan::CutToInput {
-                let sig = dst.add_input(format!("cut:{}", l.name));
-                cut_input_out.insert(i as u32, sig);
+                latch_sigs[i] = Some(dst.add_input(format!("cut:{}", l.name)));
             }
         }
         // Binary registers for one-hot groups, plus per-member decodes.
-        let mut group_decode = HashMap::new();
         let mut group_handles = Vec::new();
         for g in groups {
             let width = bits_for(g.members.len() as u64);
             let (word, handle) =
                 crate::build::Word::register(&mut dst, &g.new_name, width, g.init_index, &g.module);
-            // Decode expressions for each member.
             for (idx, &m) in g.members.iter().enumerate() {
-                let dec = word.eq_const(&mut dst, idx as u64);
-                group_decode.insert(m.0, dec);
+                latch_sigs[m.index()] = Some(word.eq_const(&mut dst, idx as u64));
             }
             // Handles are kept so the binary next functions can be wired
             // after the member next-state cones have been mapped.
@@ -135,41 +163,37 @@ impl<'a> Rewriter<'a> {
             src,
             dst,
             plans,
-            memo: HashMap::new(),
+            memo: vec![None; src.num_nodes()],
             input_sigs,
-            kept_latch_out,
-            cut_input_out,
-            group_decode,
+            latch_sigs,
+            kept,
             group_handles,
             bypass_stack: HashSet::new(),
         }
     }
 
     fn map(&mut self, sig: SignalId) -> SignalId {
-        if let Some(&m) = self.memo.get(&sig) {
+        if let Some(m) = self.memo[sig.index()] {
             return m;
         }
         let mapped = match self.src.node(sig) {
             NodeKind::Const(v) => self.dst.constant(v),
-            NodeKind::Input(InputId(i)) => self.input_sigs[i as usize],
-            NodeKind::LatchOut(LatchId(l)) => match self.plans[l as usize].clone() {
-                Plan::Keep => self.kept_latch_out[&l],
-                Plan::CutToInput => self.cut_input_out[&l],
+            NodeKind::Input(i) => self.input_sigs[i.index()].expect("a dropped input is unread"),
+            NodeKind::LatchOut(l) => match self.plans[l.index()] {
                 Plan::Constant(v) => self.dst.constant(v),
-                Plan::OneHotMember => self.group_decode[&l],
                 Plan::Bypass => {
+                    let latch = &self.src.latches()[l.index()];
                     assert!(
-                        self.bypass_stack.insert(l),
+                        self.bypass_stack.insert(l.index()),
                         "bypass cycle through latch `{}`",
-                        self.src.latches()[l as usize].name
+                        latch.name
                     );
-                    let next = self.src.latches()[l as usize]
-                        .next
-                        .expect("bypassed latch has no next function");
+                    let next = latch.next.expect("bypassed latch has no next function");
                     let r = self.map(next);
-                    self.bypass_stack.remove(&l);
+                    self.bypass_stack.remove(&l.index());
                     r
                 }
+                _ => self.latch_sigs[l.index()].expect("a dropped latch is unread"),
             },
             NodeKind::Not(a) => {
                 let a = self.map(a);
@@ -192,24 +216,18 @@ impl<'a> Rewriter<'a> {
                 self.dst.mux(s, t, e)
             }
         };
-        self.memo.insert(sig, mapped);
+        self.memo[sig.index()] = Some(mapped);
         mapped
     }
 
     fn finish(mut self, groups: &[OneHotGroup], keep_output: impl Fn(&str) -> bool) -> Netlist {
         // Wire kept latches' next functions.
-        for i in 0..self.src.num_latches() {
-            if self.plans[i] == Plan::Keep {
-                let next = self.src.latches()[i]
-                    .next
-                    .expect("kept latch has no next function");
-                let mapped = self.map(next);
-                let dst_latch = self
-                    .dst
-                    .latch_by_name(&self.src.latches()[i].name)
-                    .expect("kept latch present in destination");
-                self.dst.set_latch_next(dst_latch, mapped);
-            }
+        for (i, dst_latch) in std::mem::take(&mut self.kept) {
+            let next = self.src.latches()[i]
+                .next
+                .expect("kept latch has no next function");
+            let mapped = self.map(next);
+            self.dst.set_latch_next(dst_latch, mapped);
         }
         // Wire one-hot groups: binary bit j next = OR of mapped old nexts
         // whose member index has bit j set.
@@ -253,120 +271,55 @@ fn bits_for(n: u64) -> usize {
     (64 - (n - 1).leading_zeros()) as usize
 }
 
+/// Rewrites `src` under the given plans, keeping the outputs `keep_output`
+/// accepts.
+fn rewrite(
+    src: &Netlist,
+    inputs: &[InputPlan],
+    plans: Vec<Plan>,
+    groups: &[OneHotGroup],
+    keep_output: impl Fn(&str) -> bool,
+) -> Netlist {
+    Rewriter::new(src, inputs, plans, groups).finish(groups, keep_output)
+}
+
 /// Removes logic, latches and primary inputs that cannot influence any
 /// primary output (directly or through state). Order and names of the
 /// survivors are preserved.
 pub fn sweep(src: &Netlist) -> Netlist {
-    // Mark latches transitively read from outputs.
-    let mut marked_latches: HashSet<u32> = HashSet::new();
-    let mut marked_inputs: HashSet<u32> = HashSet::new();
-    let mut visited: HashSet<u32> = HashSet::new();
+    // Mark the inputs and latches transitively read from outputs.
+    let mut live_inputs = vec![false; src.num_inputs()];
+    let mut live_latches = vec![false; src.num_latches()];
+    let mut visited = vec![false; src.num_nodes()];
     let mut stack: Vec<SignalId> = src.outputs().iter().map(|&(_, s)| s).collect();
     while let Some(sig) = stack.pop() {
-        if !visited.insert(sig.0) {
+        if std::mem::replace(&mut visited[sig.index()], true) {
             continue;
         }
         match src.node(sig) {
-            NodeKind::Const(_) => {}
-            NodeKind::Input(InputId(i)) => {
-                marked_inputs.insert(i);
+            NodeKind::Input(i) => live_inputs[i.index()] = true,
+            NodeKind::LatchOut(l) => {
+                live_latches[l.index()] = true;
+                stack.extend(src.latches()[l.index()].next);
             }
-            NodeKind::LatchOut(LatchId(l)) => {
-                if marked_latches.insert(l) {
-                    if let Some(next) = src.latches()[l as usize].next {
-                        stack.push(next);
-                    }
-                }
-            }
-            NodeKind::Not(a) => stack.push(a),
-            NodeKind::And(a, b) | NodeKind::Or(a, b) | NodeKind::Xor(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            NodeKind::Mux(s, t, e) => {
-                stack.push(s);
-                stack.push(t);
-                stack.push(e);
-            }
+            _ => stack.extend(src.fanin(sig)),
         }
     }
-    // Rebuild with only marked inputs and latches.
-    let mut dst = Netlist::new();
-    let mut input_map: HashMap<u32, SignalId> = HashMap::new();
-    for (i, name) in src.input_names().enumerate() {
-        if marked_inputs.contains(&(i as u32)) {
-            input_map.insert(i as u32, dst.add_input(name.to_string()));
-        }
-    }
-    let mut latch_out_map: HashMap<u32, SignalId> = HashMap::new();
-    let mut kept: Vec<u32> = Vec::new();
-    for (i, l) in src.latches().iter().enumerate() {
-        if marked_latches.contains(&(i as u32)) {
-            let nl = dst.add_latch_in(l.name.clone(), l.init, l.module.clone());
-            latch_out_map.insert(i as u32, dst.latch_output(nl));
-            kept.push(i as u32);
-        }
-    }
-    fn map_sig(
-        src: &Netlist,
-        dst: &mut Netlist,
-        sig: SignalId,
-        input_map: &HashMap<u32, SignalId>,
-        latch_out_map: &HashMap<u32, SignalId>,
-        memo: &mut HashMap<u32, SignalId>,
-    ) -> SignalId {
-        if let Some(&m) = memo.get(&sig.0) {
-            return m;
-        }
-        let r = match src.node(sig) {
-            NodeKind::Const(v) => dst.constant(v),
-            NodeKind::Input(InputId(i)) => input_map[&i],
-            NodeKind::LatchOut(LatchId(l)) => latch_out_map[&l],
-            NodeKind::Not(a) => {
-                let a = map_sig(src, dst, a, input_map, latch_out_map, memo);
-                dst.not(a)
+    let inputs: Vec<InputPlan> = live_inputs
+        .iter()
+        .map(|&live| {
+            if live {
+                InputPlan::Keep
+            } else {
+                InputPlan::Drop
             }
-            NodeKind::And(a, b) => {
-                let a = map_sig(src, dst, a, input_map, latch_out_map, memo);
-                let b = map_sig(src, dst, b, input_map, latch_out_map, memo);
-                dst.and(a, b)
-            }
-            NodeKind::Or(a, b) => {
-                let a = map_sig(src, dst, a, input_map, latch_out_map, memo);
-                let b = map_sig(src, dst, b, input_map, latch_out_map, memo);
-                dst.or(a, b)
-            }
-            NodeKind::Xor(a, b) => {
-                let a = map_sig(src, dst, a, input_map, latch_out_map, memo);
-                let b = map_sig(src, dst, b, input_map, latch_out_map, memo);
-                dst.xor(a, b)
-            }
-            NodeKind::Mux(s, t, e) => {
-                let s = map_sig(src, dst, s, input_map, latch_out_map, memo);
-                let t = map_sig(src, dst, t, input_map, latch_out_map, memo);
-                let e = map_sig(src, dst, e, input_map, latch_out_map, memo);
-                dst.mux(s, t, e)
-            }
-        };
-        memo.insert(sig.0, r);
-        r
-    }
-    let mut memo = HashMap::new();
-    for &i in &kept {
-        let next = src.latches()[i as usize]
-            .next
-            .expect("marked latch has no next function");
-        let mapped = map_sig(src, &mut dst, next, &input_map, &latch_out_map, &mut memo);
-        let dl = dst
-            .latch_by_name(&src.latches()[i as usize].name)
-            .expect("kept latch present");
-        dst.set_latch_next(dl, mapped);
-    }
-    for (name, sig) in src.outputs() {
-        let mapped = map_sig(src, &mut dst, *sig, &input_map, &latch_out_map, &mut memo);
-        dst.add_output(name.clone(), mapped);
-    }
-    dst
+        })
+        .collect();
+    let plans = live_latches
+        .iter()
+        .map(|&live| if live { Plan::Keep } else { Plan::Drop })
+        .collect();
+    rewrite(src, &inputs, plans, &[], |_| true)
 }
 
 fn apply_plans(
@@ -375,9 +328,8 @@ fn apply_plans(
     groups: &[OneHotGroup],
     keep_output: impl Fn(&str) -> bool,
 ) -> Netlist {
-    let rw = Rewriter::new(src, plans, groups);
-    let out = rw.finish(groups, keep_output);
-    sweep(&out)
+    let inputs = vec![InputPlan::Keep; src.num_inputs()];
+    sweep(&rewrite(src, &inputs, plans, groups, keep_output))
 }
 
 /// Removes the latches selected by `pred`; their outputs become fresh
@@ -477,76 +429,18 @@ pub fn remove_outputs(src: &Netlist, keep: impl Fn(&str) -> bool) -> Netlist {
 /// Unknown names are ignored (tying an already-removed input is a no-op).
 pub fn tie_inputs(src: &Netlist, names: &[&str], value: bool) -> Netlist {
     let tied: HashSet<&str> = names.iter().copied().collect();
-    let mut dst = Netlist::new();
-    let mut input_map: HashMap<u32, SignalId> = HashMap::new();
-    for (i, name) in src.input_names().enumerate() {
-        if tied.contains(name) {
-            input_map.insert(i as u32, dst.constant(value));
-        } else {
-            input_map.insert(i as u32, dst.add_input(name.to_string()));
-        }
-    }
-    let mut latch_out_map: HashMap<u32, SignalId> = HashMap::new();
-    for l in src.latches() {
-        let nl = dst.add_latch_in(l.name.clone(), l.init, l.module.clone());
-        latch_out_map.insert(nl.0, dst.latch_output(nl));
-    }
-    let mut memo: HashMap<u32, SignalId> = HashMap::new();
-    // Reuse the sweep mapper shape via a local recursive copy.
-    fn map_sig(
-        src: &Netlist,
-        dst: &mut Netlist,
-        sig: SignalId,
-        input_map: &HashMap<u32, SignalId>,
-        latch_out_map: &HashMap<u32, SignalId>,
-        memo: &mut HashMap<u32, SignalId>,
-    ) -> SignalId {
-        if let Some(&m) = memo.get(&sig.0) {
-            return m;
-        }
-        let r = match src.node(sig) {
-            NodeKind::Const(v) => dst.constant(v),
-            NodeKind::Input(InputId(i)) => input_map[&i],
-            NodeKind::LatchOut(LatchId(l)) => latch_out_map[&l],
-            NodeKind::Not(a) => {
-                let a = map_sig(src, dst, a, input_map, latch_out_map, memo);
-                dst.not(a)
+    let inputs: Vec<InputPlan> = src
+        .input_names()
+        .map(|name| {
+            if tied.contains(name) {
+                InputPlan::Constant(value)
+            } else {
+                InputPlan::Keep
             }
-            NodeKind::And(a, b) => {
-                let a = map_sig(src, dst, a, input_map, latch_out_map, memo);
-                let b = map_sig(src, dst, b, input_map, latch_out_map, memo);
-                dst.and(a, b)
-            }
-            NodeKind::Or(a, b) => {
-                let a = map_sig(src, dst, a, input_map, latch_out_map, memo);
-                let b = map_sig(src, dst, b, input_map, latch_out_map, memo);
-                dst.or(a, b)
-            }
-            NodeKind::Xor(a, b) => {
-                let a = map_sig(src, dst, a, input_map, latch_out_map, memo);
-                let b = map_sig(src, dst, b, input_map, latch_out_map, memo);
-                dst.xor(a, b)
-            }
-            NodeKind::Mux(s, t, e) => {
-                let s = map_sig(src, dst, s, input_map, latch_out_map, memo);
-                let t = map_sig(src, dst, t, input_map, latch_out_map, memo);
-                let e = map_sig(src, dst, e, input_map, latch_out_map, memo);
-                dst.mux(s, t, e)
-            }
-        };
-        memo.insert(sig.0, r);
-        r
-    }
-    for (i, l) in src.latches().iter().enumerate() {
-        let next = l.next.expect("latch has a next function");
-        let mapped = map_sig(src, &mut dst, next, &input_map, &latch_out_map, &mut memo);
-        dst.set_latch_next(LatchId(i as u32), mapped);
-    }
-    for (name, sig) in src.outputs() {
-        let mapped = map_sig(src, &mut dst, *sig, &input_map, &latch_out_map, &mut memo);
-        dst.add_output(name.clone(), mapped);
-    }
-    sweep(&dst)
+        })
+        .collect();
+    let plans = vec![Plan::Keep; src.num_latches()];
+    sweep(&rewrite(src, &inputs, plans, &[], |_| true))
 }
 
 /// Sequential constant sweeping: finds the *greatest* set of latches
@@ -560,17 +454,19 @@ pub fn tie_inputs(src: &Netlist, names: &[&str], value: bool) -> Netlist {
 /// all members hold their init value at reset, and if they all hold it at
 /// cycle `t` they all hold it at `t + 1`. This catches self-holding
 /// registers (`next = mux(c, self, 0)`) and mutually-holding groups, not
-/// just syntactically-constant next functions.
+/// just syntactically-constant next functions. Each round propagates once
+/// over the whole netlist; since propagation is monotone in the assumed
+/// set, the rounds descend to the unique greatest fixpoint.
 pub fn fold_constant_latches(src: &Netlist) -> Netlist {
     // assumed[l] = Some(init) while latch l is still assumed stuck.
     let mut assumed: Vec<Option<bool>> = src.latches().iter().map(|l| Some(l.init)).collect();
     loop {
+        let vals = const_eval(src, &assumed);
         let mut changed = false;
-        for l in 0..src.num_latches() {
+        for (l, latch) in src.latches().iter().enumerate() {
             let Some(init) = assumed[l] else { continue };
-            let next = src.latches()[l].next.expect("latch has a next function");
-            let mut memo: HashMap<u32, Option<bool>> = HashMap::new();
-            if const_eval(src, next, &assumed, &mut memo) != Some(init) {
+            let next = latch.next.expect("latch has a next function");
+            if vals[next.index()] != Some(init) {
                 assumed[l] = None;
                 changed = true;
             }
@@ -585,64 +481,31 @@ pub fn fold_constant_latches(src: &Netlist) -> Netlist {
     constant_fold_latches(src, |id, _| assumed[id.index()].is_some())
 }
 
-/// Constant propagation over a cone with some latches assumed stuck at
-/// known values; `None` = value depends on inputs or non-stuck latches.
-fn const_eval(
-    src: &Netlist,
-    sig: SignalId,
-    assumed: &[Option<bool>],
-    memo: &mut HashMap<u32, Option<bool>>,
-) -> Option<bool> {
-    if let Some(&v) = memo.get(&sig.0) {
-        return v;
-    }
-    let r = match src.node(sig) {
-        NodeKind::Const(v) => Some(v),
-        NodeKind::Input(_) => None,
-        NodeKind::LatchOut(LatchId(l)) => assumed[l as usize],
-        NodeKind::Not(a) => const_eval(src, a, assumed, memo).map(|v| !v),
-        NodeKind::And(a, b) => {
-            let va = const_eval(src, a, assumed, memo);
-            let vb = const_eval(src, b, assumed, memo);
-            match (va, vb) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            }
-        }
-        NodeKind::Or(a, b) => {
-            let va = const_eval(src, a, assumed, memo);
-            let vb = const_eval(src, b, assumed, memo);
-            match (va, vb) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            }
-        }
-        NodeKind::Xor(a, b) => {
-            let va = const_eval(src, a, assumed, memo)?;
-            let vb = const_eval(src, b, assumed, memo)?;
-            Some(va ^ vb)
-        }
-        NodeKind::Mux(s, t, e) => {
-            let vs = const_eval(src, s, assumed, memo);
-            match vs {
-                Some(true) => const_eval(src, t, assumed, memo),
-                Some(false) => const_eval(src, e, assumed, memo),
-                None => {
-                    let vt = const_eval(src, t, assumed, memo)?;
-                    let ve = const_eval(src, e, assumed, memo)?;
-                    if vt == ve {
-                        Some(vt)
-                    } else {
-                        None
-                    }
-                }
-            }
-        }
-    };
-    memo.insert(sig.0, r);
-    r
+/// Constant propagation over every node with some latches assumed stuck
+/// at known values; `None` = value depends on inputs or non-stuck latches.
+fn const_eval(src: &Netlist, assumed: &[Option<bool>]) -> Vec<Option<bool>> {
+    src.fold(|g: Gate<Option<bool>>| match g {
+        Gate::Const(v) => Some(v),
+        Gate::Input(_) => None,
+        Gate::LatchOut(l) => assumed[l.index()],
+        Gate::Not(a) => a.map(|v| !v),
+        Gate::And(a, b) => match (a, b) {
+            (Some(false), _) | (_, Some(false)) => Some(false),
+            (Some(true), Some(true)) => Some(true),
+            _ => None,
+        },
+        Gate::Or(a, b) => match (a, b) {
+            (Some(true), _) | (_, Some(true)) => Some(true),
+            (Some(false), Some(false)) => Some(false),
+            _ => None,
+        },
+        Gate::Xor(a, b) => a.zip(b).map(|(a, b)| a ^ b),
+        Gate::Mux(s, t, e) => match s {
+            Some(true) => t,
+            Some(false) => e,
+            None => t.filter(|_| t == e),
+        },
+    })
 }
 
 /// Re-encodes a one-hot latch group as a binary register — Fig 3(b)'s

@@ -358,6 +358,16 @@ mod tests {
     }
 
     #[test]
+    fn escapes_specials() {
+        assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("a\"b"), "a\\\"b");
+        assert_eq!(escape("a\\b"), "a\\\\b");
+        assert_eq!(escape("a\nb\tc"), "a\\nb\\tc");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("ünïcode"), "ünïcode");
+    }
+
+    #[test]
     fn escape_roundtrips_through_parse() {
         let nasty = "a\"b\\c\nd\te\r\u{1}é";
         let doc = format!("{{\"k\":\"{}\"}}", escape(nasty));
