@@ -10,8 +10,12 @@
 //! * the `ITE` operator and derived Boolean connectives,
 //! * existential/universal quantification and the combined
 //!   *relational product* (`and_exists`) used by image computation,
-//! * variable substitution ([`BddManager::compose`]) and renaming
+//! * simultaneous substitution ([`BddManager::substitute`], with
+//!   [`BddManager::compose`] and [`BddManager::restrict`] as its
+//!   one-variable and constant cases) and renaming
 //!   ([`BddManager::rename`]),
+//! * node reclamation from explicit roots
+//!   ([`BddManager::reclaim_since`]),
 //! * exact satisfying-assignment counting ([`BddManager::sat_count`]),
 //! * cube extraction ([`BddManager::pick_cube`]) and minterm iteration
 //!   ([`BddManager::cubes`]),

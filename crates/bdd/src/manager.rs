@@ -28,8 +28,10 @@ impl fmt::Display for Var {
 /// A handle to a BDD node owned by a [`BddManager`].
 ///
 /// Handles are plain indices: copying them is free, and they stay valid for
-/// the lifetime of the manager (nodes are never garbage collected out from
-/// under a live computation; see [`BddManager::clear_caches`]).
+/// the lifetime of the manager. The one exception is
+/// [`BddManager::reclaim_since`], which drops the nodes created since a
+/// mark that its roots do not reach (and renumbers the survivors above
+/// the mark); handles below the mark are never touched.
 ///
 /// The two terminal nodes are [`Bdd::FALSE`] and [`Bdd::TRUE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -73,6 +75,12 @@ const GC_MIN_NODES: usize = 1 << 16;
 /// Growth multiple over the last collection's node count that triggers
 /// the next cache-eviction collection.
 const GC_GROWTH_FACTOR: usize = 4;
+
+/// Initial slots of the unique table, of the ITE cache, and of each other
+/// operation cache.
+const UNIQUE_SLOTS: usize = 1 << 12;
+const ITE_CACHE_SLOTS: usize = 1 << 12;
+const OP_CACHE_SLOTS: usize = 1 << 10;
 
 #[derive(Clone, Copy)]
 pub(crate) struct Node {
@@ -135,7 +143,6 @@ pub struct BddManager {
     pub(crate) ite_cache: DirectCache,
     pub(crate) quant_cache: DirectCache,
     pub(crate) and_exists_cache: DirectCache,
-    pub(crate) compose_cache: DirectCache,
     num_vars: u32,
     pub(crate) stats: BddRuntimeStats,
     /// Node count at the last collection (or construction): the growth
@@ -166,11 +173,10 @@ impl BddManager {
         });
         BddManager {
             nodes,
-            unique: TripleMap::with_capacity_pow2(1 << 12),
-            ite_cache: DirectCache::with_capacity_pow2(1 << 12),
-            quant_cache: DirectCache::with_capacity_pow2(1 << 10),
-            and_exists_cache: DirectCache::with_capacity_pow2(1 << 10),
-            compose_cache: DirectCache::with_capacity_pow2(1 << 10),
+            unique: TripleMap::with_capacity_pow2(UNIQUE_SLOTS),
+            ite_cache: DirectCache::with_capacity_pow2(ITE_CACHE_SLOTS),
+            quant_cache: DirectCache::with_capacity_pow2(OP_CACHE_SLOTS),
+            and_exists_cache: DirectCache::with_capacity_pow2(OP_CACHE_SLOTS),
             num_vars,
             stats: BddRuntimeStats::default(),
             gc_node_floor: GC_MIN_NODES,
@@ -347,7 +353,6 @@ impl BddManager {
         self.ite_cache.clear();
         self.quant_cache.clear();
         self.and_exists_cache.clear();
-        self.compose_cache.clear();
     }
 
     /// Cumulative operation counters (see [`BddRuntimeStats`]).
@@ -374,6 +379,83 @@ impl BddManager {
         self.gc_node_floor = self.nodes.len().max(GC_MIN_NODES);
         self.stats.gc_collections += 1;
         true
+    }
+
+    /// Drops every node created since `mark` (a [`BddManager::num_nodes`]
+    /// reading) that none of `roots` reaches, and rewrites `roots` in place
+    /// to their new handles.
+    ///
+    /// The contract:
+    /// * every handle below `mark` — and so every handle taken before the
+    ///   reading — keeps its index and its function;
+    /// * each root keeps its function under its rewritten handle, and the
+    ///   survivors keep their relative order (children still precede
+    ///   parents);
+    /// * every other handle at or above `mark` is invalid afterwards.
+    ///
+    /// The unique table is rebuilt over the survivors, so rebuilding a
+    /// root's function returns the rewritten handle. The operation caches
+    /// are reallocated at their initial size, not cleared: a cleared cache
+    /// keeps its grown slot array, which every later clone would copy.
+    /// [`BddManager::runtime_stats`] is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` is below 2 (the terminals) or above
+    /// [`BddManager::num_nodes`].
+    pub fn reclaim_since(&mut self, mark: usize, roots: &mut [Bdd]) {
+        let len = self.nodes.len();
+        assert!(
+            (2..=len).contains(&mark),
+            "reclaim mark {mark} outside 2..={len}"
+        );
+        // `remap[i - mark]`: DEAD, LIVE (reached, not yet numbered), or
+        // the survivor's new index (always >= mark >= 2).
+        const DEAD: u32 = u32::MAX;
+        const LIVE: u32 = 0;
+        let above = |i: u32| i as usize >= mark;
+        let mut remap = vec![DEAD; len - mark];
+        let mut stack: Vec<u32> = roots.iter().map(|r| r.0).filter(|&i| above(i)).collect();
+        while let Some(i) = stack.pop() {
+            let slot = &mut remap[i as usize - mark];
+            if *slot == LIVE {
+                continue;
+            }
+            *slot = LIVE;
+            let n = self.nodes[i as usize];
+            stack.extend([n.low, n.high].into_iter().filter(|&c| above(c)));
+        }
+        // Children precede parents, so one forward pass sees each child's
+        // new index before any parent needs it.
+        let mut next = mark;
+        for i in mark..len {
+            if remap[i - mark] == DEAD {
+                continue;
+            }
+            let mut n = self.nodes[i];
+            for c in [&mut n.low, &mut n.high] {
+                if above(*c) {
+                    *c = remap[*c as usize - mark];
+                }
+            }
+            self.nodes[next] = n;
+            remap[i - mark] = next as u32;
+            next += 1;
+        }
+        self.nodes.truncate(next);
+        self.nodes.shrink_to_fit();
+        for r in roots.iter_mut() {
+            if above(r.0) {
+                r.0 = remap[r.0 as usize - mark];
+            }
+        }
+        self.unique = TripleMap::with_capacity_pow2((2 * next).max(UNIQUE_SLOTS));
+        for (i, n) in self.nodes.iter().enumerate().skip(2) {
+            self.unique.insert(n.var, n.low, n.high, i as u32);
+        }
+        self.ite_cache = DirectCache::with_capacity_pow2(ITE_CACHE_SLOTS);
+        self.quant_cache = DirectCache::with_capacity_pow2(OP_CACHE_SLOTS);
+        self.and_exists_cache = DirectCache::with_capacity_pow2(OP_CACHE_SLOTS);
     }
 
     /// Approximate heap usage of the node store, in bytes. Useful for

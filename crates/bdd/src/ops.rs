@@ -1,7 +1,8 @@
 //! Boolean operations: ITE, connectives, quantification, relational
-//! product, composition and renaming.
+//! product, substitution and renaming.
 
 use crate::manager::{Bdd, BddManager, Var, TERMINAL_LEVEL};
+use crate::util::U32Map64;
 
 /// Tag values distinguishing operations that share the ternary cache.
 const TAG_EXISTS: u32 = 0;
@@ -287,29 +288,56 @@ impl BddManager {
         r
     }
 
+    /// Simultaneous substitution `f[v₁ := g₁, …, vₙ := gₙ]`: every listed
+    /// variable is replaced at once, so a `gᵢ` may mention any `vⱼ`
+    /// (its own included) and that occurrence still means the original
+    /// variable. This is the vector compose of a preimage: `E(δ(x, i))`
+    /// is `substitute(E, &[(x₀, δ₀), (x₁, δ₁), …])`. A variable listed
+    /// twice takes its last substitute.
+    ///
+    /// One memoized pass over `f`: each node becomes
+    /// `ite(gᵥ, high', low')` over its substituted children, and subgraphs
+    /// below the deepest listed variable are returned as they are.
+    pub fn substitute(&mut self, f: Bdd, subst: &[(Var, Bdd)]) -> Bdd {
+        let Some(deepest) = subst.iter().map(|(v, _)| v.0).max() else {
+            return f;
+        };
+        let mut table = vec![None; deepest as usize + 1];
+        for &(v, g) in subst {
+            table[v.0 as usize] = Some(g);
+        }
+        self.substitute_rec(f, &table, &mut U32Map64::new())
+    }
+
+    fn substitute_rec(&mut self, f: Bdd, table: &[Option<Bdd>], memo: &mut U32Map64) -> Bdd {
+        let (level, low, high) = self.expand(f);
+        // Terminals sit at `TERMINAL_LEVEL`, below every listed variable.
+        if level as usize >= table.len() {
+            return f;
+        }
+        if let Some(r) = memo.get(f.0) {
+            return Bdd(r as u32);
+        }
+        let r0 = self.substitute_rec(low, table, memo);
+        let r1 = self.substitute_rec(high, table, memo);
+        let r = match table[level as usize] {
+            Some(g) => self.ite(g, r1, r0),
+            None if (r0, r1) == (low, high) => f,
+            // Still ordered under `level`: no ITE needed.
+            None if level < self.level_of(r0).min(self.level_of(r1)) => self.mk_node(level, r0, r1),
+            None => {
+                let x = self.var(level);
+                self.ite(x, r1, r0)
+            }
+        };
+        memo.insert(f.0, r.0 as u64);
+        r
+    }
+
     /// Substitutes function `g` for variable `v` in `f` (Shannon-style
     /// composition `f[v := g]`).
     pub fn compose(&mut self, f: Bdd, v: Var, g: Bdd) -> Bdd {
-        let lf = self.level_of(f);
-        if lf > v.0 || f.is_const() {
-            // `v` cannot occur in f (all its variables are below v's level
-            // or f is terminal).
-            return f;
-        }
-        if let Some(r) = self.compose_cache.get(f.0, v.0, g.0) {
-            return Bdd(r);
-        }
-        let (f0, f1) = self.cofactors(f, lf);
-        let r = if lf == v.0 {
-            self.ite(g, f1, f0)
-        } else {
-            let r0 = self.compose(f0, v, g);
-            let r1 = self.compose(f1, v, g);
-            let x = self.var(lf);
-            self.ite(x, r1, r0)
-        };
-        self.compose_cache.insert(f.0, v.0, g.0, r.0);
-        r
+        self.substitute(f, &[(v, g)])
     }
 
     /// Renames variables of `f` according to `map` (pairs `(from, to)`).
@@ -367,11 +395,8 @@ impl BddManager {
     /// Cofactor of `f` under the partial assignment `lits`
     /// (`(var, polarity)` pairs).
     pub fn restrict(&mut self, f: Bdd, lits: &[(Var, bool)]) -> Bdd {
-        let mut acc = f;
-        for &(v, pol) in lits {
-            acc = self.compose(acc, v, self.constant(pol));
-        }
-        acc
+        let subst: Vec<(Var, Bdd)> = lits.iter().map(|&(v, b)| (v, self.constant(b))).collect();
+        self.substitute(f, &subst)
     }
 }
 

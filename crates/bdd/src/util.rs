@@ -165,7 +165,7 @@ impl TripleMap {
 }
 
 /// Direct-mapped *lossy* cache from `(u32, u32, u32)` to `u32`, for the
-/// operation caches (ITE, quantification, relational product, compose).
+/// operation caches (ITE, quantification, relational product).
 ///
 /// Unlike the unique table, an operation cache does not have to be exact: a
 /// dropped entry only means a sub-result may be recomputed, never a wrong

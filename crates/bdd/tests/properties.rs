@@ -206,6 +206,93 @@ fn compose_is_substitution() {
     });
 }
 
+/// `e` with every `Var(v)` leaf replaced by `by[v]`, where given.
+fn substitute_expr(e: &Expr, by: &[Option<&Expr>]) -> Expr {
+    let sub = |a: &Expr| Box::new(substitute_expr(a, by));
+    match e {
+        Expr::Var(v) => by[*v as usize].map_or(Expr::Var(*v), Expr::clone),
+        Expr::Const(b) => Expr::Const(*b),
+        Expr::Not(a) => Expr::Not(sub(a)),
+        Expr::And(a, b) => Expr::And(sub(a), sub(b)),
+        Expr::Or(a, b) => Expr::Or(sub(a), sub(b)),
+        Expr::Xor(a, b) => Expr::Xor(sub(a), sub(b)),
+        Expr::Ite(a, b, c) => Expr::Ite(sub(a), sub(b), sub(c)),
+    }
+}
+
+/// substitute is simultaneous substitution, including substitutes that
+/// mention the substituted variables themselves: it evaluates as the
+/// substituted expression and returns that expression's canonical node.
+#[test]
+fn substitute_is_simultaneous_substitution() {
+    forall("substitute_is_simultaneous_substitution", |gen| {
+        let e = expr(gen);
+        let pairs: Vec<(u32, Expr)> = gen.vec_of(0..4usize, |g| (g.int_in(0..NVARS), expr(g)));
+        let mut m = BddManager::new(NVARS);
+        let f = build(&mut m, &e);
+        let subst: Vec<(Var, Bdd)> = pairs
+            .iter()
+            .map(|(v, g)| (Var(*v), build(&mut m, g)))
+            .collect();
+        let got = m.substitute(f, &subst);
+        // A variable listed twice takes its last substitute.
+        let mut by = vec![None; NVARS as usize];
+        for (v, g) in &pairs {
+            by[*v as usize] = Some(g);
+        }
+        let expect = substitute_expr(&e, &by);
+        for asg in assignments() {
+            assert_eq!(m.eval(got, &asg), eval(&expect, &asg));
+        }
+        assert_eq!(got, build(&mut m, &expect));
+    });
+}
+
+/// reclaim_since keeps every handle below the mark and every root's
+/// function, rebuilding a root's function afterwards returns the
+/// rewritten handle, and the operation counters are untouched.
+#[test]
+fn reclaim_keeps_roots_and_everything_below_the_mark() {
+    forall("reclaim_keeps_roots_and_everything_below_the_mark", |g| {
+        let before: Vec<Expr> = g.vec_of(0..3usize, expr);
+        let after: Vec<(Expr, bool)> = g.vec_of(1..5usize, |g| (expr(g), g.bool()));
+        let mut m = BddManager::new(NVARS);
+        let old: Vec<Bdd> = before.iter().map(|e| build(&mut m, e)).collect();
+        let mark = m.num_nodes();
+        let mut roots = Vec::new();
+        let mut kept = Vec::new();
+        for (e, keep) in &after {
+            let f = build(&mut m, e);
+            if *keep {
+                roots.push(f);
+                kept.push(e);
+            }
+        }
+        let stats = m.runtime_stats();
+        m.reclaim_since(mark, &mut roots);
+        assert_eq!(m.runtime_stats(), stats);
+        let reachable: usize = roots.iter().map(|&r| m.size(r)).sum();
+        assert!(m.num_nodes() >= mark && m.num_nodes() <= mark + reachable);
+        if roots.is_empty() {
+            assert_eq!(m.num_nodes(), mark);
+        }
+        let live: Vec<(Bdd, &Expr)> = old
+            .iter()
+            .copied()
+            .zip(&before)
+            .chain(roots.into_iter().zip(kept))
+            .collect();
+        for asg in assignments() {
+            for &(h, e) in &live {
+                assert_eq!(m.eval(h, &asg), eval(e, &asg));
+            }
+        }
+        for &(h, e) in &live {
+            assert_eq!(build(&mut m, e), h);
+        }
+    });
+}
+
 /// pick_cube returns satisfying cubes; cube iteration is exact.
 #[test]
 fn cubes_are_satisfying_and_exhaustive() {

@@ -374,11 +374,17 @@ pub fn cmd_distinguish(path: &str, k: usize, all_pairs: bool) -> Result<String, 
     let init = n.initial_state();
     let mut pf = PairFsm::from_netlist(&n);
     let r = pf.forall_k(&init, k, !all_pairs);
+    // A count past u128 (a model over 127 BDD variables) saturates; the
+    // verdict itself never depends on a count.
+    let count = |c: u128| match c {
+        u128::MAX => "uncounted (saturated)".to_string(),
+        c => c.to_string(),
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
         "forall-{k} distinguishability over {} {}:",
-        r.reachable_states,
+        count(r.reachable_states),
         if all_pairs {
             "states (entire state space)"
         } else {
@@ -388,7 +394,7 @@ pub fn cmd_distinguish(path: &str, k: usize, all_pairs: bool) -> Result<String, 
     let _ = writeln!(
         out,
         "  violating pairs: {}{}",
-        r.violating_pairs,
+        count(r.violating_pairs),
         if r.fixed_point {
             " (fixed point: holds for all larger k too)"
         } else {
@@ -1503,6 +1509,31 @@ mod tests {
         let out = cmd_distinguish(tmp2.as_str(), 3, false).unwrap();
         assert!(out.contains("VIOLATED"));
         assert!(out.contains("example pair"));
+    }
+
+    /// 32 latches, each loading its own input and exported as an output,
+    /// make a 160-variable pair machine: the counts saturate and are
+    /// marked, and the verdict is still HOLDS.
+    #[test]
+    fn distinguish_marks_saturated_counts() {
+        let mut n = simcov_netlist::Netlist::new();
+        for j in 0..32 {
+            let i = n.add_input(format!("i{j}"));
+            let q = n.add_latch(format!("q{j}"), false);
+            n.set_latch_next(q, i);
+            let qo = n.latch_output(q);
+            n.add_output(format!("o{j}"), qo);
+        }
+        let tmp = tempfile::path(&simcov_netlist::to_blif(&n, "bank"));
+        let out = cmd_distinguish(tmp.as_str(), 1, false).unwrap();
+        assert_eq!(
+            out,
+            "forall-1 distinguishability over uncounted (saturated) reachable states:\n  \
+             violating pairs: 0\n  property HOLDS\n"
+        );
+        let out = cmd_distinguish(tmp.as_str(), 1, true).unwrap();
+        assert!(out.starts_with("forall-1 distinguishability over 4294967296 states"));
+        assert!(out.contains("property HOLDS"));
     }
 
     fn campaign_opts(max_faults: usize, seed: u64, k: usize, jobs: usize) -> CampaignOpts {

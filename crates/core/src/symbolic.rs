@@ -57,7 +57,10 @@ use std::collections::HashMap;
 /// counters (see `simcov_obs::names`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SymbolicEngineStats {
-    /// Hash-consed nodes allocated, summed over shard managers.
+    /// Hash-consed nodes, summed over managers: each shard manager's
+    /// final node count. For an implicit campaign, the base manager's
+    /// nodes live after [`PairFsm::transfer_detect_prep`] reclaims its
+    /// dead ones, plus the nodes each flip shard adds to its clone.
     pub unique_nodes: u64,
     /// Operation-cache hits, summed over shard managers.
     pub ite_cache_hits: u64,

@@ -5,9 +5,10 @@
 //!
 //! Variable order (interleaved for narrow equality relations): for latch
 //! `j`, copy-A current state at level `4j`, copy-B current state at
-//! `4j + 1`, copy-A next state at `4j + 2`, copy-B next state at
-//! `4j + 3`; shared primary input `k` at `4·L + k`. Each copy is one
-//! [`lower_netlist`] of the design under its half of that layout.
+//! `4j + 1`, copy-A next state at `4j + 2` (the image variables of
+//! reachability); level `4j + 3` is unused. Shared primary input `k` is
+//! at `4·L + k`. Each copy is one [`lower_netlist`] of the design under
+//! its half of that layout.
 //!
 //! The analysis iterates the *equal-output-reachable* pair relation
 //! exactly like the explicit checker in `simcov-core`:
@@ -18,7 +19,9 @@
 //!                              ∧ E_{t-1}(δ(x, i), δ(x', i))
 //! ```
 //!
-//! A pair of distinct reachable states in `E_k` violates
+//! Each step is one preimage: a simultaneous substitution
+//! `xA := δA, xB := δB` of `E_{t-1}`, then one relational product over
+//! the inputs. A pair of distinct reachable states in `E_k` violates
 //! ∀k-distinguishability.
 
 use crate::lower::lower_netlist;
@@ -31,11 +34,13 @@ pub struct PairAnalysisResult {
     /// The `k` that was analysed.
     pub k: usize,
     /// Number of unordered pairs of distinct reachable states violating
-    /// ∀k-distinguishability.
+    /// ∀k-distinguishability. Like `reachable_states`, saturates to
+    /// `u128::MAX` when the pair machine has more than 127 variables.
     pub violating_pairs: u128,
     /// Number of reachable states (for context).
     pub reachable_states: u128,
     /// `true` iff no violating pair exists — the hypothesis of Theorem 1.
+    /// Read off the violating-pair BDD, so it is exact at any width.
     pub holds: bool,
     /// `true` if `E` reached a fixed point before `k` iterations (the
     /// result is then valid for every `k' ≥ k` as well).
@@ -57,10 +62,10 @@ pub struct TransferDetectPrep {
     /// `reached ∧ valid`: the reachable `(state, input)` cells (over
     /// copy-A current-state + shared input variables).
     pub reachable_cells_set: Bdd,
-    /// `E_k ∧ distinct` renamed to the next-state slots: pairs of
-    /// *successor* states from which some valid `k`-sequence keeps all
-    /// outputs equal (over levels `4j+2` / `4j+3`).
-    pub escape_next: Bdd,
+    /// `E_k ∧ distinct`: pairs of distinct states from which some valid
+    /// `k`-sequence keeps all outputs equal (over the current-state pair
+    /// levels `4j` / `4j+1`).
+    pub escape: Bdd,
     /// Whether the `E` iteration converged before `k` rounds (the
     /// per-latch results are then valid for every `k' ≥ k`).
     pub fixed_point: bool,
@@ -224,19 +229,25 @@ impl PairFsm {
         let (bad, fixed_point) = self.equal_output_pairs(k);
         let (bad, reachable_states) = if restrict_reachable {
             let reached = self.reachable_a(init);
-            let count = self.count_over_a(reached);
+            let count = self.count_over(reached, self.num_latches);
             let reached_b = self.rename_a_to_b(reached);
             let t = self.mgr.and(bad, reached);
             (self.mgr.and(t, reached_b), count)
         } else {
-            (bad, 1u128 << self.num_latches)
+            let all = u32::try_from(self.num_latches)
+                .ok()
+                .and_then(|nl| 1u128.checked_shl(nl));
+            (bad, all.unwrap_or(u128::MAX))
         };
-        let ordered = self.count_over_ab(bad);
+        let violating_pairs = match self.count_over(bad, 2 * self.num_latches) {
+            u128::MAX => u128::MAX,
+            ordered => ordered / 2,
+        };
         PairAnalysisResult {
             k,
-            violating_pairs: ordered / 2,
+            violating_pairs,
             reachable_states,
-            holds: ordered == 0,
+            holds: bad.is_false(),
             fixed_point,
         }
     }
@@ -245,49 +256,25 @@ impl PairFsm {
     /// before `k` rounds.
     fn equal_output_pairs(&mut self, k: usize) -> (Bdd, bool) {
         let nl = self.num_latches;
-        let mut eq_out = Bdd::TRUE;
+        // valid(i) ∧ out(xA, i) = out(xB, i)
+        let mut care = self.valid;
         for m in 0..self.out_a.len() {
             let e = self.mgr.iff(self.out_a[m], self.out_b[m]);
-            eq_out = self.mgr.and(eq_out, e);
+            care = self.mgr.and(care, e);
         }
-        let parts: Vec<(Bdd, Bdd)> = (0..nl)
-            .map(|j| {
-                let ya = self.mgr.var(4 * j as u32 + 2);
-                let yb = self.mgr.var(4 * j as u32 + 3);
-                let ca = {
-                    let f = self.next_a[j];
-                    self.mgr.iff(ya, f)
-                };
-                let cb = {
-                    let f = self.next_b[j];
-                    self.mgr.iff(yb, f)
-                };
-                (ca, cb)
+        let delta: Vec<(Var, Bdd)> = (0..nl)
+            .flat_map(|j| {
+                let x = 4 * j as u32;
+                [(Var(x), self.next_a[j]), (Var(x + 1), self.next_b[j])]
             })
             .collect();
+        let in_vars: Vec<Var> = (0..self.num_inputs).map(|i| self.input_var(i)).collect();
+        let in_cube = self.mgr.cube_from_vars(&in_vars);
         let mut e = Bdd::TRUE;
         let mut fixed_point = false;
         for _ in 0..k {
-            let map: Vec<(Var, Var)> = (0..nl)
-                .flat_map(|j| {
-                    [
-                        (Var(4 * j as u32), Var(4 * j as u32 + 2)),
-                        (Var(4 * j as u32 + 1), Var(4 * j as u32 + 3)),
-                    ]
-                })
-                .collect();
-            let renamed = self.mgr.rename(e, &map);
-            let mut cur = self.mgr.and(renamed, eq_out);
-            cur = self.mgr.and(cur, self.valid);
-            for (j, &(ca, cb)) in parts.iter().enumerate() {
-                let cube_a = self.mgr.cube_from_vars(&[Var(4 * j as u32 + 2)]);
-                cur = self.mgr.and_exists(cur, ca, cube_a);
-                let cube_b = self.mgr.cube_from_vars(&[Var(4 * j as u32 + 3)]);
-                cur = self.mgr.and_exists(cur, cb, cube_b);
-            }
-            let in_vars: Vec<Var> = (0..self.num_inputs).map(|kk| self.input_var(kk)).collect();
-            let in_cube = self.mgr.cube_from_vars(&in_vars);
-            let new_e = self.mgr.exists(cur, in_cube);
+            let succ = self.mgr.substitute(e, &delta);
+            let new_e = self.mgr.and_exists(succ, care, in_cube);
             if new_e == e {
                 fixed_point = true;
                 break;
@@ -333,64 +320,49 @@ impl PairFsm {
         self.mgr.rename(f, &map)
     }
 
-    fn count_over_a(&self, f: Bdd) -> u128 {
-        let total = (4 * self.num_latches + self.num_inputs) as u32;
-        if total > 127 {
-            return u128::MAX;
+    /// Satisfying assignments of `f` over `counted` of the pair machine's
+    /// variables, `f`'s support lying among them: copy A's states
+    /// (`L`), both copies' (`2L`) or the `(state, input)` cells
+    /// (`L + I`). Saturates to `u128::MAX` above 127 variables in all,
+    /// unless `f` is empty.
+    fn count_over(&self, f: Bdd, counted: usize) -> u128 {
+        let total = 4 * self.num_latches + self.num_inputs;
+        if f.is_false() {
+            0
+        } else if total > 127 {
+            u128::MAX
+        } else {
+            self.mgr.sat_count(f, total as u32) >> (total - counted)
         }
-        let free = total - self.num_latches as u32;
-        self.mgr.sat_count(f, total) >> free
-    }
-
-    fn count_over_ab(&self, f: Bdd) -> u128 {
-        let total = (4 * self.num_latches + self.num_inputs) as u32;
-        if total > 127 {
-            return u128::MAX;
-        }
-        let free = total - 2 * self.num_latches as u32;
-        self.mgr.sat_count(f, total) >> free
-    }
-
-    /// Count over copy-A state + shared input variables (the `(state,
-    /// input)` cells), saturating above 127 support variables.
-    fn count_over_cells(&self, f: Bdd) -> u128 {
-        let total = (4 * self.num_latches + self.num_inputs) as u32;
-        if total > 127 {
-            return u128::MAX;
-        }
-        let free = 3 * self.num_latches as u32;
-        self.mgr.sat_count(f, total) >> free
     }
 
     /// Prepares the flip-independent parts of a transfer-fault
     /// detectability analysis: golden reachability, the reachable-cell
-    /// relation, and the `k`-step output-equality escape relation over
-    /// successor pairs. See [`PairFsm::transfer_flip_detectable`].
+    /// relation, and the `k`-step output-equality escape relation. See
+    /// [`PairFsm::transfer_flip_detectable`].
+    ///
+    /// Before returning it reclaims every node it made that its three
+    /// result handles do not reach ([`BddManager::reclaim_since`]), so
+    /// the per-flip clones copy a small store. Every handle taken before
+    /// the call (the valid-input constraint, say) stays valid.
     pub fn transfer_detect_prep(&mut self, init: &[bool], k: usize) -> TransferDetectPrep {
         assert_eq!(init.len(), self.num_latches, "init width mismatch");
-        let (bad, fixed_point) = self.equal_output_pairs(k);
-        // Rename the escape relation from current-state pair slots
-        // (4j, 4j+1) to next-state pair slots (4j+2, 4j+3): its support is
-        // state-pair variables only, and the map is level-monotone.
-        let map: Vec<(Var, Var)> = (0..self.num_latches)
-            .flat_map(|j| {
-                [
-                    (Var(4 * j as u32), Var(4 * j as u32 + 2)),
-                    (Var(4 * j as u32 + 1), Var(4 * j as u32 + 3)),
-                ]
-            })
-            .collect();
-        let escape_next = self.mgr.rename(bad, &map);
+        let mark = self.mgr.num_nodes();
+        let (escape, fixed_point) = self.equal_output_pairs(k);
         let reached = self.reachable_a(init);
-        let reachable_cells_set = self.mgr.and(reached, self.valid);
+        let cells = self.mgr.and(reached, self.valid);
+        let mut roots = [reached, cells, escape];
+        self.mgr.reclaim_since(mark, &mut roots);
+        let [reached, reachable_cells_set, escape] = roots;
         TransferDetectPrep {
             reached,
             reachable_cells_set,
-            escape_next,
+            escape,
             fixed_point,
             k,
-            reachable_states: self.count_over_a(reached),
-            reachable_cells: self.count_over_cells(reachable_cells_set),
+            reachable_states: self.count_over(reached, self.num_latches),
+            reachable_cells: self
+                .count_over(reachable_cells_set, self.num_latches + self.num_inputs),
         }
     }
 
@@ -403,36 +375,33 @@ impl PairFsm {
     ///
     /// The count is implicit over all cells at once: the faulty successor
     /// is `δ(x, i) ⊕ e_flip`, so a cell escapes detection iff
-    /// `E_k(δ(x, i), δ(x, i) ⊕ e_flip)` — one relational-product chain per
-    /// latch, never an enumeration of the (here, hundreds of millions of)
-    /// cells. Saturates to `u128::MAX` above 127 support variables.
+    /// `E_k(δ(x, i), δ(x, i) ⊕ e_flip)`. Two substitutions give that set:
+    /// copy B equated onto copy A with the flipped bit negated
+    /// (`xB := xA ⊕ e_flip`), then the preimage under `δA`. The cells are
+    /// never enumerated (here, hundreds of millions of them). Saturates
+    /// to `u128::MAX` above 127 support variables.
     pub fn transfer_flip_detectable(&mut self, prep: &TransferDetectPrep, flip: usize) -> u128 {
         let nl = self.num_latches;
         assert!(flip < nl, "flip latch out of range");
-        // esc_ya(yA) = ∃ yB . escape_next ∧ (yB = yA ⊕ e_flip).
-        let mut esc = prep.escape_next;
-        for j in 0..nl {
-            let ya = self.mgr.var(4 * j as u32 + 2);
-            let yb = self.mgr.var(4 * j as u32 + 3);
-            let rel = if j == flip {
-                self.mgr.xor(ya, yb) // yb = ¬ya
-            } else {
-                self.mgr.iff(ya, yb)
-            };
-            let cube = self.mgr.cube_from_vars(&[Var(4 * j as u32 + 3)]);
-            esc = self.mgr.and_exists(esc, rel, cube);
-        }
-        // esc(xA, i) = ∃ yA . esc_ya ∧ (yA ⇔ δA(xA, i)).
-        for j in 0..nl {
-            let ya = self.mgr.var(4 * j as u32 + 2);
-            let f = self.next_a[j];
-            let conj = self.mgr.iff(ya, f);
-            let cube = self.mgr.cube_from_vars(&[Var(4 * j as u32 + 2)]);
-            esc = self.mgr.and_exists(esc, conj, cube);
-        }
+        let onto_a: Vec<(Var, Bdd)> = (0..nl)
+            .map(|j| {
+                let xa = 4 * j as u32;
+                let lit = if j == flip {
+                    self.mgr.nvar(xa)
+                } else {
+                    self.mgr.var(xa)
+                };
+                (Var(xa + 1), lit)
+            })
+            .collect();
+        let flipped = self.mgr.substitute(prep.escape, &onto_a);
+        let delta_a: Vec<(Var, Bdd)> = (0..nl)
+            .map(|j| (Var(4 * j as u32), self.next_a[j]))
+            .collect();
+        let esc = self.mgr.substitute(flipped, &delta_a);
         let not_esc = self.mgr.not(esc);
         let detected = self.mgr.and(prep.reachable_cells_set, not_esc);
-        self.count_over_cells(detected)
+        self.count_over(detected, nl + self.num_inputs)
     }
 
     /// Extracts up to `limit` violating pairs as pairs of state
@@ -536,6 +505,56 @@ mod tests {
         let r = pf.forall_k(&[false], 3, false);
         assert!(!r.holds);
         assert_eq!(r.violating_pairs, 1);
+    }
+
+    /// `width` latches, each loading its own input; latch `j` is exported
+    /// as an output for `j >= hidden`.
+    fn latch_bank(width: usize, hidden: usize) -> Netlist {
+        let mut n = Netlist::new();
+        for j in 0..width {
+            let i = n.add_input(format!("i{j}"));
+            let q = n.add_latch(format!("q{j}"), false);
+            n.set_latch_next(q, i);
+            if j >= hidden {
+                let qo = n.latch_output(q);
+                n.add_output(format!("o{j}"), qo);
+            }
+        }
+        n
+    }
+
+    /// On 32 exported latches (4·32 + 32 = 160 pair-machine variables)
+    /// every count over the whole support saturates, but the verdict is
+    /// read off the BDD: ∀1 holds, with and without the reachability
+    /// restriction.
+    #[test]
+    fn forall_k_holds_on_a_model_too_wide_to_count() {
+        let n = latch_bank(32, 0);
+        let mut pf = PairFsm::from_netlist(&n);
+        let r = pf.forall_k(&n.initial_state(), 1, true);
+        assert!(r.holds);
+        assert_eq!(r.violating_pairs, 0);
+        assert_eq!(r.reachable_states, u128::MAX, "saturated");
+        let r = pf.forall_k(&n.initial_state(), 1, false);
+        assert!(r.holds);
+        assert_eq!(r.violating_pairs, 0);
+        assert_eq!(r.reachable_states, 1 << 32);
+        // Hide latch 0: states differing only there are a violation, and
+        // its count saturates rather than reading as half of u128::MAX.
+        let n = latch_bank(32, 1);
+        let r = PairFsm::from_netlist(&n).forall_k(&n.initial_state(), 1, true);
+        assert!(!r.holds);
+        assert_eq!(r.violating_pairs, u128::MAX);
+    }
+
+    /// The all-pairs state count saturates from 128 latches on instead of
+    /// overflowing its shift.
+    #[test]
+    fn all_pairs_count_saturates_at_128_latches() {
+        let n = latch_bank(128, 0);
+        let r = PairFsm::from_netlist(&n).forall_k(&n.initial_state(), 1, false);
+        assert!(r.holds);
+        assert_eq!(r.reachable_states, u128::MAX);
     }
 
     /// The symbolic analysis agrees with the explicit checker on the

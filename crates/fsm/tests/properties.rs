@@ -246,7 +246,10 @@ fn pack(bits: &[bool]) -> usize {
 /// detected within `k` — those whose golden successor `y` and flipped
 /// successor `y ⊕ e_j` are told apart by every valid `k`-long
 /// continuation (Theorem 1's guarantee). The flipped successor may be
-/// unreachable, so the brute force steps the netlist from it.
+/// unreachable, so the brute force steps the netlist from it. The same
+/// `E_k` checks `forall_k` with and without the reachability restriction,
+/// and the prep's node reclamation: the constraint made before it still
+/// counts the same, and a second prep on the same manager agrees.
 #[test]
 fn implicit_campaign_matches_bruteforce() {
     forall_cfg(
@@ -299,8 +302,9 @@ fn implicit_campaign_matches_bruteforce() {
                 // outputs of `a` and `b` equal.
                 let ns = 1usize << nl;
                 let mut e = vec![true; ns * ns];
+                let mut fixed_point = false;
                 for _ in 0..k {
-                    e = (0..ns * ns)
+                    let next: Vec<bool> = (0..ns * ns)
                         .map(|ab| {
                             let (a, b) = (ab / ns, ab % ns);
                             step[a]
@@ -309,6 +313,8 @@ fn implicit_campaign_matches_bruteforce() {
                                 .any(|((na, oa), (nb, ob))| oa == ob && e[na * ns + nb])
                         })
                         .collect();
+                    fixed_point |= next == e;
+                    e = next;
                 }
                 // detected[j]: reachable cells whose flip of latch j is
                 // detected.
@@ -352,14 +358,57 @@ fn implicit_campaign_matches_bruteforce() {
                     detected.iter().sum::<u128>(),
                     "{what}"
                 );
+                assert_eq!(report.fixed_point, fixed_point, "{what}");
                 // The total could hide two flips' counts trading places:
                 // check each latch's query too.
                 let mut pf = PairFsm::from_netlist(&n);
                 let v = constraint(&mut pf);
                 pf.set_valid_inputs(v);
-                let prep = pf.transfer_detect_prep(&n.initial_state(), k);
+                let total = (4 * nl + ni) as u32;
+                let valid_count = pf.mgr_ref().sat_count(v, total);
+                let init = n.initial_state();
+                let prep = pf.transfer_detect_prep(&init, k);
+                assert_eq!(pf.mgr_ref().sat_count(v, total), valid_count, "{what}");
                 for (j, &d) in detected.iter().enumerate() {
                     assert_eq!(pf.transfer_flip_detectable(&prep, j), d, "{what} flip {j}");
+                }
+                let again = pf.transfer_detect_prep(&init, k);
+                assert_eq!(
+                    (
+                        again.reachable_states,
+                        again.reachable_cells,
+                        again.fixed_point
+                    ),
+                    (
+                        prep.reachable_states,
+                        prep.reachable_cells,
+                        prep.fixed_point
+                    ),
+                    "{what} second prep"
+                );
+                for (j, &d) in detected.iter().enumerate() {
+                    let got = pf.transfer_flip_detectable(&again, j);
+                    assert_eq!(got, d, "{what} second prep flip {j}");
+                }
+                // forall_k: unordered pairs of distinct states in E_k, over
+                // the reachable states or over all of them.
+                for restrict in [true, false] {
+                    let states: Vec<usize> = if restrict {
+                        reach.clone()
+                    } else {
+                        (0..ns).collect()
+                    };
+                    let mut violating = 0u128;
+                    for (x, &a) in states.iter().enumerate() {
+                        violating +=
+                            states[x + 1..].iter().filter(|&&b| e[a * ns + b]).count() as u128;
+                    }
+                    let r = pf.forall_k(&init, k, restrict);
+                    let what = format!("{what} restrict={restrict}");
+                    assert_eq!(r.reachable_states, states.len() as u128, "{what}");
+                    assert_eq!(r.violating_pairs, violating, "{what}");
+                    assert_eq!(r.holds, violating == 0, "{what}");
+                    assert_eq!(r.fixed_point, fixed_point, "{what}");
                 }
             }
         },
