@@ -71,7 +71,6 @@ use simcov_obs::names::{
 };
 use simcov_obs::Telemetry;
 use simcov_tour::{biased_random_test_set, targeted_tour, TestSet};
-use std::collections::VecDeque;
 
 /// Knobs of the closure loop. [`Default`] gives the configuration the
 /// CLI and CI gate use.
@@ -252,7 +251,7 @@ impl<'a> ClosureDriver<'a> {
         // Cold-cell tracking: which reachable defined cells has the
         // accumulated stimulus traversed?
         let ni = m.num_inputs();
-        let reachable = reachable_cells(m);
+        let reachable = m.reachable_cells();
         let transitions_total = reachable.iter().filter(|&&r| r).count();
         let mut covered = vec![false; m.num_states() * ni];
 
@@ -479,29 +478,6 @@ impl<'a> ClosureDriver<'a> {
         }
         campaign.run_complete().report
     }
-}
-
-/// Cells `(state, input)` that are defined and whose source state is
-/// reachable from reset — the denominator of transition coverage (and
-/// the universe the cold-cell bias draws from).
-fn reachable_cells(m: &ExplicitMealy) -> Vec<bool> {
-    let ni = m.num_inputs();
-    let mut cells = vec![false; m.num_states() * ni];
-    let mut seen = vec![false; m.num_states()];
-    seen[m.reset().0 as usize] = true;
-    let mut q = VecDeque::from([m.reset()]);
-    while let Some(u) = q.pop_front() {
-        for i in m.inputs() {
-            if let Some((v, _)) = m.step(u, i) {
-                cells[u.0 as usize * ni + i.0 as usize] = true;
-                if !seen[v.0 as usize] {
-                    seen[v.0 as usize] = true;
-                    q.push_back(v);
-                }
-            }
-        }
-    }
-    cells
 }
 
 /// Marks the cells `seq` traverses from reset (stopping at the first

@@ -293,25 +293,67 @@ impl ExplicitMealy {
             .all(|s| (0..ni).all(|i| self.table[s.index() * ni + i].is_some()))
     }
 
-    /// States reachable from reset, in BFS order.
+    /// States reachable from reset, in breadth-first order: the order of
+    /// an unstopped [`bfs`](Self::bfs) from reset.
     pub fn reachable_states(&self) -> Vec<StateId> {
-        let mut seen = vec![false; self.num_states()];
-        let mut order = Vec::new();
-        let mut queue = VecDeque::new();
-        seen[self.reset.index()] = true;
-        queue.push_back(self.reset);
-        while let Some(s) = queue.pop_front() {
-            order.push(s);
-            for i in self.inputs() {
-                if let Some((n, _)) = self.step(s, i) {
-                    if !seen[n.index()] {
-                        seen[n.index()] = true;
-                        queue.push_back(n);
+        self.bfs(self.reset, |_| false).order
+    }
+
+    /// The defined cells of the reachable states, as a mask indexed
+    /// `state * num_inputs + input`: the transitions a transition tour
+    /// must cover.
+    pub fn reachable_cells(&self) -> Vec<bool> {
+        let ni = self.num_inputs();
+        let mut cells = vec![false; self.table.len()];
+        for s in self.reachable_states() {
+            let row = s.index() * ni..(s.index() + 1) * ni;
+            for (c, t) in cells[row.clone()].iter_mut().zip(&self.table[row]) {
+                *c = t.is_some();
+            }
+        }
+        cells
+    }
+
+    /// Breadth-first search from `from` over the defined transitions: the
+    /// one shortest-path search over the machine's state graph.
+    ///
+    /// Successors are visited in input order, and each state's parent is
+    /// the state that first reached it, so the tree is a pure function of
+    /// the machine and `from`. The search ends as soon as it reaches a
+    /// state that `stop` accepts, `from` included; with `|_| false` it
+    /// reaches every state reachable from `from`.
+    pub fn bfs(&self, from: StateId, mut stop: impl FnMut(StateId) -> bool) -> BfsTree {
+        let ni = self.num_inputs();
+        let mut depth = vec![u32::MAX; self.num_states()];
+        let mut parent = vec![None; self.num_states()];
+        depth[from.index()] = 0;
+        let mut order = vec![from];
+        let mut found = stop(from).then_some(from);
+        // `order` is the FIFO queue: states `head..` are still to expand.
+        let mut head = 0;
+        'search: while found.is_none() && head < order.len() {
+            let u = order[head];
+            head += 1;
+            let row = &self.table[u.index() * ni..(u.index() + 1) * ni];
+            for (i, t) in row.iter().enumerate() {
+                let Some((v, _)) = *t else { continue };
+                if depth[v.index()] == u32::MAX {
+                    depth[v.index()] = depth[u.index()] + 1;
+                    parent[v.index()] = Some((u, InputSym(i as u32)));
+                    order.push(v);
+                    if stop(v) {
+                        found = Some(v);
+                        break 'search;
                     }
                 }
             }
         }
-        order
+        BfsTree {
+            order,
+            depth,
+            parent,
+            found,
+        }
     }
 
     /// `true` if the sub-graph induced by the reachable states is strongly
@@ -558,6 +600,51 @@ impl PatchedMealy<'_> {
             }
         }
         (states, outputs)
+    }
+}
+
+/// The breadth-first tree of an [`ExplicitMealy::bfs`].
+#[derive(Debug, Clone)]
+pub struct BfsTree {
+    order: Vec<StateId>,
+    /// Distance from the start, `u32::MAX` where not reached.
+    depth: Vec<u32>,
+    /// The state that first reached each state, and the input it took.
+    parent: Vec<Option<(StateId, InputSym)>>,
+    found: Option<StateId>,
+}
+
+impl BfsTree {
+    /// The states reached, in the order the search reached them: the
+    /// start first, then by non-decreasing depth. A stopped search's order
+    /// is a prefix of the unstopped one that ends at the accepted state.
+    pub fn order(&self) -> &[StateId] {
+        &self.order
+    }
+
+    /// The state `stop` accepted, if the search ended at one.
+    pub fn found(&self) -> Option<StateId> {
+        self.found
+    }
+
+    /// The length of a shortest path from the start to `s`, if the search
+    /// reached `s`.
+    pub fn depth(&self, s: StateId) -> Option<usize> {
+        let d = self.depth[s.index()];
+        (d != u32::MAX).then_some(d as usize)
+    }
+
+    /// The inputs along the tree path from the start to `s`, if the
+    /// search reached `s`: a shortest input sequence leading there.
+    pub fn path(&self, s: StateId) -> Option<Vec<InputSym>> {
+        let mut path = vec![InputSym(0); self.depth(s)?];
+        let mut cur = s;
+        for slot in path.iter_mut().rev() {
+            let (p, i) = self.parent[cur.index()].expect("a reached state has a parent");
+            *slot = i;
+            cur = p;
+        }
+        Some(path)
     }
 }
 

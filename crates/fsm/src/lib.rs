@@ -4,7 +4,10 @@
 //! model as Mealy machines. This crate provides:
 //!
 //! * [`ExplicitMealy`] — a dense, enumerated machine used by the tour
-//!   algorithms, the error model, and as a brute-force oracle in tests;
+//!   algorithms, the error model, and as a brute-force oracle in tests.
+//!   Its [`bfs`](ExplicitMealy::bfs) is the workspace's one breadth-first
+//!   search over a state graph: reachability, every tour's shortest
+//!   paths and the access paths of the UIO and W-method suites;
 //! * [`SymbolicFsm`] — a machine represented by BDD next-state and output
 //!   functions built from a [`simcov_netlist::Netlist`], with implicit
 //!   reachability analysis and exact state/transition counting in the style
@@ -59,7 +62,8 @@ mod symbolic;
 
 pub use enumerate::{enumerate_netlist, EnumerateError, EnumerateOptions};
 pub use explicit::{
-    BuildError, ExplicitMealy, InputSym, MealyBuilder, OutputSym, PatchedMealy, StateId, Transition,
+    BfsTree, BuildError, ExplicitMealy, InputSym, MealyBuilder, OutputSym, PatchedMealy, StateId,
+    Transition,
 };
 pub use input_classes::{input_equivalence_classes, InputClasses};
 pub use lower::{lower_netlist, NetlistBdds};

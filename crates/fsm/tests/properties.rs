@@ -483,3 +483,147 @@ fn minimize_preserves_language() {
         }
     });
 }
+
+/// A random *partial* Mealy machine with unreachable states: each cell is
+/// defined with probability 3/5 and leads into the first `live` states,
+/// so states `live..n` are never entered, and the live ones only where
+/// the random edges happen to reach them.
+fn random_partial_mealy(g: &mut Gen) -> ExplicitMealy {
+    let n = g.int_in(1..12usize);
+    let live = g.int_in(1..n + 1);
+    let ni = g.int_in(1..4usize);
+    let mut b = MealyBuilder::new();
+    let states: Vec<_> = (0..n).map(|i| b.add_state(format!("s{i}"))).collect();
+    let inputs: Vec<_> = (0..ni).map(|i| b.add_input(format!("i{i}"))).collect();
+    let out = b.add_output("o");
+    for &s in &states {
+        for &i in &inputs {
+            if g.int_in(0..5u32) < 3 {
+                b.add_transition(s, i, states[g.int_in(0..live)], out);
+            }
+        }
+    }
+    b.build(states[0]).expect("one transition per cell")
+}
+
+/// The one explicit search against brute force on random partial
+/// machines, from a random start state (reachable from reset or not):
+/// every depth is the shortest distance found by relaxing every
+/// transition to a fixpoint, every tree path is a walk of exactly that
+/// length to its state, an unstopped search reaches exactly the states at
+/// finite distance in non-decreasing depth, and a stopped search ends at
+/// the first accepted state of the unstopped order.
+#[test]
+fn bfs_matches_bruteforce_distances() {
+    forall_cfg(
+        "bfs_matches_bruteforce_distances",
+        Config::with_cases(256),
+        |g| {
+            let m = random_partial_mealy(g);
+            let from = StateId(g.int_in(0..m.num_states() as u32));
+            let mut dist = vec![usize::MAX; m.num_states()];
+            dist[from.index()] = 0;
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for t in m.transitions() {
+                    let d = dist[t.state.index()];
+                    if d != usize::MAX && d + 1 < dist[t.next.index()] {
+                        dist[t.next.index()] = d + 1;
+                        changed = true;
+                    }
+                }
+            }
+            let tree = m.bfs(from, |_| false);
+            assert_eq!(tree.found(), None);
+            let order = tree.order();
+            assert_eq!(order[0], from);
+            let mut reached: Vec<StateId> = order.to_vec();
+            reached.sort_unstable();
+            reached.dedup();
+            assert_eq!(reached.len(), order.len(), "each state reached once");
+            let finite: Vec<StateId> = m
+                .states()
+                .filter(|s| dist[s.index()] != usize::MAX)
+                .collect();
+            assert_eq!(
+                reached, finite,
+                "reaches exactly the states at finite distance"
+            );
+            assert!(
+                order
+                    .windows(2)
+                    .all(|w| tree.depth(w[0]) <= tree.depth(w[1])),
+                "non-decreasing depth along {order:?}"
+            );
+            for s in m.states() {
+                let want = (dist[s.index()] != usize::MAX).then_some(dist[s.index()]);
+                assert_eq!(tree.depth(s), want, "depth of {s:?}");
+                match tree.path(s) {
+                    None => assert_eq!(want, None, "{s:?} reached without a path"),
+                    Some(path) => {
+                        assert_eq!(Some(path.len()), want, "path length to {s:?}");
+                        let (walk, _) = m.run(from, &path);
+                        assert_eq!(
+                            walk.len(),
+                            path.len() + 1,
+                            "path to {s:?} leaves the machine"
+                        );
+                        assert_eq!(walk.last(), Some(&s), "path to {s:?} ends elsewhere");
+                    }
+                }
+            }
+            // The tree's tie-breaks: a state's parent is the earliest state in
+            // `order` with a transition to it, over its smallest such input,
+            // and `order` lists states by (parent's position, input).
+            let pos = |s: StateId| order.iter().position(|&t| t == s);
+            let mut keys = Vec::new();
+            for &v in &order[1..] {
+                let path = tree.path(v).expect("reached");
+                let u = m.run(from, &path).0[path.len() - 1];
+                let first = order
+                    .iter()
+                    .copied()
+                    .find(|&t| m.inputs().any(|i| m.step(t, i).map(|(n, _)| n) == Some(v)));
+                assert_eq!(Some(u), first, "parent of {v:?}");
+                let smallest = m
+                    .inputs()
+                    .find(|&i| m.step(u, i).map(|(n, _)| n) == Some(v));
+                assert_eq!(path.last().copied(), smallest, "input into {v:?}");
+                keys.push((pos(u), smallest));
+            }
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "order by (parent, input)"
+            );
+            // A stop: accept a random subset of the states.
+            let accept: Vec<bool> = m.states().map(|_| g.int_in(0..3u32) == 0).collect();
+            let stopped = m.bfs(from, |s| accept[s.index()]);
+            let first = order.iter().position(|s| accept[s.index()]);
+            assert_eq!(stopped.found(), first.map(|k| order[k]));
+            let prefix = first.map_or(order.len(), |k| k + 1);
+            assert_eq!(
+                stopped.order(),
+                &order[..prefix],
+                "stopped order is a prefix"
+            );
+            for &s in stopped.order() {
+                assert_eq!(stopped.path(s), tree.path(s), "stopped tree path to {s:?}");
+            }
+            // Reachability is the unstopped search from reset.
+            let from_reset = m.bfs(m.reset(), |_| false);
+            assert_eq!(m.reachable_states(), from_reset.order());
+            let cells = m.reachable_cells();
+            for s in m.states() {
+                for i in m.inputs() {
+                    let defined = m.step(s, i).is_some();
+                    let reachable = from_reset.depth(s).is_some();
+                    assert_eq!(
+                        cells[s.index() * m.num_inputs() + i.index()],
+                        defined && reachable
+                    );
+                }
+            }
+        },
+    );
+}

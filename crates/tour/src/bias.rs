@@ -9,7 +9,9 @@
 //! * [`targeted_tour`] — a deterministic greedy walk that covers a given
 //!   *target* cell set and nothing more, restarting from reset when the
 //!   walk strands itself (so non-strongly-connected machines degrade to
-//!   a multi-sequence test set instead of an error);
+//!   a multi-sequence test set instead of an error). The same walk aimed
+//!   at every reachable cell is the body of
+//!   [`greedy_transition_tour`](crate::greedy_transition_tour);
 //! * [`biased_random_test_set`] — constrained-random walks whose input
 //!   choice is weighted toward target cells instead of uniform, the
 //!   cold-region biasing of coverage-directed constrained-random
@@ -21,7 +23,6 @@
 use crate::random::TestSet;
 use simcov_fsm::{ExplicitMealy, InputSym, StateId};
 use simcov_prng::Prng;
-use std::collections::VecDeque;
 
 /// Dense index of a `(state, input)` cell.
 fn cell(m: &ExplicitMealy, s: StateId, i: InputSym) -> usize {
@@ -66,72 +67,68 @@ pub fn targeted_tour(
     let mut sequences: Vec<Vec<InputSym>> = Vec::new();
     while remaining > 0 {
         let mut seq: Vec<InputSym> = Vec::new();
-        let mut cur = m.reset();
-        let mut progressed = false;
-        loop {
-            // Take an uncovered target here if one exists (smallest input
-            // first, for determinism).
-            let local = (0..ni as u32)
-                .map(InputSym)
-                .find(|&i| wanted[cell(m, cur, i)]);
-            if let Some(i) = local {
-                wanted[cell(m, cur, i)] = false;
-                remaining -= 1;
-                progressed = true;
-                seq.push(i);
-                cur = m.step(cur, i).expect("target cells are defined").0;
-                continue;
-            }
-            // BFS over defined transitions to the nearest state with an
-            // uncovered target edge.
-            let mut parent: Vec<Option<(StateId, InputSym)>> = vec![None; ns];
-            let mut seen = vec![false; ns];
-            seen[cur.0 as usize] = true;
-            let mut q = VecDeque::from([cur]);
-            let mut goal = None;
-            'bfs: while let Some(u) = q.pop_front() {
-                for i in m.inputs() {
-                    let Some((v, _)) = m.step(u, i) else { continue };
-                    if !seen[v.0 as usize] {
-                        seen[v.0 as usize] = true;
-                        parent[v.0 as usize] = Some((u, i));
-                        if (0..ni as u32).any(|j| wanted[cell(m, v, InputSym(j))]) {
-                            goal = Some(v);
-                            break 'bfs;
-                        }
-                        q.push_back(v);
-                    }
-                }
-            }
-            let Some(t) = goal else { break };
-            let mut path = Vec::new();
-            let mut walk = t;
-            while let Some((p, i)) = parent[walk.0 as usize] {
-                path.push((p, i));
-                walk = p;
-            }
-            path.reverse();
-            for (u, i) in path {
-                // Edges traversed en route may themselves be targets.
-                if wanted[cell(m, u, i)] {
-                    wanted[cell(m, u, i)] = false;
-                    remaining -= 1;
-                    progressed = true;
-                }
-                seq.push(i);
-                cur = m.step(u, i).expect("BFS follows defined edges").0;
-            }
-        }
-        extend_random(m, &mut seq, cur, propagate, &mut rng);
+        let before = remaining;
+        let end = cover_walk(m, m.reset(), &mut wanted, &mut remaining, &mut seq);
+        extend_random(m, &mut seq, end, propagate, &mut rng);
         if !seq.is_empty() {
             sequences.push(seq);
         }
-        if !progressed {
+        if remaining == before {
             // Everything still wanted is unreachable from reset.
             break;
         }
     }
     TestSet { sequences }
+}
+
+/// The greedy covering walk behind [`targeted_tour`] and
+/// [`greedy_transition_tour`](crate::greedy_transition_tour). From
+/// `from`, it takes the current state's smallest wanted input, or else
+/// walks a shortest path to the nearest state that has one. Every wanted
+/// cell it traverses is cleared and counted off `remaining`. The walk
+/// ends where no wanted cell is reachable, and returns that state.
+pub(crate) fn cover_walk(
+    m: &ExplicitMealy,
+    from: StateId,
+    wanted: &mut [bool],
+    remaining: &mut usize,
+    seq: &mut Vec<InputSym>,
+) -> StateId {
+    let ni = m.num_inputs();
+    let mut cur = from;
+    loop {
+        if let Some(i) = m.inputs().find(|&i| wanted[cell(m, cur, i)]) {
+            cur = take(m, cur, i, wanted, remaining, seq);
+            continue;
+        }
+        let tree = m.bfs(cur, |s| wanted[s.index() * ni..][..ni].contains(&true));
+        let Some(goal) = tree.found() else {
+            return cur;
+        };
+        // Cells traversed en route may themselves be wanted.
+        for i in tree.path(goal).expect("the found state is reached") {
+            cur = take(m, cur, i, wanted, remaining, seq);
+        }
+    }
+}
+
+/// Takes input `i` at `cur`, clearing its cell if wanted; returns the
+/// next state.
+fn take(
+    m: &ExplicitMealy,
+    cur: StateId,
+    i: InputSym,
+    wanted: &mut [bool],
+    remaining: &mut usize,
+    seq: &mut Vec<InputSym>,
+) -> StateId {
+    let c = cell(m, cur, i);
+    if wanted[c] {
+        wanted[c] = false;
+        *remaining -= 1;
+    }
+    seq.push(i);
+    m.step(cur, i).expect("walks follow defined transitions").0
 }
 
 /// Appends up to `steps` random defined steps to `seq`, walking from

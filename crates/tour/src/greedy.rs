@@ -1,13 +1,17 @@
-//! Greedy tour heuristics: nearest-uncovered-transition transition tours
-//! (the style of tour the paper's SIS implementation produced — complete
-//! but non-optimal) and greedy state tours.
+//! Greedy tours. The greedy transition tour is the targeted walk of
+//! [`targeted_tour`](crate::targeted_tour) aimed at every reachable
+//! transition, then a shortest path home to reset: the style of tour the
+//! paper's SIS implementation produced, complete but non-optimal. The
+//! greedy state tour walks to the nearest unvisited state until none is
+//! left.
 
-use crate::postman::{Graph, Tour, TourError};
-use simcov_fsm::{ExplicitMealy, InputSym};
-use std::collections::VecDeque;
+use crate::bias::cover_walk;
+use crate::postman::{Tour, TourError};
+use simcov_fsm::ExplicitMealy;
 
 /// Generates a transition tour by repeatedly walking a shortest path to
-/// the nearest state with an uncovered outgoing transition and taking it.
+/// the nearest state with an uncovered outgoing transition and taking it,
+/// then walking a shortest path back to reset.
 ///
 /// The result covers every reachable transition but is generally longer
 /// than the Chinese-postman optimum of
@@ -19,97 +23,23 @@ use std::collections::VecDeque;
 ///
 /// Same conditions as [`transition_tour`](crate::transition_tour).
 pub fn greedy_transition_tour(m: &ExplicitMealy) -> Result<Tour, TourError> {
-    let g = Graph::reachable(m);
-    if g.num_edges() == 0 {
+    let mut wanted = m.reachable_cells();
+    let edges = wanted.iter().filter(|&&w| w).count();
+    if edges == 0 {
         return Err(TourError::NoTransitions);
     }
-    if !g.is_strongly_connected() {
+    if !m.is_strongly_connected() {
         return Err(TourError::NotStronglyConnected);
     }
-    let n = g.adj.len();
-    let mut covered: Vec<Vec<bool>> = g.adj.iter().map(|e| vec![false; e.len()]).collect();
-    let mut remaining = g.num_edges();
-    let mut inputs: Vec<InputSym> = Vec::new();
-    let mut cur = g.root;
-    while remaining > 0 {
-        // Take an uncovered edge here if one exists.
-        if let Some(ei) = covered[cur].iter().position(|&c| !c) {
-            covered[cur][ei] = true;
-            remaining -= 1;
-            let (v, inp) = g.adj[cur][ei];
-            inputs.push(inp);
-            cur = v;
-            continue;
-        }
-        // BFS to the nearest state with an uncovered outgoing edge.
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[cur] = true;
-        let mut q = VecDeque::from([cur]);
-        let mut goal = None;
-        'bfs: while let Some(u) = q.pop_front() {
-            for (ei, &(v, _)) in g.adj[u].iter().enumerate() {
-                if !seen[v] {
-                    seen[v] = true;
-                    parent[v] = Some((u, ei));
-                    if covered[v].iter().any(|&c| !c) {
-                        goal = Some(v);
-                        break 'bfs;
-                    }
-                    q.push_back(v);
-                }
-            }
-        }
-        let t = goal.expect("strong connectivity guarantees an uncovered edge is reachable");
-        let mut path = Vec::new();
-        let mut walk = t;
-        while let Some((p, ei)) = parent[walk] {
-            path.push((p, ei));
-            walk = p;
-        }
-        path.reverse();
-        for (u, ei) in path {
-            let (v, inp) = g.adj[u][ei];
-            if !covered[u][ei] {
-                covered[u][ei] = true;
-                remaining -= 1;
-            }
-            inputs.push(inp);
-            cur = v;
-        }
-    }
+    let mut inputs = Vec::new();
+    let mut remaining = edges;
+    let end = cover_walk(m, m.reset(), &mut wanted, &mut remaining, &mut inputs);
+    debug_assert_eq!(remaining, 0, "strong connectivity leaves no cell behind");
     // Close the circuit: walk back to the reset state so the tour, like
     // the Chinese-postman tour, can be extended cyclically.
-    if cur != g.root {
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[cur] = true;
-        let mut q = VecDeque::from([cur]);
-        'bfs: while let Some(u) = q.pop_front() {
-            for (ei, &(v, _)) in g.adj[u].iter().enumerate() {
-                if !seen[v] {
-                    seen[v] = true;
-                    parent[v] = Some((u, ei));
-                    if v == g.root {
-                        break 'bfs;
-                    }
-                    q.push_back(v);
-                }
-            }
-        }
-        let mut path = Vec::new();
-        let mut walk = g.root;
-        while let Some((p, ei)) = parent[walk] {
-            path.push((p, ei));
-            walk = p;
-        }
-        path.reverse();
-        for (u, ei) in path {
-            let (_, inp) = g.adj[u][ei];
-            inputs.push(inp);
-        }
-    }
-    let duplicates = inputs.len() - g.num_edges();
+    let home = m.bfs(end, |s| s == m.reset());
+    inputs.extend(home.path(m.reset()).expect("strongly connected"));
+    let duplicates = inputs.len() - edges;
     Ok(Tour { inputs, duplicates })
 }
 
@@ -127,59 +57,35 @@ pub fn greedy_transition_tour(m: &ExplicitMealy) -> Result<Tour, TourError> {
 ///   (e.g. two separate sink components) defeat any single walk; a
 ///   malformed model must report that, not panic.
 pub fn state_tour(m: &ExplicitMealy) -> Result<Tour, TourError> {
-    let g = Graph::reachable(m);
-    if g.num_edges() == 0 {
+    // Every reachable transition starts at reset or at a state reached
+    // through one, so reset's row decides whether there are any.
+    if m.inputs().all(|i| m.step(m.reset(), i).is_none()) {
         return Err(TourError::NoTransitions);
     }
-    let n = g.adj.len();
-    let mut visited = vec![false; n];
-    visited[g.root] = true;
+    let total = m.reachable_states().len();
+    let mut visited = vec![false; m.num_states()];
+    visited[m.reset().index()] = true;
     let mut num_visited = 1;
-    let mut inputs: Vec<InputSym> = Vec::new();
-    let mut cur = g.root;
-    while num_visited < n {
-        // BFS to the nearest unvisited state.
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[cur] = true;
-        let mut q = VecDeque::from([cur]);
-        let mut goal = None;
-        'bfs: while let Some(u) = q.pop_front() {
-            for (ei, &(v, _)) in g.adj[u].iter().enumerate() {
-                if !seen[v] {
-                    seen[v] = true;
-                    parent[v] = Some((u, ei));
-                    if !visited[v] {
-                        goal = Some(v);
-                        break 'bfs;
-                    }
-                    q.push_back(v);
-                }
-            }
-        }
-        let Some(t) = goal else {
+    let mut inputs = Vec::new();
+    let mut cur = m.reset();
+    while num_visited < total {
+        // Walk to the nearest unvisited state.
+        let tree = m.bfs(cur, |s| !visited[s.index()]);
+        let Some(goal) = tree.found() else {
             // Reachable-but-unvisitable states remain: the walk committed
             // to a one-way branch that cannot reach them.
             return Err(TourError::Trapped {
                 visited: num_visited,
-                total: n,
+                total,
             });
         };
-        let mut path = Vec::new();
-        let mut walk = t;
-        while let Some((p, ei)) = parent[walk] {
-            path.push((p, ei));
-            walk = p;
-        }
-        path.reverse();
-        for (u, ei) in path {
-            let (v, inp) = g.adj[u][ei];
-            inputs.push(inp);
-            if !visited[v] {
-                visited[v] = true;
+        for i in tree.path(goal).expect("the found state is reached") {
+            inputs.push(i);
+            cur = m.step(cur, i).expect("tree paths are defined").0;
+            if !visited[cur.index()] {
+                visited[cur.index()] = true;
                 num_visited += 1;
             }
-            cur = v;
         }
     }
     Ok(Tour {

@@ -14,7 +14,9 @@
 //!   augmentation by successive-shortest-path min-cost flow, then
 //!   Hierholzer's circuit algorithm;
 //! * [`greedy_transition_tour`] — the nearest-uncovered-transition
-//!   heuristic (what the paper actually ran inside SIS);
+//!   heuristic (what the paper actually ran inside SIS): the walk of
+//!   [`targeted_tour`] aimed at every reachable transition, then the
+//!   shortest path home to reset;
 //! * [`state_tour`] — covers every *state* at least once (the weaker
 //!   coverage measure of Iwashita et al. that Section 1 contrasts with);
 //! * [`random_test_set`] — random-walk functional vectors, the
@@ -25,6 +27,11 @@
 //!   `simcov-core`;
 //! * [`coverage`] — transition/state coverage measurement for any input
 //!   sequence.
+//!
+//! The crate keeps no graph of its own: every generator walks the
+//! [`ExplicitMealy`] directly, and every shortest path it takes is a tree
+//! path of the machine's one search,
+//! [`ExplicitMealy::bfs`](simcov_fsm::ExplicitMealy::bfs).
 //!
 //! # Example
 //!
@@ -62,7 +69,7 @@ pub use greedy::{greedy_transition_tour, state_tour};
 pub use postman::{transition_tour, Tour, TourError};
 pub use random::{random_test_set, TestSet};
 pub use uio::{uio_sequence, uio_test_set, UioError};
-pub use verify::{coverage, coverage_set, coverage_set_jobs, CoverageReport};
+pub use verify::{coverage, coverage_set, CoverageReport};
 pub use wmethod::{characterization_set, w_method_test_set, WMethodError};
 
 use simcov_fsm::ExplicitMealy;

@@ -7,8 +7,13 @@
 //! a transportation problem from surplus vertices (in-degree > out-degree)
 //! to deficit vertices, solved here with successive shortest paths —
 //! optimal because all arc costs are non-negative (one edge = one step).
+//!
+//! The graph is the machine itself: states are indexed by `StateId` and
+//! cells by state × input. Distances and the paths that carry the
+//! duplicates come from one [`ExplicitMealy::bfs`] tree per surplus
+//! state.
 
-use simcov_fsm::{ExplicitMealy, InputSym};
+use simcov_fsm::{BfsTree, ExplicitMealy, InputSym, StateId};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -85,84 +90,6 @@ impl fmt::Display for TourError {
 
 impl std::error::Error for TourError {}
 
-/// Adjacency view of the reachable transition graph.
-pub(crate) struct Graph {
-    /// `adj[u]` = outgoing `(v, input)` edges; node indices are a dense
-    /// renumbering of the reachable states (BFS order from reset).
-    pub adj: Vec<Vec<(usize, InputSym)>>,
-    /// Reset node.
-    pub root: usize,
-}
-
-impl Graph {
-    pub(crate) fn reachable(m: &ExplicitMealy) -> Self {
-        let reach = m.reachable_states();
-        let mut node_of = vec![None; m.num_states()];
-        for (i, &s) in reach.iter().enumerate() {
-            node_of[s.index()] = Some(i);
-        }
-        let mut adj = vec![Vec::new(); reach.len()];
-        for (u, &s) in reach.iter().enumerate() {
-            for i in m.inputs() {
-                if let Some((n, _)) = m.step(s, i) {
-                    adj[u].push((node_of[n.index()].expect("successor reachable"), i));
-                }
-            }
-        }
-        let root = node_of[m.reset().index()].expect("reset reachable");
-        Graph { adj, root }
-    }
-
-    pub(crate) fn num_edges(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
-    }
-
-    /// BFS distances from `src` following edges forward.
-    fn bfs(&self, src: usize) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.adj.len()];
-        dist[src] = 0;
-        let mut q = VecDeque::new();
-        q.push_back(src);
-        while let Some(u) = q.pop_front() {
-            for &(v, _) in &self.adj[u] {
-                if dist[v] == u32::MAX {
-                    dist[v] = dist[u] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
-    pub(crate) fn is_strongly_connected(&self) -> bool {
-        let n = self.adj.len();
-        if self.bfs(self.root).contains(&u32::MAX) {
-            return false;
-        }
-        // Reverse reachability from root.
-        let mut radj = vec![Vec::new(); n];
-        for (u, edges) in self.adj.iter().enumerate() {
-            for &(v, _) in edges {
-                radj[v].push(u);
-            }
-        }
-        let mut seen = vec![false; n];
-        seen[self.root] = true;
-        let mut q = VecDeque::from([self.root]);
-        let mut cnt = 1;
-        while let Some(u) = q.pop_front() {
-            for &p in &radj[u] {
-                if !seen[p] {
-                    seen[p] = true;
-                    cnt += 1;
-                    q.push_back(p);
-                }
-            }
-        }
-        cnt == n
-    }
-}
-
 /// Computes a minimum-length transition tour of the reachable part of `m`
 /// (the directed Chinese postman tour), starting and ending at the reset
 /// state.
@@ -173,39 +100,33 @@ impl Graph {
 ///   cannot be followed by a return to the rest of the graph;
 /// * [`TourError::NoTransitions`] for a machine with no edges.
 pub fn transition_tour(m: &ExplicitMealy) -> Result<Tour, TourError> {
-    let g = Graph::reachable(m);
-    if g.num_edges() == 0 {
-        return Err(TourError::NoTransitions);
-    }
-    if !g.is_strongly_connected() {
-        return Err(TourError::NotStronglyConnected);
-    }
-    let n = g.adj.len();
+    let reach = m.reachable_states();
+    let ni = m.num_inputs();
+    // `uses[s * ni + i]`: how often the tour takes cell `(s, i)`; once for
+    // every reachable defined cell before duplication.
+    let mut uses = vec![0u64; m.num_states() * ni];
     // Vertex balance: positive = needs extra outgoing duplicates.
-    let mut balance = vec![0i64; n];
-    for (u, edges) in g.adj.iter().enumerate() {
-        balance[u] -= edges.len() as i64;
-        for &(v, _) in edges {
-            balance[v] += 1;
-        }
-    }
-    // Duplication counts per (u, edge index).
-    let mut dup = vec![vec![0u64; 0]; n];
-    for (u, edges) in g.adj.iter().enumerate() {
-        dup[u] = vec![0; edges.len()];
-    }
-    let duplicates = solve_flow(&g, &mut balance, &mut dup);
-    // Build the multigraph and extract an Euler circuit from the root.
-    let mut multi: Vec<Vec<(usize, InputSym)>> = vec![Vec::new(); n];
-    for (u, edges) in g.adj.iter().enumerate() {
-        for (ei, &(v, inp)) in edges.iter().enumerate() {
-            for _ in 0..=dup[u][ei] {
-                multi[u].push((v, inp));
+    let mut balance = vec![0i64; m.num_states()];
+    let mut edges = 0usize;
+    for &s in &reach {
+        for i in m.inputs() {
+            if let Some((n, _)) = m.step(s, i) {
+                uses[s.index() * ni + i.index()] = 1;
+                balance[s.index()] -= 1;
+                balance[n.index()] += 1;
+                edges += 1;
             }
         }
     }
-    let inputs = hierholzer(&multi, g.root);
-    debug_assert_eq!(inputs.len(), g.num_edges() + duplicates as usize);
+    if edges == 0 {
+        return Err(TourError::NoTransitions);
+    }
+    if !m.is_strongly_connected() {
+        return Err(TourError::NotStronglyConnected);
+    }
+    let duplicates = solve_flow(m, &reach, &balance, &mut uses);
+    let inputs = hierholzer(m, uses);
+    debug_assert_eq!(inputs.len(), edges + duplicates as usize);
     Ok(Tour {
         inputs,
         duplicates: duplicates as usize,
@@ -213,30 +134,32 @@ pub fn transition_tour(m: &ExplicitMealy) -> Result<Tour, TourError> {
 }
 
 /// Minimum-cost transportation: route `balance > 0` supply to
-/// `balance < 0` demand along graph edges (cost 1 each), incrementing
-/// per-edge duplication counts. Returns total duplicated edge count.
+/// `balance < 0` demand along transitions (cost 1 each), adding the
+/// duplicated traversals to `uses`. Returns the total duplicated edge
+/// count.
 ///
-/// The problem is solved exactly: pairwise shortest-path distances give a
-/// bipartite transportation instance, solved by successive shortest paths
-/// *with residual arcs* (plain greedy pairing is not optimal in general).
-fn solve_flow(g: &Graph, balance: &mut [i64], dup: &mut [Vec<u64>]) -> u64 {
-    let supplies: Vec<(usize, u64)> = balance
+/// The problem is solved exactly: shortest-path distances from each
+/// supply give a bipartite transportation instance, solved by successive
+/// shortest paths *with residual arcs* (plain greedy pairing is not
+/// optimal in general). Supplies and demands are listed in `reach` order,
+/// which fixes the instance and so its tie-breaks.
+fn solve_flow(m: &ExplicitMealy, reach: &[StateId], balance: &[i64], uses: &mut [u64]) -> u64 {
+    let supplies: Vec<(StateId, u64)> = reach
         .iter()
-        .enumerate()
-        .filter(|&(_, &b)| b > 0)
-        .map(|(u, &b)| (u, b as u64))
+        .filter(|s| balance[s.index()] > 0)
+        .map(|&s| (s, balance[s.index()] as u64))
         .collect();
-    let demands: Vec<(usize, u64)> = balance
+    let demands: Vec<(StateId, u64)> = reach
         .iter()
-        .enumerate()
-        .filter(|&(_, &b)| b < 0)
-        .map(|(u, &b)| (u, (-b) as u64))
+        .filter(|s| balance[s.index()] < 0)
+        .map(|&s| (s, (-balance[s.index()]) as u64))
         .collect();
     if supplies.is_empty() {
         return 0;
     }
-    // BFS distances from each supply node.
-    let dists: Vec<Vec<u32>> = supplies.iter().map(|&(u, _)| g.bfs(u)).collect();
+    // One search from each supply gives both its distances and the
+    // shortest paths the flow is materialised along.
+    let trees: Vec<BfsTree> = supplies.iter().map(|&(s, _)| m.bfs(s, |_| false)).collect();
     // Bipartite min-cost flow: node 0 = source, 1..=S supplies,
     // S+1..=S+D demands, S+D+1 = sink.
     let ns = supplies.len();
@@ -252,55 +175,28 @@ fn solve_flow(g: &Graph, balance: &mut [i64], dup: &mut [Vec<u64>]) -> u64 {
     }
     for (i, &(_, s_amt)) in supplies.iter().enumerate() {
         for (j, &(dv, _)) in demands.iter().enumerate() {
-            let d = dists[i][dv];
-            debug_assert_ne!(d, u32::MAX, "strong connectivity violated");
+            let d = trees[i].depth(dv).expect("strongly connected");
             mcmf.add_edge(1 + i, 1 + ns + j, s_amt, d as i64);
         }
     }
     let total = mcmf.run(src, snk);
-    // Materialise the flow: duplicate edges along one shortest path per
-    // supply/demand pair carrying flow.
+    // Materialise the flow: duplicate every cell on the supply's tree
+    // path to each demand it sends flow to.
+    let ni = m.num_inputs();
     for (i, &(su, _)) in supplies.iter().enumerate() {
         for (j, &(dv, _)) in demands.iter().enumerate() {
             let f = mcmf.flow_between(1 + i, 1 + ns + j);
             if f == 0 {
                 continue;
             }
-            duplicate_along_path(g, su, dv, f, dup);
-        }
-    }
-    for b in balance.iter_mut() {
-        *b = 0;
-    }
-    total
-}
-
-/// Duplicates every edge on one shortest `s → t` path `amount` times.
-fn duplicate_along_path(g: &Graph, s: usize, t: usize, amount: u64, dup: &mut [Vec<u64>]) {
-    let n = g.adj.len();
-    let mut dist = vec![u32::MAX; n];
-    let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-    let mut q = VecDeque::new();
-    dist[s] = 0;
-    q.push_back(s);
-    while let Some(u) = q.pop_front() {
-        if u == t {
-            break;
-        }
-        for (ei, &(v, _)) in g.adj[u].iter().enumerate() {
-            if dist[v] == u32::MAX {
-                dist[v] = dist[u] + 1;
-                parent[v] = Some((u, ei));
-                q.push_back(v);
+            let mut cur = su;
+            for inp in trees[i].path(dv).expect("strongly connected") {
+                uses[cur.index() * ni + inp.index()] += f;
+                cur = m.step(cur, inp).expect("tree paths are defined").0;
             }
         }
     }
-    let mut cur = t;
-    while let Some((p, ei)) = parent[cur] {
-        dup[p][ei] += amount;
-        cur = p;
-    }
-    debug_assert_eq!(cur, s);
+    total
 }
 
 /// Minimal successive-shortest-path min-cost max-flow (SPFA variant,
@@ -397,20 +293,28 @@ impl Mcmf {
     }
 }
 
-/// Hierholzer's algorithm: Euler circuit of a balanced, connected directed
-/// multigraph, as the sequence of edge labels, starting from `root`.
-fn hierholzer(multi: &[Vec<(usize, InputSym)>], root: usize) -> Vec<InputSym> {
-    let n = multi.len();
-    let mut next_edge = vec![0usize; n];
+/// Hierholzer's algorithm: the Euler circuit from reset of the balanced,
+/// connected multigraph that takes each cell `(s, i)` `uses[s * ni + i]`
+/// times, as its sequence of inputs. A state's cells are left in input
+/// order, each as often as it is used before the next.
+fn hierholzer(m: &ExplicitMealy, mut uses: Vec<u64>) -> Vec<InputSym> {
+    let ni = m.num_inputs();
+    // The next input of each state that may still have uses left.
+    let mut next_input = vec![0usize; m.num_states()];
     // Iterative Hierholzer producing edges in reverse.
-    let mut stack: Vec<usize> = vec![root];
+    let mut stack: Vec<StateId> = vec![m.reset()];
     let mut edge_stack: Vec<InputSym> = Vec::new();
     let mut circuit: Vec<InputSym> = Vec::new();
     while let Some(&u) = stack.last() {
-        if next_edge[u] < multi[u].len() {
-            let (v, inp) = multi[u][next_edge[u]];
-            next_edge[u] += 1;
-            stack.push(v);
+        let base = u.index() * ni;
+        let next = &mut next_input[u.index()];
+        while *next < ni && uses[base + *next] == 0 {
+            *next += 1;
+        }
+        if *next < ni {
+            uses[base + *next] -= 1;
+            let inp = InputSym(*next as u32);
+            stack.push(m.step(u, inp).expect("used cells are defined").0);
             edge_stack.push(inp);
         } else {
             stack.pop();

@@ -90,22 +90,15 @@ pub fn uio_sequence(
                 continue;
             };
             let mut impostors = Vec::new();
-            let mut dead_end = false;
             for &t in &node.impostors {
                 match m.step(t, i) {
-                    Some((tn, to)) => {
-                        if to == out {
-                            impostors.push(tn);
-                        }
-                        // Different output: impostor eliminated.
-                    }
-                    None => {
-                        // Impostor cannot take this input: on a complete
-                        // machine this does not occur; on partial
-                        // machines treat as eliminated (observable
-                        // divergence).
-                        let _ = &mut dead_end;
-                    }
+                    Some((tn, to)) if to == out => impostors.push(tn),
+                    // Different output: impostor eliminated.
+                    Some(_) => {}
+                    // Impostor cannot take this input: on a complete
+                    // machine this does not occur; on partial machines
+                    // treat as eliminated (observable divergence).
+                    None => {}
                 }
             }
             // Canonicalize impostor multiset for pruning.
@@ -145,28 +138,14 @@ pub fn uio_sequence(
 /// [`UioError::NoUio`] listing the destination states that lack a UIO
 /// within `max_uio_len`.
 pub fn uio_test_set(m: &ExplicitMealy, max_uio_len: usize) -> Result<TestSet, UioError> {
-    let reach = m.reachable_states();
-    // Shortest input paths from reset to every state.
-    let mut path: HashMap<StateId, Vec<InputSym>> = HashMap::new();
-    path.insert(m.reset(), Vec::new());
-    let mut q = VecDeque::from([m.reset()]);
-    while let Some(s) = q.pop_front() {
-        for i in m.inputs() {
-            if let Some((n, _)) = m.step(s, i) {
-                if !path.contains_key(&n) {
-                    let mut p = path[&s].clone();
-                    p.push(i);
-                    path.insert(n, p);
-                    q.push_back(n);
-                }
-            }
-        }
-    }
+    // Shortest input paths from reset to every reachable state.
+    let access = m.bfs(m.reset(), |_| false);
     // UIOs per destination state, memoized.
     let mut uios: HashMap<StateId, Option<Vec<InputSym>>> = HashMap::new();
     let mut missing = Vec::new();
     let mut sequences = Vec::new();
-    for &s in &reach {
+    for &s in access.order() {
+        let to_s = access.path(s).expect("reachable states are reached");
         for i in m.inputs() {
             let Some((next, _)) = m.step(s, i) else {
                 continue;
@@ -176,7 +155,7 @@ pub fn uio_test_set(m: &ExplicitMealy, max_uio_len: usize) -> Result<TestSet, Ui
                 .or_insert_with(|| uio_sequence(m, next, max_uio_len, 200_000));
             match uio {
                 Some(u) => {
-                    let mut seq = path[&s].clone();
+                    let mut seq = to_s.clone();
                     seq.push(i);
                     seq.extend(u.iter().copied());
                     sequences.push(seq);

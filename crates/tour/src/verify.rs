@@ -2,7 +2,6 @@
 //! sequence exercise?
 
 use simcov_fsm::{ExplicitMealy, InputSym};
-use std::collections::HashSet;
 
 /// Transition/state coverage achieved by an input sequence (from reset).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,104 +76,43 @@ pub fn coverage_set<'a, I>(m: &ExplicitMealy, sequences: I) -> CoverageReport
 where
     I: IntoIterator<Item = &'a [InputSym]>,
 {
-    let seqs: Vec<&[InputSym]> = sequences.into_iter().collect();
-    coverage_set_jobs(m, &seqs, 1)
-}
-
-/// Per-sequence walk results; merged by set union / sum, both commutative
-/// and associative, so the merged coverage is independent of how the
-/// sequences were partitioned across workers.
-#[derive(Debug, Default)]
-struct WalkCoverage {
-    edges: HashSet<(u32, u32)>,
-    states: HashSet<u32>,
-    applied_length: usize,
-}
-
-impl WalkCoverage {
-    fn absorb(&mut self, other: WalkCoverage) {
-        self.edges.extend(other.edges);
-        self.states.extend(other.states);
-        self.applied_length += other.applied_length;
-    }
-}
-
-/// [`coverage_set`] on a worker pool of `jobs` scoped threads (0 =
-/// available parallelism). Each worker walks a contiguous shard of the
-/// sequences and collects shard-local edge/state sets; shards are merged
-/// by set union, so the report is bit-identical to the single-threaded
-/// walk for any job count. This mirrors the deterministic sharded-merge
-/// design of the fault-campaign engine in `simcov-core` (which this crate
-/// sits below in the dependency stack, hence the local pool).
-pub fn coverage_set_jobs(
-    m: &ExplicitMealy,
-    sequences: &[&[InputSym]],
-    jobs: usize,
-) -> CoverageReport {
     let reach = m.reachable_states();
+    let ni = m.num_inputs();
     let transitions_total = reach
         .iter()
         .map(|&s| m.inputs().filter(|&i| m.step(s, i).is_some()).count())
         .sum();
-    let walk_shard = |shard: &[&[InputSym]]| {
-        let mut cov = WalkCoverage::default();
-        for seq in shard {
-            let mut cur = m.reset();
-            for &i in *seq {
-                match m.step(cur, i) {
-                    Some((n, _)) => {
-                        cov.edges.insert((cur.0 * m.num_inputs() as u32 + i.0, 0));
-                        cov.states.insert(n.0);
-                        cov.applied_length += 1;
-                        cur = n;
-                    }
-                    None => break,
-                }
-            }
-        }
-        cov
-    };
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    // Shard size depends only on the sequence count, never on `jobs`.
-    let shard_size = sequences.len().div_ceil(64).max(1);
-    let workers = jobs.min(sequences.len().div_ceil(shard_size)).max(1);
-    let mut merged = WalkCoverage::default();
-    merged.states.insert(m.reset().0);
-    if workers <= 1 {
-        for shard in sequences.chunks(shard_size) {
-            merged.absorb(walk_shard(shard));
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let shards: Vec<&[&[InputSym]]> = sequences.chunks(shard_size).collect();
-        let results: std::sync::Mutex<Vec<WalkCoverage>> = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(shard) = shards.get(i) else { break };
-                    let cov = walk_shard(shard);
-                    results.lock().expect("no worker panics").push(cov);
-                });
-            }
-        });
-        for cov in results.into_inner().expect("scope joined all workers") {
-            merged.absorb(cov);
-        }
-    }
-    CoverageReport {
-        transitions_covered: merged.edges.len(),
+    // Per-cell and per-state "seen" masks.
+    let mut cells = vec![false; m.num_states() * ni];
+    let mut states = vec![false; m.num_states()];
+    states[m.reset().index()] = true;
+    let mut report = CoverageReport {
+        transitions_covered: 0,
         transitions_total,
-        states_covered: merged.states.len(),
+        states_covered: 1,
         states_total: reach.len(),
-        applied_length: merged.applied_length,
+        applied_length: 0,
+    };
+    for seq in sequences {
+        let mut cur = m.reset();
+        for &i in seq {
+            let Some((next, _)) = m.step(cur, i) else {
+                break;
+            };
+            let c = cur.index() * ni + i.index();
+            if !cells[c] {
+                cells[c] = true;
+                report.transitions_covered += 1;
+            }
+            if !states[next.index()] {
+                states[next.index()] = true;
+                report.states_covered += 1;
+            }
+            report.applied_length += 1;
+            cur = next;
+        }
     }
+    report
 }
 
 #[cfg(test)]
@@ -238,28 +176,6 @@ mod tests {
         let r = coverage_set(&m, [s1, s2]);
         assert_eq!(r.transitions_covered, 3);
         assert_eq!(r.states_covered, 2);
-    }
-
-    #[test]
-    fn coverage_set_jobs_identical_across_thread_counts() {
-        let m = machine();
-        let a = m.input_by_label("a").unwrap();
-        let c = m.input_by_label("c").unwrap();
-        let seqs: Vec<Vec<_>> = (0..200)
-            .map(|k| {
-                if k % 2 == 0 {
-                    vec![a, c, a]
-                } else {
-                    vec![c, c]
-                }
-            })
-            .collect();
-        let refs: Vec<&[_]> = seqs.iter().map(Vec::as_slice).collect();
-        let baseline = coverage_set_jobs(&m, &refs, 1);
-        for jobs in [0, 2, 8] {
-            assert_eq!(coverage_set_jobs(&m, &refs, jobs), baseline, "jobs={jobs}");
-        }
-        assert_eq!(coverage_set(&m, refs.iter().copied()), baseline);
     }
 
     #[test]

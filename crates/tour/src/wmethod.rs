@@ -159,29 +159,16 @@ pub fn characterization_set(m: &ExplicitMealy) -> Result<Vec<Vec<InputSym>>, WMe
 pub fn w_method_test_set(m: &ExplicitMealy) -> Result<TestSet, WMethodError> {
     let w = characterization_set(m)?;
     // Shortest access paths.
-    let mut path: HashMap<StateId, Vec<InputSym>> = HashMap::new();
-    path.insert(m.reset(), Vec::new());
-    let mut q = VecDeque::from([m.reset()]);
-    while let Some(s) = q.pop_front() {
-        for i in m.inputs() {
-            if let Some((nx, _)) = m.step(s, i) {
-                if !path.contains_key(&nx) {
-                    let mut p = path[&s].clone();
-                    p.push(i);
-                    path.insert(nx, p);
-                    q.push_back(nx);
-                }
-            }
-        }
-    }
+    let access = m.bfs(m.reset(), |_| false);
     let mut sequences = Vec::new();
-    for s in m.reachable_states() {
+    for &s in access.order() {
+        let to_s = access.path(s).expect("reachable states are reached");
         for i in m.inputs() {
             if m.step(s, i).is_none() {
                 continue;
             }
             for wseq in &w {
-                let mut seq = path[&s].clone();
+                let mut seq = to_s.clone();
                 seq.push(i);
                 seq.extend(wseq.iter().copied());
                 sequences.push(seq);

@@ -161,10 +161,9 @@ fn unreachable_states_do_not_affect_tours() {
     );
 }
 
-/// Every generated tour honours its certificate: the coverage report and
-/// the parallel coverage walker agree at every thread count, and the tour
-/// traverses each transition at least once with exactly `duplicates`
-/// re-traversals in total.
+/// Every generated tour honours its certificate: the tour traverses each
+/// transition at least once with exactly `duplicates` re-traversals in
+/// total.
 #[test]
 fn tour_certificate_and_parallel_coverage_agree() {
     forall_cfg(
@@ -175,10 +174,6 @@ fn tour_certificate_and_parallel_coverage_agree() {
             let tour = transition_tour(&m).expect("sc");
             let seq: &[_] = &tour.inputs;
             let serial = simcov_tour::coverage_set(&m, [seq]);
-            for jobs in [1usize, 2, 8] {
-                let par = simcov_tour::coverage_set_jobs(&m, &[seq], jobs);
-                assert_eq!(par, serial, "coverage must not depend on jobs={jobs}");
-            }
             assert_eq!(serial.transitions_covered, m.num_transitions());
             assert_eq!(serial.applied_length, m.num_transitions() + tour.duplicates);
         },
