@@ -14,6 +14,11 @@
 //!   Boolean connectives;
 //! * [`BddManager::restrict_dc`] — sibling substitution, which never
 //!   grows the result's support beyond `f`'s.
+//!
+//! `constrain`'s caller is `simcov_fsm::PairFsm::set_valid_inputs`: it
+//! cofactors both pair-machine copies' next-state and output functions by
+//! the valid inputs once, and every later query stays inside them.
+//! `restrict_dc` has no caller outside its tests.
 
 use crate::manager::{Bdd, BddManager};
 

@@ -248,6 +248,43 @@ fn substitute_is_simultaneous_substitution() {
     });
 }
 
+/// The generalized cofactor by a satisfiable care set `c` agrees with `f`
+/// on `c`, is `f` itself under `TRUE`, and substituting cofactored
+/// functions agrees with substituting the originals on `c`: the facts
+/// that let a machine's next-state and output functions be cofactored by
+/// its valid inputs.
+#[test]
+fn constrain_agrees_with_f_on_the_care_set() {
+    forall("constrain_agrees_with_f_on_the_care_set", |gen| {
+        let (f_e, h_e, c_e) = (expr(gen), expr(gen), expr(gen));
+        // OR-ing in one random point keeps the care set satisfiable.
+        let point: Vec<bool> = (0..NVARS).map(|_| gen.bool()).collect();
+        let pairs: Vec<(u32, Expr)> = gen.vec_of(0..4usize, |g| (g.int_in(0..NVARS), expr(g)));
+        let mut m = BddManager::new(NVARS);
+        let (f, h) = (build(&mut m, &f_e), build(&mut m, &h_e));
+        let mut c = build(&mut m, &c_e);
+        let minterm = point.iter().enumerate().fold(Bdd::TRUE, |acc, (v, &b)| {
+            let lit = if b { m.var(v as u32) } else { m.nvar(v as u32) };
+            m.and(acc, lit)
+        });
+        c = m.or(c, minterm);
+        let fc = m.constrain(f, c);
+        let (lhs, rhs) = (m.and(fc, c), m.and(f, c));
+        assert_eq!(lhs, rhs);
+        assert_eq!(m.constrain(f, Bdd::TRUE), f);
+        let subst: Vec<(Var, Bdd)> = pairs
+            .iter()
+            .map(|(v, g)| (Var(*v), build(&mut m, g)))
+            .collect();
+        let constrained: Vec<(Var, Bdd)> =
+            subst.iter().map(|&(v, g)| (v, m.constrain(g, c))).collect();
+        let plain = m.substitute(h, &subst);
+        let cofactored = m.substitute(h, &constrained);
+        let (lhs, rhs) = (m.and(cofactored, c), m.and(plain, c));
+        assert_eq!(lhs, rhs);
+    });
+}
+
 /// reclaim_since keeps every handle below the mark and every root's
 /// function, rebuilding a root's function afterwards returns the
 /// rewritten handle, and the operation counters are untouched.

@@ -8,7 +8,8 @@
 //! `4j + 1`, copy-A next state at `4j + 2` (the image variables of
 //! reachability); level `4j + 3` is unused. Shared primary input `k` is
 //! at `4·L + k`. Each copy is one [`lower_netlist`] of the design under
-//! its half of that layout.
+//! its half of that layout; [`PairFsm::set_valid_inputs`] replaces both
+//! copies' functions by their generalized cofactors by the valid inputs.
 //!
 //! The analysis iterates the *equal-output-reachable* pair relation
 //! exactly like the explicit checker in `simcov-core`:
@@ -86,6 +87,17 @@ pub struct PairFsm {
     num_latches: usize,
     num_inputs: usize,
     input_names: Vec<String>,
+    /// Both copies' functions as lowered from the netlist.
+    lowered: PairFns,
+    /// The functions every query uses: `lowered`, or its generalized
+    /// cofactors by `valid` (see [`PairFsm::set_valid_inputs`]).
+    fns: PairFns,
+    valid: Bdd,
+}
+
+/// Next-state and output functions of both copies.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct PairFns {
     /// Next-state functions of copy A (over A-state + input vars).
     next_a: Vec<Bdd>,
     /// Next-state functions of copy B.
@@ -93,7 +105,28 @@ pub struct PairFsm {
     /// Output functions of both copies.
     out_a: Vec<Bdd>,
     out_b: Vec<Bdd>,
-    valid: Bdd,
+}
+
+impl PairFns {
+    /// Every function: both copies' next-state functions, then outputs.
+    fn all_mut(&mut self) -> impl Iterator<Item = &mut Bdd> {
+        [
+            &mut self.next_a,
+            &mut self.next_b,
+            &mut self.out_a,
+            &mut self.out_b,
+        ]
+        .into_iter()
+        .flatten()
+    }
+}
+
+/// Copy A's image step, built once per reachability: the cube quantified
+/// up front, then each `yA_j ⇔ δA_j` conjunct with the cube of the
+/// variables no later conjunct mentions.
+struct ImageSchedule {
+    pre: Bdd,
+    steps: Vec<(Bdd, Bdd)>,
 }
 
 impl PairFsm {
@@ -110,14 +143,18 @@ impl PairFsm {
         let input = |m: &mut BddManager, i: InputId| m.var((4 * nl + i.index()) as u32);
         let a = lower_netlist(&mut mgr, n, input, |m, l| m.var(4 * l.index() as u32));
         let b = lower_netlist(&mut mgr, n, input, |m, l| m.var(4 * l.index() as u32 + 1));
-        PairFsm {
-            num_latches: nl,
-            num_inputs: ni,
-            input_names: n.input_names().map(str::to_string).collect(),
+        let lowered = PairFns {
             next_a: a.next,
             next_b: b.next,
             out_a: a.outputs,
             out_b: b.outputs,
+        };
+        PairFsm {
+            num_latches: nl,
+            num_inputs: ni,
+            input_names: n.input_names().map(str::to_string).collect(),
+            fns: lowered.clone(),
+            lowered,
             valid: Bdd::TRUE,
             mgr,
         }
@@ -153,61 +190,72 @@ impl PairFsm {
 
     /// Restricts the analysis to input vectors satisfying `valid` (over
     /// the shared input variables).
+    ///
+    /// Both copies' next-state and output functions are replaced by their
+    /// generalized cofactors `f ↓ valid` ([`BddManager::constrain`]),
+    /// derived from the functions as lowered, so a later call starts
+    /// afresh. This is exact: `f ↓ valid` equals `f` wherever `valid`
+    /// holds, and every query evaluates the functions only there (images
+    /// conjoin `valid`, each `E` step conjoins a care set inside it, and
+    /// flips are counted over `reached ∧ valid`), so every result is the
+    /// same canonical BDD as without the cofactors. A constant `valid`
+    /// keeps the lowered functions: `TRUE` has nothing to cofactor by and
+    /// `FALSE` leaves no point at which they are evaluated.
     pub fn set_valid_inputs(&mut self, valid: Bdd) {
         self.valid = valid;
+        self.fns = self.lowered.clone();
+        if !valid.is_const() {
+            for f in self.fns.all_mut() {
+                *f = self.mgr.constrain(*f, valid);
+            }
+        }
     }
 
-    fn image_a(&mut self, from: Bdd) -> Bdd {
-        // Img(S)(renamed to A vars): ∃ xA, i . S ∧ valid ∧ (yA ⇔ fA),
-        // using copy-A next-state slots (level 4j + 2) as the image
-        // variables. A current-state or input variable may only be
-        // quantified once no *later* next-state function mentions it.
+    /// The early-quantification schedule of [`PairFsm::image_a`]: a copy-A
+    /// current-state or input variable is quantified right after the last
+    /// conjunct whose next-state function mentions it, or up front if
+    /// none does. It reads the supports of the functions in use, which
+    /// `constrain` may have widened by care-set variables.
+    fn image_schedule(&mut self) -> ImageSchedule {
         let nl = self.num_latches;
-        let mut last_use: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        for (j, &f) in self.next_a.iter().enumerate() {
+        let mut last_use: Vec<Option<usize>> = vec![None; 4 * nl + self.num_inputs];
+        for (j, &f) in self.fns.next_a.iter().enumerate() {
             for v in self.mgr.support(f) {
-                last_use.insert(v.0, j);
+                last_use[v.0 as usize] = Some(j);
             }
         }
-        let mut cur = self.mgr.and(from, self.valid);
-        // Variables used by no next function: quantify up front.
         let mut pre = Vec::new();
-        for j in 0..nl {
-            let v = Var(4 * j as u32);
-            if !last_use.contains_key(&v.0) {
-                pre.push(v);
+        let mut per_step: Vec<Vec<Var>> = vec![Vec::new(); nl];
+        let state_vars = (0..nl).map(|j| Var(4 * j as u32));
+        for v in state_vars.chain((0..self.num_inputs).map(|k| self.input_var(k))) {
+            match last_use[v.0 as usize] {
+                Some(j) => per_step[j].push(v),
+                None => pre.push(v),
             }
         }
-        for k in 0..self.num_inputs {
-            let v = self.input_var(k);
-            if !last_use.contains_key(&v.0) {
-                pre.push(v);
-            }
-        }
-        let pre_cube = self.mgr.cube_from_vars(&pre);
-        cur = self.mgr.exists(cur, pre_cube);
-        for j in 0..nl {
-            let y = self.mgr.var(4 * j as u32 + 2);
-            let f = self.next_a[j];
-            let conj = self.mgr.iff(y, f);
-            let mut now: Vec<Var> = Vec::new();
-            for jj in 0..nl {
-                let v = Var(4 * jj as u32);
-                if last_use.get(&v.0) == Some(&j) {
-                    now.push(v);
-                }
-            }
-            for k in 0..self.num_inputs {
-                let v = self.input_var(k);
-                if last_use.get(&v.0) == Some(&j) {
-                    now.push(v);
-                }
-            }
-            let cube = self.mgr.cube_from_vars(&now);
+        let pre = self.mgr.cube_from_vars(&pre);
+        let steps = per_step
+            .iter()
+            .enumerate()
+            .map(|(j, vars)| {
+                let y = self.mgr.var(4 * j as u32 + 2);
+                let conj = self.mgr.iff(y, self.fns.next_a[j]);
+                (conj, self.mgr.cube_from_vars(vars))
+            })
+            .collect();
+        ImageSchedule { pre, steps }
+    }
+
+    /// `Img(S)` over copy-A variables: `∃ xA, i . S ∧ valid ∧ (yA ⇔ δA)`,
+    /// using copy-A next-state slots (level `4j + 2`) as the image
+    /// variables, renamed back to `xA` (level `4j`).
+    fn image_a(&mut self, sched: &ImageSchedule, from: Bdd) -> Bdd {
+        let mut cur = self.mgr.and(from, self.valid);
+        cur = self.mgr.exists(cur, sched.pre);
+        for &(conj, cube) in &sched.steps {
             cur = self.mgr.and_exists(cur, conj, cube);
         }
-        // Rename yA (4j+2) back to xA (4j).
-        let map: Vec<(Var, Var)> = (0..nl)
+        let map: Vec<(Var, Var)> = (0..self.num_latches)
             .map(|j| (Var(4 * j as u32 + 2), Var(4 * j as u32)))
             .collect();
         self.mgr.rename(cur, &map)
@@ -258,14 +306,17 @@ impl PairFsm {
         let nl = self.num_latches;
         // valid(i) ∧ out(xA, i) = out(xB, i)
         let mut care = self.valid;
-        for m in 0..self.out_a.len() {
-            let e = self.mgr.iff(self.out_a[m], self.out_b[m]);
+        for m in 0..self.fns.out_a.len() {
+            let e = self.mgr.iff(self.fns.out_a[m], self.fns.out_b[m]);
             care = self.mgr.and(care, e);
         }
         let delta: Vec<(Var, Bdd)> = (0..nl)
             .flat_map(|j| {
                 let x = 4 * j as u32;
-                [(Var(x), self.next_a[j]), (Var(x + 1), self.next_b[j])]
+                [
+                    (Var(x), self.fns.next_a[j]),
+                    (Var(x + 1), self.fns.next_b[j]),
+                ]
             })
             .collect();
         let in_vars: Vec<Var> = (0..self.num_inputs).map(|i| self.input_var(i)).collect();
@@ -299,10 +350,11 @@ impl PairFsm {
             let lit = if v { x } else { self.mgr.not(x) };
             init_a = self.mgr.and(init_a, lit);
         }
+        let sched = self.image_schedule();
         let mut reached = init_a;
         let mut frontier = init_a;
         loop {
-            let img = self.image_a(frontier);
+            let img = self.image_a(&sched, frontier);
             let nr = self.mgr.not(reached);
             let new = self.mgr.and(img, nr);
             if new.is_false() {
@@ -396,7 +448,7 @@ impl PairFsm {
             .collect();
         let flipped = self.mgr.substitute(prep.escape, &onto_a);
         let delta_a: Vec<(Var, Bdd)> = (0..nl)
-            .map(|j| (Var(4 * j as u32), self.next_a[j]))
+            .map(|j| (Var(4 * j as u32), self.fns.next_a[j]))
             .collect();
         let esc = self.mgr.substitute(flipped, &delta_a);
         let not_esc = self.mgr.not(esc);
@@ -728,6 +780,132 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Three latches fed through gates from three inputs, and one output
+    /// that shows part of the state: a machine whose answers depend on
+    /// which input vectors are valid.
+    fn mixer() -> Netlist {
+        let mut n = Netlist::new();
+        let i: Vec<_> = (0..3).map(|k| n.add_input(format!("i{k}"))).collect();
+        let q: Vec<_> = (0..3)
+            .map(|j| n.add_latch(format!("q{j}"), false))
+            .collect();
+        let o: Vec<_> = q.iter().map(|&l| n.latch_output(l)).collect();
+        let d0 = n.xor(i[0], o[2]);
+        let t = n.and(o[0], i[1]);
+        let d1 = n.or(t, i[2]);
+        let t = n.and(i[0], i[2]);
+        let d2 = n.xor(o[1], t);
+        for (&l, d) in q.iter().zip([d0, d1, d2]) {
+            n.set_latch_next(l, d);
+        }
+        let t = n.and(o[2], i[1]);
+        let y = n.xor(t, o[0]);
+        n.add_output("y", y);
+        n
+    }
+
+    /// The OR of the minterms of the given input vectors (bit `k` of a
+    /// code is input `k`).
+    fn valid_vectors(pf: &mut PairFsm, codes: &[usize]) -> Bdd {
+        let mut v = Bdd::FALSE;
+        for &code in codes {
+            let mut m = Bdd::TRUE;
+            for k in 0..pf.num_inputs {
+                let level = pf.input_var(k).0;
+                let lit = if code >> k & 1 == 1 {
+                    pf.mgr().var(level)
+                } else {
+                    pf.mgr().nvar(level)
+                };
+                m = pf.mgr().and(m, lit);
+            }
+            v = pf.mgr().or(v, m);
+        }
+        v
+    }
+
+    /// For k = 1..=3: the prep's counts and escape pairs, every flip's
+    /// count, and `forall_k` with and without the reachability
+    /// restriction.
+    fn answers(pf: &mut PairFsm, init: &[bool]) -> Vec<u128> {
+        let nl = pf.num_latches;
+        let mut out = Vec::new();
+        for k in 1..=3 {
+            let prep = pf.transfer_detect_prep(init, k);
+            out.extend([
+                prep.reachable_states,
+                prep.reachable_cells,
+                prep.fixed_point.into(),
+                pf.count_over(prep.escape, 2 * nl),
+            ]);
+            out.extend((0..nl).map(|flip| pf.transfer_flip_detectable(&prep, flip)));
+            for restrict in [true, false] {
+                let r = pf.forall_k(init, k, restrict);
+                out.extend([
+                    r.violating_pairs,
+                    r.reachable_states,
+                    r.holds.into(),
+                    r.fixed_point.into(),
+                ]);
+            }
+        }
+        out
+    }
+
+    /// A second constraint replaces the first: the machine answers exactly
+    /// like a fresh one given only the second. The two sets overlap
+    /// without nesting, so cofactoring the first constraint's functions
+    /// again would show on the vectors only the second allows.
+    #[test]
+    fn second_constraint_answers_like_a_fresh_machine() {
+        let n = mixer();
+        let init = n.initial_state();
+        let (v1, v2) = ([0b110, 0b111], [0b001, 0b011, 0b100, 0b111]);
+        let mut fresh = PairFsm::from_netlist(&n);
+        let v = valid_vectors(&mut fresh, &v2);
+        fresh.set_valid_inputs(v);
+        let expected = answers(&mut fresh, &init);
+        let mut pf = PairFsm::from_netlist(&n);
+        let v = valid_vectors(&mut pf, &v1);
+        pf.set_valid_inputs(v);
+        assert_ne!(answers(&mut pf, &init), expected, "the constraints differ");
+        let v = valid_vectors(&mut pf, &v2);
+        pf.set_valid_inputs(v);
+        assert_eq!(answers(&mut pf, &init), expected);
+    }
+
+    /// With no constraint or `TRUE`, the queries use the lowered functions
+    /// themselves and setting the constraint makes no node and no
+    /// operation, so unconstrained callers keep their BDD counters.
+    /// `FALSE` never reaches `constrain` (which rejects an empty care set)
+    /// and leaves no valid cell.
+    #[test]
+    fn constant_constraints_keep_the_lowered_functions() {
+        let n = mixer();
+        let init = n.initial_state();
+        let mut pf = PairFsm::from_netlist(&n);
+        assert_eq!(pf.fns, pf.lowered);
+        let before = (pf.mgr.num_nodes(), pf.mgr.runtime_stats());
+        pf.set_valid_inputs(Bdd::TRUE);
+        assert_eq!(pf.fns, pf.lowered);
+        assert_eq!((pf.mgr.num_nodes(), pf.mgr.runtime_stats()), before);
+        let v = valid_vectors(&mut pf, &[0b011]);
+        pf.set_valid_inputs(v);
+        assert_ne!(pf.fns, pf.lowered);
+        pf.set_valid_inputs(Bdd::TRUE);
+        assert_eq!(pf.fns, pf.lowered);
+        pf.set_valid_inputs(Bdd::FALSE);
+        assert_eq!(pf.fns, pf.lowered);
+        let prep = pf.transfer_detect_prep(&init, 2);
+        assert_eq!((prep.reachable_states, prep.reachable_cells), (1, 0));
+        for flip in 0..n.num_latches() {
+            assert_eq!(pf.transfer_flip_detectable(&prep, flip), 0);
+        }
+        let r = pf.forall_k(&init, 2, false);
+        assert!(r.holds && r.fixed_point);
+        assert_eq!(r.violating_pairs, 0);
     }
 
     /// The prep survives cloning the pair machine: clones answer the same

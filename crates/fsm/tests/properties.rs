@@ -260,18 +260,13 @@ fn implicit_campaign_matches_bruteforce() {
             let k = g.int_in(1..4usize);
             let jobs = g.int_in(1..3usize);
             let (nl, ni) = (n.num_latches(), n.num_inputs());
-            // No constraint, then a random cube: each input free, 0 or 1.
-            let random_cube = (0..ni)
-                .map(|_| match g.int_in(0..3u8) {
-                    0 => None,
-                    v => Some(v == 2),
-                })
-                .collect();
-            for cube in [vec![None; ni], random_cube] {
-                let valid: Vec<Vec<bool>> = (0..1usize << ni)
-                    .map(|v| bits(v, ni))
-                    .filter(|v| cube.iter().zip(v).all(|(c, &b)| c.is_none_or(|c| c == b)))
-                    .collect();
+            // Every input vector, then a random subset of them, possibly
+            // empty. A subset that is no cube makes the generalized
+            // cofactor map invalid vectors to nearby valid ones, where a
+            // cube would only cofactor inputs away.
+            let all: Vec<Vec<bool>> = (0..1usize << ni).map(|v| bits(v, ni)).collect();
+            let subset = all.iter().filter(|_| g.bool()).cloned().collect();
+            for valid in [all, subset] {
                 // step[s][v] = (successor state, outputs) of state `s` under
                 // valid input `v`.
                 let step: Vec<Vec<(usize, Vec<bool>)>> = (0..1usize << nl)
@@ -329,23 +324,26 @@ fn implicit_campaign_matches_bruteforce() {
                     }
                 }
 
+                // The OR of the valid vectors' minterms.
                 let constraint = |pf: &mut PairFsm| {
-                    let mut c = Bdd::TRUE;
-                    for (i, lit) in cube.iter().enumerate() {
-                        if let Some(v) = *lit {
+                    let mut c = Bdd::FALSE;
+                    for v in &valid {
+                        let mut minterm = Bdd::TRUE;
+                        for (i, &b) in v.iter().enumerate() {
                             let level = pf.input_var(i).0;
-                            let x = if v {
+                            let x = if b {
                                 pf.mgr().var(level)
                             } else {
                                 pf.mgr().nvar(level)
                             };
-                            c = pf.mgr().and(c, x);
+                            minterm = pf.mgr().and(minterm, x);
                         }
+                        c = pf.mgr().or(c, minterm);
                     }
                     c
                 };
                 let report = run_implicit_campaign(&n, constraint, &ImplicitConfig { k, jobs });
-                let what = format!("k={k} jobs={jobs} cube={cube:?}");
+                let what = format!("k={k} jobs={jobs} valid={valid:?}");
                 assert_eq!(report.valid_inputs, valid.len() as u128, "{what}");
                 assert_eq!(report.reachable_states, reach.len() as u128, "{what}");
                 assert_eq!(
