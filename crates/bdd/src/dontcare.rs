@@ -1,30 +1,23 @@
-//! Don't-care minimization: the generalized cofactor (`constrain`) and
-//! sibling-substitution `restrict` operators of Coudert & Madre.
+//! Don't-care minimization with the generalized cofactor (`constrain`)
+//! of Coudert & Madre, and Graphviz export.
 //!
 //! The paper leans on *input don't-cares* ("of the 2^25 possible input
 //! combinations, only 8228 are valid... Taking input don't-cares into
 //! account reduces the number of reachable states as well as the number
-//! of transitions"). These operators are the standard BDD machinery for
-//! exploiting such care sets: given a function `f` and a care set `c`,
-//! both return a function that agrees with `f` on `c` and is (usually)
-//! smaller outside it:
+//! of transitions"). [`BddManager::constrain`] is the standard BDD
+//! operator for exploiting such a care set: given a function `f` and a
+//! care set `c`, the generalized cofactor `f ↓ c` agrees with `f` on `c`,
+//! is (usually) smaller outside it, satisfies `(f ↓ c) ∧ c = f ∧ c` and
+//! distributes over Boolean connectives.
 //!
-//! * [`BddManager::constrain`] — the generalized cofactor `f ↓ c`, which
-//!   additionally satisfies `(f ↓ c) ∧ c = f ∧ c` and distributes over
-//!   Boolean connectives;
-//! * [`BddManager::restrict_dc`] — sibling substitution, which never
-//!   grows the result's support beyond `f`'s.
-//!
-//! `constrain`'s caller is `simcov_fsm::PairFsm::set_valid_inputs`: it
-//! cofactors both pair-machine copies' next-state and output functions by
-//! the valid inputs once, and every later query stays inside them.
-//! `restrict_dc` has no caller outside its tests.
+//! Its caller is `simcov_fsm::PairFsm::set_valid_inputs`: it cofactors
+//! both pair-machine copies' next-state and output functions by the valid
+//! inputs once, and every later query stays inside them.
 
 use crate::manager::{Bdd, BddManager};
 
-/// Tag values for the shared ternary cache.
+/// Tag value for the shared ternary cache.
 const TAG_CONSTRAIN: u32 = 2;
-const TAG_RESTRICT: u32 = 3;
 
 impl BddManager {
     /// Generalized cofactor (Coudert–Madre `constrain`): a function that
@@ -66,51 +59,6 @@ impl BddManager {
             self.mk_node(top, r0, r1)
         };
         self.quant_cache.insert(f.0, c.0, TAG_CONSTRAIN, r.0);
-        r
-    }
-
-    /// Sibling-substitution `restrict`: agrees with `f` on the care set
-    /// `c` and keeps the support within `f`'s (unlike `constrain`, which
-    /// can pull care-set variables into the result).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is unsatisfiable.
-    pub fn restrict_dc(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        assert!(!c.is_false(), "care set must be satisfiable");
-        self.restrict_rec(f, c)
-    }
-
-    fn restrict_rec(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        if c.is_true() || f.is_const() {
-            return f;
-        }
-        if let Some(r) = self.quant_cache.get(f.0, c.0, TAG_RESTRICT) {
-            return Bdd(r);
-        }
-        let lf = self.level_of(f);
-        let lc = self.level_of(c);
-        let r = if lc < lf {
-            // Care-set variable above f's top: f does not depend on it,
-            // so merge the two care branches and continue.
-            let (c0, c1) = self.cofactors(c, lc);
-            let merged = self.or(c0, c1);
-            self.restrict_rec(f, merged)
-        } else {
-            let top = lf;
-            let (c0, c1) = self.cofactors(c, top);
-            let (f0, f1) = self.cofactors(f, top);
-            if c0.is_false() {
-                self.restrict_rec(f1, c1)
-            } else if c1.is_false() {
-                self.restrict_rec(f0, c0)
-            } else {
-                let r0 = self.restrict_rec(f0, c0);
-                let r1 = self.restrict_rec(f1, c1);
-                self.mk_node(top, r0, r1)
-            }
-        };
-        self.quant_cache.insert(f.0, c.0, TAG_RESTRICT, r.0);
         r
     }
 
@@ -167,7 +115,6 @@ fn node_id(n: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Var;
 
     fn mgr() -> BddManager {
         BddManager::new(4)
@@ -204,42 +151,8 @@ mod tests {
     }
 
     #[test]
-    fn restrict_keeps_support_within_f() {
-        let mut m = mgr();
-        let a = m.var(0);
-        let b = m.var(1);
-        let d = m.var(3);
-        let f = m.xor(a, b);
-        // Care set over an unrelated variable: restrict must ignore it.
-        let care = m.or(d, a);
-        let g = m.restrict_dc(f, care);
-        let support = m.support(g);
-        assert!(
-            support.iter().all(|v| *v == Var(0) || *v == Var(1)),
-            "{support:?}"
-        );
-        // Still agrees on the care set.
-        let lhs = m.and(f, care);
-        let g_and = m.and(g, care);
-        assert_eq!(lhs, g_and);
-    }
-
-    #[test]
-    fn restrict_simplifies_with_dont_cares() {
-        let mut m = mgr();
-        let a = m.var(0);
-        let b = m.var(1);
-        // f = a∧b; care set = a. Restricting: on a=1, f = b.
-        let f = m.and(a, b);
-        let g = m.restrict_dc(f, a);
-        assert_eq!(g, b);
-        assert!(m.size(g) < m.size(f));
-    }
-
-    #[test]
     fn exhaustive_defining_property() {
-        // For random small functions: f∧c == constrain(f,c)∧c and
-        // f∧c == restrict(f,c)∧c.
+        // For random small functions: f∧c == constrain(f,c)∧c.
         let mut m = mgr();
         let vars: Vec<Bdd> = (0..4).map(|i| m.var(i)).collect();
         let t0 = m.and(vars[0], vars[2]);
@@ -250,13 +163,10 @@ mod tests {
             m.or(t, vars[0])
         }];
         for &c in &cares {
-            let g1 = m.constrain(f, c);
-            let g2 = m.restrict_dc(f, c);
+            let g = m.constrain(f, c);
             let fc = m.and(f, c);
-            let g1c = m.and(g1, c);
-            let g2c = m.and(g2, c);
-            assert_eq!(fc, g1c);
-            assert_eq!(fc, g2c);
+            let gc = m.and(g, c);
+            assert_eq!(fc, gc);
         }
     }
 

@@ -19,8 +19,8 @@
 //! * exact satisfying-assignment counting ([`BddManager::sat_count`]),
 //! * cube extraction ([`BddManager::pick_cube`]) and minterm iteration
 //!   ([`BddManager::cubes`]),
-//! * don't-care minimization ([`BddManager::constrain`],
-//!   [`BddManager::restrict_dc`]) and Graphviz export
+//! * don't-care minimization by the generalized cofactor
+//!   ([`BddManager::constrain`]) and Graphviz export
 //!   ([`BddManager::to_dot`]).
 //!
 //! # Example

@@ -1,21 +1,11 @@
 //! Symbolic-scale fault campaigns: the implicit (BDD fault-family)
-//! engine on the full-width 22-latch / 25-input DLX test model — the
-//! workload no explicit engine can enumerate — plus the
-//! explicit-comparable symbolic shard engine on the reduced-observable
-//! control model. Gated by the CI perf job through the committed
-//! baseline like every other entry.
+//! campaign on the full-width 22-latch / 25-input DLX test model — the
+//! workload no explicit engine can enumerate. Gated by the CI perf job
+//! through the committed baseline like every other entry.
 
 use simcov_bench::timing::BenchReport;
-use simcov_core::{
-    enumerate_single_faults, extend_cyclically, run_implicit_campaign, simulate_shard_symbolic,
-    FaultSpace, ImplicitConfig, ImplicitReport, SymbolicContext, SymbolicEngineStats,
-};
-use simcov_dlx::testmodel::{
-    derive_test_model, reduced_control_netlist_observable, reduced_valid_inputs,
-    valid_inputs_constraint,
-};
-use simcov_fsm::enumerate_netlist;
-use simcov_tour::{transition_tour, TestSet};
+use simcov_core::{run_implicit_campaign, ImplicitConfig, ImplicitReport};
+use simcov_dlx::testmodel::{derive_test_model, valid_inputs_constraint};
 
 /// The implicit campaign on the full-width DLX under the abstract-ISA
 /// valid-input constraint, serial so the timing is scheduler-free.
@@ -59,25 +49,6 @@ fn main() {
         u64::try_from(r.valid_inputs).unwrap_or(u64::MAX),
     );
     rep.bench("symbolic/implicit_full_dlx", || implicit_full_dlx(1));
-
-    let n = reduced_control_netlist_observable();
-    let opts = reduced_valid_inputs(&n);
-    let m = enumerate_netlist(&n, &opts).expect("reduced model enumerates");
-    let ctx = SymbolicContext::new(&n, &m, &opts.inputs).expect("netlist bridges the machine");
-    let faults = enumerate_single_faults(
-        &m,
-        &FaultSpace {
-            max_faults: 64,
-            seed: 7,
-            ..FaultSpace::default()
-        },
-    );
-    let tour = transition_tour(&m).expect("DLX model is strongly connected");
-    let tests = TestSet::single(extend_cyclically(&tour.inputs, 2));
-    rep.bench("symbolic/shard_engine_reduced_obs", || {
-        let mut stats = SymbolicEngineStats::default();
-        simulate_shard_symbolic(&ctx, &m, &faults, &tests, &mut stats)
-    });
 
     rep.write().expect("write bench report");
 }

@@ -20,7 +20,8 @@
 //! Models are sequential BLIF files (the SIS interchange format; see
 //! [`simcov_netlist::blif`]). Explicit-machine commands (`tour`,
 //! `campaign`, `dot`) enumerate the model over its full input alphabet
-//! and are guarded to 16 primary inputs; `stats` and `distinguish` work
+//! and are guarded to 16 primary inputs; `stats`, `distinguish` and
+//! `campaign --engine symbolic` (the implicit campaign) work
 //! symbolically and scale much further.
 //!
 //! The job-shaped subcommands (`campaign`, `tour`, `lint`, `analyze`,
@@ -193,11 +194,17 @@ OPTIONS:
   --engine <E>  fault-simulation engine: differential (default; shares
                 the memoized golden trace and replays only divergent
                 suffixes), packed (the differential replays batched 64
-                faults per machine word, lane-parallel), symbolic
-                (shards walked as BDD relations over a fault-id space;
-                on models too wide to enumerate, an implicit fault-
-                family campaign) or naive (clone-and-replay oracle);
-                reports are bit-identical for every engine
+                faults per machine word, lane-parallel) or naive
+                (clone-and-replay oracle); their reports are bit-
+                identical. symbolic runs the implicit campaign over BDDs
+                at every model width: single-bit-flip fault families,
+                transfer flips judged by k-step distinguishability
+                (Theorem 1), every input valid except under --dlx
+                fig3b|final (the abstract-ISA constraint); its report
+                is not the explicit engines' report. It reads only --k and --jobs: it
+                ignores --max-faults, --seed and --max-retries, and
+                refuses --deadline, --max-steps, --checkpoint, --resume
+                and --collapse on|verify
   --collapse <M>
                 static fault collapsing: off (default) simulates every
                 fault; on simulates one representative per equivalence
@@ -425,11 +432,12 @@ pub fn cmd_distinguish(path: &str, k: usize, all_pairs: bool) -> Result<String, 
 pub const EXIT_PARTIAL: i32 = ExitStatus::Partial.code();
 
 /// `simcov campaign`: tour-driven fault campaign on the supervised
-/// parallel engine.
+/// parallel engine, or the implicit campaign under `--engine symbolic`.
 ///
-/// Always runs under the resilient supervisor, so `--deadline`,
-/// `--max-steps`, `--checkpoint` and `--resume` compose freely with the
-/// plain flags. Exits 0 for a complete report and [`EXIT_PARTIAL`] for a
+/// The explicit engines always run under the resilient supervisor, so
+/// `--deadline`, `--max-steps`, `--checkpoint` and `--resume` compose
+/// freely with the plain flags; `--engine symbolic` refuses them (usage
+/// error). Exits 0 for a complete report and [`EXIT_PARTIAL`] for a
 /// truncated or shard-quarantined one — every line of a partial report is
 /// still exact; the `status:`/`bounds:` lines account for what is
 /// missing.

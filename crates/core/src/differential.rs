@@ -70,13 +70,13 @@ pub enum Engine {
     /// ([`simcov_fsm::PackedMealy`]). Produces bit-identical outcomes to
     /// both scalar engines.
     Packed,
-    /// Implicit fault enumeration over BDDs
-    /// ([`crate::symbolic::simulate_shard_symbolic`]): each shard's faults
-    /// become a cofactor cube of a shared fault-id variable space, the
-    /// faulty next-state/output functions are patched symbolically, and
-    /// one relational-product walk per test sequence classifies every
-    /// fault in the shard at once. Produces bit-identical outcomes to the
-    /// explicit engines.
+    /// The implicit campaign over BDDs
+    /// ([`crate::symbolic::run_implicit_campaign`]), at every model
+    /// width: no fault list and no test set, but the single-bit-flip
+    /// fault families of every reachable cell, with transfer flips judged
+    /// by Theorem 1's `k`-step detection. Its report is not the explicit
+    /// engines' report; [`crate::ResilientCampaign`] refuses it with
+    /// [`crate::CampaignError::ImplicitEngine`].
     Symbolic,
 }
 

@@ -1,23 +1,25 @@
-//! One dispatch point for the fault-simulation engines.
+//! One dispatch point for the explicit fault-simulation engines.
 //!
-//! Every campaign runs an [`Engine`] in two steps. [`PreparedEngine::new`]
-//! builds the engine's read-only artefacts once per campaign: the golden
-//! trace ([`GoldenTrace::build`]) for the differential engine; the same
-//! trace plus the packed tables and replay script, which lower only its
-//! replays, for the packed engine; the netlist bridge for the symbolic
-//! engine. [`PreparedEngine::simulate`] then classifies one shard of
-//! faults against them and accumulates the engine's effort into
+//! Every explicit campaign runs an [`Engine`] in two steps.
+//! [`PreparedEngine::new`] builds the engine's read-only artefacts once
+//! per campaign: the golden trace ([`GoldenTrace::build`]) for the
+//! differential engine; the same trace plus the packed tables and replay
+//! script, which lower only its replays, for the packed engine.
+//! [`PreparedEngine::simulate`] then classifies one shard of faults
+//! against them and accumulates the engine's effort into
 //! [`EngineStats`]. The artefacts are shared by reference across worker
 //! threads, so a campaign pays for them once whatever its `--jobs`.
 //!
-//! All four engines produce bit-identical [`FaultOutcome`]s for the same
-//! `(golden, faults, tests)`; only their [`EngineStats`] differ.
+//! The three explicit engines (naive, differential, packed) produce
+//! bit-identical [`FaultOutcome`]s for the same `(golden, faults,
+//! tests)`; only their [`EngineStats`] differ. [`Engine::Symbolic`] has
+//! no fault list to simulate: it is the implicit campaign,
+//! [`crate::run_implicit_campaign`].
 
 use crate::differential::{simulate_fault_differential, DiffStats, Engine, GoldenTrace};
 use crate::error_model::Fault;
 use crate::faults::{simulate_fault, FaultOutcome};
 use crate::packed::{simulate_shard_packed, PackedStats, ReplayScript};
-use crate::symbolic::{simulate_shard_symbolic, SymbolicContext, SymbolicEngineStats};
 use simcov_fsm::{ExplicitMealy, PackedMealy};
 use simcov_obs::names;
 use simcov_obs::Telemetry;
@@ -35,8 +37,6 @@ pub struct EngineStats {
     pub diff: DiffStats,
     /// Word-packing effort of the packed engine.
     pub packed: PackedStats,
-    /// BDD-package effort of the symbolic engine.
-    pub sym: SymbolicEngineStats,
 }
 
 impl EngineStats {
@@ -44,15 +44,13 @@ impl EngineStats {
     pub(crate) fn merge(&mut self, other: &EngineStats) {
         self.diff.merge(&other.diff);
         self.packed.merge(&other.packed);
-        self.sym.merge(&other.sym);
     }
 
     /// Adds the effort counters `engine` reports to `tel`. Called once
     /// from the merged total, never per shard, so the trace stays
     /// byte-identical across thread counts. The differential and packed
-    /// engines report the differential counters, the packed engine adds
-    /// its word counters, and the symbolic engine reports BDD effort
-    /// instead; the naive engine reports nothing.
+    /// engines report the differential counters and the packed engine
+    /// adds its word counters; the naive engine reports nothing.
     pub(crate) fn emit(&self, engine: Engine, tel: &Telemetry) {
         if matches!(engine, Engine::Differential | Engine::Packed) {
             let d = &self.diff;
@@ -83,13 +81,6 @@ impl EngineStats {
                 self.packed.lanes_active as u64,
             );
         }
-        if engine == Engine::Symbolic {
-            let s = &self.sym;
-            tel.counter_add(names::BDD_UNIQUE_NODES, s.unique_nodes);
-            tel.counter_add(names::BDD_ITE_CACHE_HITS, s.ite_cache_hits);
-            tel.counter_add(names::BDD_ITE_CACHE_MISSES, s.ite_cache_misses);
-            tel.counter_add(names::BDD_GC_COLLECTIONS, s.gc_collections);
-        }
     }
 }
 
@@ -102,7 +93,6 @@ enum Artefacts<'a> {
         trace: Cow<'a, GoldenTrace>,
         script: ReplayScript,
     },
-    Symbolic(&'a SymbolicContext<'a>),
 }
 
 /// An [`Engine`] bound to one `(golden, tests)` pair with its read-only
@@ -116,7 +106,7 @@ enum Artefacts<'a> {
 /// let (m, _) = figure2();
 /// let faults = enumerate_single_faults(&m, &FaultSpace::default());
 /// let tests = TestSet::single(transition_tour(&m).unwrap().inputs);
-/// let engine = PreparedEngine::new(Engine::Packed, &m, &tests, None, None).unwrap();
+/// let engine = PreparedEngine::new(Engine::Packed, &m, &tests, None).unwrap();
 /// let mut effort = EngineStats::default();
 /// let outcomes = engine.simulate(&faults, &mut effort);
 /// assert_eq!(outcomes.len(), faults.len());
@@ -134,17 +124,16 @@ impl<'a> PreparedEngine<'a> {
     /// `trace` is an already-built golden trace to share instead of
     /// building one (a cross-request cache, say); it must have been
     /// built by [`GoldenTrace::build`] from this `golden` and `tests`,
-    /// and serves both engines that use a trace. `symbolic` is the netlist
-    /// bridge [`Engine::Symbolic`] needs, validated against `golden`
-    /// ([`SymbolicContext::new`]). Engines ignore what they do not use.
+    /// and serves both engines that use a trace; the naive engine ignores
+    /// it.
     ///
-    /// Returns `None` only for [`Engine::Symbolic`] without a bridge.
+    /// Returns `None` for [`Engine::Symbolic`], which simulates no fault
+    /// list: run [`crate::run_implicit_campaign`] instead.
     pub fn new(
         engine: Engine,
         golden: &'a ExplicitMealy,
         tests: &'a TestSet,
         trace: Option<&'a GoldenTrace>,
-        symbolic: Option<&'a SymbolicContext<'a>>,
     ) -> Option<Self> {
         let trace = || match trace {
             Some(t) => Cow::Borrowed(t),
@@ -162,7 +151,7 @@ impl<'a> PreparedEngine<'a> {
                     script,
                 }
             }
-            Engine::Symbolic => Artefacts::Symbolic(symbolic?),
+            Engine::Symbolic => return None,
         };
         Some(PreparedEngine {
             golden,
@@ -204,9 +193,6 @@ impl<'a> PreparedEngine<'a> {
                 &mut stats.diff,
                 &mut stats.packed,
             ),
-            Artefacts::Symbolic(ctx) => {
-                simulate_shard_symbolic(ctx, golden, shard, tests, &mut stats.sym)
-            }
         }
     }
 }

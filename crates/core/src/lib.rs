@@ -31,8 +31,12 @@
 //! * [`packed`] — the bit-parallel engine: the differential engine's
 //!   suffix replays advanced 64 lanes at a time over word-packed
 //!   struct-of-arrays tables, bit-identical to both scalar engines;
-//! * [`engine`] — the one dispatch point over all engines: prepare the
-//!   shared artefacts once per campaign, then simulate shard by shard;
+//! * [`engine`] — the one dispatch point over the explicit engines:
+//!   prepare the shared artefacts once per campaign, then simulate shard
+//!   by shard;
+//! * [`symbolic`] — the implicit campaign over BDDs (`--engine
+//!   symbolic`): single-bit-flip fault families judged by Theorem 1's
+//!   `k`-step detection, at any model width;
 //! * [`resilient`] — the campaign runner: sharded simulation with panic
 //!   isolation, deadlines/step budgets, durable checkpoint/resume and
 //!   deterministic chaos injection;
@@ -94,10 +98,7 @@ pub use requirements::{
     check_req1_uniform_outputs, check_req2_bounded_processing, check_req3_unique_outputs,
     check_req5_observable, Req1Violation, StallBound,
 };
-pub use symbolic::{
-    run_implicit_campaign, simulate_shard_symbolic, ImplicitConfig, ImplicitReport,
-    SymbolicContext, SymbolicContextError, SymbolicEngineStats,
-};
+pub use symbolic::{run_implicit_campaign, ImplicitConfig, ImplicitReport, SymbolicEngineStats};
 
 pub use resilient::{
     CampaignError, CoverageBounds, ResilientCampaign, ResilientRun, ShardFailure, StopReason,

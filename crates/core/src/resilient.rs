@@ -3,8 +3,8 @@
 //!
 //! [`ResilientCampaign`] is the crate's one campaign runner. It shards the
 //! fault list ([`crate::parallel`]), simulates the shards on a worker pool
-//! under any [`Engine`] ([`PreparedEngine`]) and merges them in shard
-//! order. With no deadline, step budget or checkpoint it is the plain
+//! under any explicit [`Engine`] ([`PreparedEngine`]) and merges them in
+//! shard order. With no deadline, step budget or checkpoint it is the plain
 //! campaign. At production scale a campaign runs for hours across
 //! millions of injected faults, where an unsupervised worker pool has an
 //! all-or-nothing failure mode: one panicking shard (or a `SIGKILL`ed
@@ -63,7 +63,6 @@ use crate::error_model::{Fault, FaultKind};
 use crate::faults::{CampaignReport, FaultOutcome};
 use crate::packed::PackedStats;
 use crate::parallel::{default_jobs, default_shard_size, run_sharded, CampaignStats};
-use crate::symbolic::{SymbolicContext, SymbolicEngineStats};
 use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, StateId};
 use simcov_obs::recordlog::{self, RecordLog};
 use simcov_obs::Telemetry;
@@ -82,7 +81,8 @@ use std::time::{Duration, Instant};
 /// Shard-level failures (panics, truncation) never surface here — they
 /// are reported inside [`ResilientRun`]. Only checkpoint-journal problems
 /// that would make the result *wrong* (unreadable journal, journal of a
-/// different campaign) abort the run.
+/// different campaign), a stale collapse certificate, or an engine with
+/// no fault list to simulate abort the run.
 #[derive(Debug)]
 pub enum CampaignError {
     /// The checkpoint journal could not be read or created.
@@ -108,6 +108,10 @@ pub enum CampaignError {
         /// What disagreed.
         detail: crate::collapse::CertificateError,
     },
+    /// The campaign selected [`Engine::Symbolic`], which simulates no
+    /// fault list: it is the implicit campaign,
+    /// [`run_implicit_campaign`](crate::run_implicit_campaign).
+    ImplicitEngine,
 }
 
 impl fmt::Display for CampaignError {
@@ -124,6 +128,10 @@ impl fmt::Display for CampaignError {
             CampaignError::Certificate { detail } => {
                 write!(f, "collapse certificate rejected: {detail}")
             }
+            CampaignError::ImplicitEngine => f.write_str(
+                "engine `symbolic` simulates no fault list; \
+                 run the implicit campaign (`run_implicit_campaign`) instead",
+            ),
         }
     }
 }
@@ -658,7 +666,8 @@ impl fmt::Display for CoverageBounds {
 /// When [`is_complete`](Self::is_complete) is `true`, `report` is
 /// byte-identical to mapping [`simulate_fault`](crate::simulate_fault)
 /// over the fault list, and `stats` to its tally under the shard size —
-/// regardless of engine, of how many shards came from the checkpoint
+/// regardless of which explicit engine ran (the supervisor refuses
+/// [`Engine::Symbolic`]), of how many shards came from the checkpoint
 /// journal versus fresh simulation, and of thread count.
 #[derive(Debug)]
 pub struct ResilientRun {
@@ -701,9 +710,6 @@ pub struct ResilientRun {
     /// Word-packing effort counters over freshly simulated shards (zero
     /// unless the run used [`Engine::Packed`]); same caveats as `diff`.
     pub packed: PackedStats,
-    /// BDD-package effort counters over freshly simulated shards (zero
-    /// unless the run used [`Engine::Symbolic`]); same caveats as `diff`.
-    pub sym: SymbolicEngineStats,
     /// Collapse accounting when the run consumed a certificate (`None`
     /// for plain runs and [`CollapseMode::Off`]).
     pub collapse: Option<CollapseSummary>,
@@ -747,7 +753,6 @@ pub struct ResilientCampaign<'a> {
     telemetry: Option<Telemetry>,
     collapse: Option<(&'a CollapseCertificate, CollapseMode)>,
     shared_trace: Option<Arc<GoldenTrace>>,
-    symbolic: Option<&'a SymbolicContext<'a>>,
     #[cfg(feature = "chaos")]
     chaos: Option<chaos::ChaosPlan>,
 }
@@ -771,20 +776,9 @@ impl<'a> ResilientCampaign<'a> {
             telemetry: None,
             collapse: None,
             shared_trace: None,
-            symbolic: None,
             #[cfg(feature = "chaos")]
             chaos: None,
         }
-    }
-
-    /// Attaches the netlist bridge required by [`Engine::Symbolic`]:
-    /// `ctx` must have been validated against this campaign's golden
-    /// machine ([`SymbolicContext::new`]). Ignored by the explicit
-    /// engines; [`run`](Self::run) panics if [`Engine::Symbolic`] is
-    /// selected without one.
-    pub fn symbolic(mut self, ctx: &'a SymbolicContext<'a>) -> Self {
-        self.symbolic = Some(ctx);
-        self
     }
 
     /// Attaches a [`CollapseCertificate`]. [`CollapseMode::Off`] ignores
@@ -815,11 +809,12 @@ impl<'a> ResilientCampaign<'a> {
     /// Selects the fault-simulation engine. The default
     /// [`Engine::Differential`] memoizes one golden trace and classifies
     /// faults against it; [`Engine::Naive`] clones and replays per fault.
-    /// Outcomes and stats are bit-identical under every engine (see
-    /// [`crate::differential`]), so this knob only trades wall-clock for
-    /// cross-checkability — and the engine is *not* part of the journal
-    /// fingerprint: a campaign checkpointed under one engine resumes
-    /// soundly under another.
+    /// Outcomes and stats are bit-identical under every explicit engine
+    /// (see [`crate::differential`]), so this knob only trades wall-clock
+    /// for cross-checkability — and the engine is *not* part of the
+    /// journal fingerprint: a campaign checkpointed under one engine
+    /// resumes soundly under another. [`Engine::Symbolic`] makes
+    /// [`run`](Self::run) fail with [`CampaignError::ImplicitEngine`].
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -917,7 +912,7 @@ impl<'a> ResilientCampaign<'a> {
     /// contract here: the trace must have been built from this `golden`
     /// and this test set). Safe across engines because the differential
     /// and packed engines both use the one trace [`GoldenTrace::build`]
-    /// makes. Ignored by the naive and symbolic engines.
+    /// makes. Ignored by the naive engine.
     pub fn golden_trace(mut self, trace: Arc<GoldenTrace>) -> Self {
         self.shared_trace = Some(trace);
         self
@@ -935,11 +930,15 @@ impl<'a> ResilientCampaign<'a> {
     /// # Errors
     ///
     /// [`CampaignError`] only for unrecoverable checkpoint problems
-    /// (unreadable journal, journal of a different campaign) or a collapse
-    /// certificate that does not bind this campaign. Everything else —
-    /// panics, truncation, failed checkpoint writes — degrades into the
-    /// [`ResilientRun`] accounting.
+    /// (unreadable journal, journal of a different campaign), a collapse
+    /// certificate that does not bind this campaign, or
+    /// [`Engine::Symbolic`] ([`CampaignError::ImplicitEngine`], before any
+    /// file is touched). Everything else — panics, truncation, failed
+    /// checkpoint writes — degrades into the [`ResilientRun`] accounting.
     pub fn run(&self) -> Result<ResilientRun, CampaignError> {
+        if self.engine == Engine::Symbolic {
+            return Err(CampaignError::ImplicitEngine);
+        }
         let collapse = self.collapse.filter(|&(_, mode)| mode != CollapseMode::Off);
         let Some((cert, mode)) = collapse else {
             return self.run_inner(self.faults);
@@ -1194,9 +1193,8 @@ impl<'a> ResilientCampaign<'a> {
             self.golden,
             self.tests,
             self.shared_trace.as_deref(),
-            self.symbolic,
         )
-        .expect("Engine::Symbolic requires ResilientCampaign::symbolic(ctx)");
+        .ok_or(CampaignError::ImplicitEngine)?;
         let notes_mx = Mutex::new(notes);
         let states = run_sharded(sim_faults, self.shard_size, self.jobs, |i, shard| {
             if restored[i].is_some() {
@@ -1322,7 +1320,7 @@ impl<'a> ResilientCampaign<'a> {
         drop(span);
         let detected_lo = stats.detected;
         let unsimulated = sim_faults.len() - stats.faults_simulated;
-        let EngineStats { diff, packed, sym } = effort;
+        let EngineStats { diff, packed } = effort;
         Ok(ResilientRun {
             report: CampaignReport { outcomes },
             stats,
@@ -1343,7 +1341,6 @@ impl<'a> ResilientCampaign<'a> {
             wall: t0.elapsed(),
             diff,
             packed,
-            sym,
             collapse: None,
         })
     }
@@ -1790,6 +1787,23 @@ mod tests {
                 "packed saves exactly the differential effort, jobs={jobs}"
             );
         }
+    }
+
+    #[test]
+    fn symbolic_engine_is_a_typed_error_before_any_file() {
+        // The symbolic engine is the implicit campaign: the supervisor
+        // refuses it instead of panicking, and touches no journal.
+        let (m, faults, tests) = fixture();
+        let path = temp_path("symbolic_refused");
+        let _c = Cleanup(path.clone());
+        let err = ResilientCampaign::new(&m, &faults, &tests)
+            .engine(Engine::Symbolic)
+            .checkpoint(&path)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, CampaignError::ImplicitEngine), "{err}");
+        assert!(err.to_string().contains("run_implicit_campaign"), "{err}");
+        assert!(!path.exists(), "no journal for a refused campaign");
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn three_way(
     let naive: Vec<FaultOutcome> = faults.iter().map(|f| simulate_fault(m, f, tests)).collect();
     let mut effort = Vec::new();
     for engine in [Engine::Differential, Engine::Packed] {
-        let prepared = PreparedEngine::new(engine, m, tests, None, None).expect("explicit engine");
+        let prepared = PreparedEngine::new(engine, m, tests, None).expect("explicit engine");
         let mut stats = EngineStats::default();
         let got = prepared.simulate(faults, &mut stats);
         assert_eq!(got, naive, "{engine} vs naive");

@@ -224,25 +224,7 @@ pub fn valid_inputs_constraint(
 /// ~500k class-transitions. Expect roughly a minute of computation in
 /// release builds.
 pub fn full_model_class_machine() -> (simcov_fsm::ExplicitMealy, simcov_fsm::InputClasses) {
-    let (fin, _) = derive_test_model();
-    let classes = simcov_fsm::input_equivalence_classes(
-        &fin,
-        |mgr, lookup| valid_inputs_constraint(mgr, &|name| lookup(name)),
-        true,
-        1_000_000,
-    )
-    .expect("class count is far below the bound");
-    let opts = EnumerateOptions {
-        inputs: classes.representatives.clone(),
-        input_labels: Some(
-            (0..classes.representatives.len())
-                .map(|i| format!("c{i}"))
-                .collect(),
-        ),
-        max_states: 1 << 20,
-    };
-    let m = simcov_fsm::enumerate_netlist(&fin, &opts).expect("class-quotient machine enumerates");
-    (m, classes)
+    class_machine(&derive_test_model().0)
 }
 
 /// The class-quotient machine of the *observable* full model
@@ -253,9 +235,15 @@ pub fn full_model_class_machine() -> (simcov_fsm::ExplicitMealy, simcov_fsm::Inp
 /// attackable with fault campaigns.
 pub fn full_model_class_machine_observable() -> (simcov_fsm::ExplicitMealy, simcov_fsm::InputClasses)
 {
-    let fin = derive_test_model_observable();
+    class_machine(&derive_test_model_observable())
+}
+
+/// The input classes of a full-width model under the abstract-ISA
+/// valid-input constraint, and its machine enumerated over one
+/// representative per class (input labels `c0`, `c1`, ...).
+fn class_machine(fin: &Netlist) -> (simcov_fsm::ExplicitMealy, simcov_fsm::InputClasses) {
     let classes = simcov_fsm::input_equivalence_classes(
-        &fin,
+        fin,
         |mgr, lookup| valid_inputs_constraint(mgr, &|name| lookup(name)),
         true,
         1_000_000,
@@ -270,7 +258,7 @@ pub fn full_model_class_machine_observable() -> (simcov_fsm::ExplicitMealy, simc
         ),
         max_states: 1 << 20,
     };
-    let m = simcov_fsm::enumerate_netlist(&fin, &opts).expect("class-quotient machine enumerates");
+    let m = simcov_fsm::enumerate_netlist(fin, &opts).expect("class-quotient machine enumerates");
     (m, classes)
 }
 

@@ -22,6 +22,7 @@
 //! The two input copies `i` and `i'` are two [`lower_netlist`]s of the
 //! design sharing the state variables.
 
+use crate::image::ImageSchedule;
 use crate::lower::lower_netlist;
 use simcov_bdd::{Bdd, BddManager, Var};
 use simcov_netlist::{LatchId, Netlist};
@@ -109,12 +110,8 @@ pub fn input_equivalence_classes(
         .collect();
     let valid_ip = mgr.rename(valid_i, &map);
 
-    // Reachable state set (over x vars), computed with a private next-var
-    // trick: reuse the i' slots as temporary next-state vars is unsound
-    // (widths differ); instead run reachability in a scratch manager and
-    // transfer the set by cube enumeration? Too expensive. Instead:
-    // reachability here is computed over the x variables directly using
-    // the same manager with temporary variables appended.
+    // Reachable state set over the x variables, computed in this manager
+    // with next-state variables appended below everything else.
     let reached = if restrict_reachable {
         Some(reachable_over(&mut mgr, netlist, &a.next, valid_i))
     } else {
@@ -186,63 +183,23 @@ pub fn input_equivalence_classes(
 }
 
 /// Reachability over the `x` variables of the dual-input manager: appends
-/// temporary next-state variables at the bottom of the order, computes
-/// the fixed point, and returns the set over `x`.
+/// next-state variables at the bottom of the order and returns the fixed
+/// point over `x`, with copy `i`'s inputs quantified.
 fn reachable_over(mgr: &mut BddManager, netlist: &Netlist, next_fns: &[Bdd], valid_i: Bdd) -> Bdd {
-    let nl = netlist.num_latches();
-    let ni = netlist.num_inputs();
-    let y_base = mgr.add_vars(nl as u32).0;
+    let nl = netlist.num_latches() as u32;
+    let y_base = mgr.add_vars(nl).0;
     let mut init = Bdd::TRUE;
     for (j, l) in netlist.latches().iter().enumerate() {
         let x = mgr.var(j as u32);
         let lit = if l.init { x } else { mgr.not(x) };
         init = mgr.and(init, lit);
     }
-    // Quantification schedule: x and i vars after their last use.
-    let mut last_use: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for (j, &f) in next_fns.iter().enumerate() {
-        for v in mgr.support(f) {
-            last_use.insert(v.0, j);
-        }
-    }
-    let all_quant: Vec<Var> = (0..nl as u32)
-        .map(Var)
-        .chain((0..ni).map(|k| Var(nl as u32 + 2 * k as u32)))
+    let latches: Vec<(Var, Var)> = (0..nl).map(|j| (Var(j), Var(y_base + j))).collect();
+    let inputs: Vec<Var> = (0..netlist.num_inputs() as u32)
+        .map(|k| Var(nl + 2 * k))
         .collect();
-    let mut reached = init;
-    let mut frontier = init;
-    loop {
-        // Image of `frontier`.
-        let mut cur = mgr.and(frontier, valid_i);
-        // Pre-quantify unused vars.
-        let pre: Vec<Var> = all_quant
-            .iter()
-            .copied()
-            .filter(|v| !last_use.contains_key(&v.0))
-            .collect();
-        let pre_cube = mgr.cube_from_vars(&pre);
-        cur = mgr.exists(cur, pre_cube);
-        for (j, &f) in next_fns.iter().enumerate() {
-            let y = mgr.var(y_base + j as u32);
-            let conj = mgr.iff(y, f);
-            let now: Vec<Var> = all_quant
-                .iter()
-                .copied()
-                .filter(|v| last_use.get(&v.0) == Some(&j))
-                .collect();
-            let cube = mgr.cube_from_vars(&now);
-            cur = mgr.and_exists(cur, conj, cube);
-        }
-        let map: Vec<(Var, Var)> = (0..nl as u32).map(|j| (Var(y_base + j), Var(j))).collect();
-        let img = mgr.rename(cur, &map);
-        let nr = mgr.not(reached);
-        let new = mgr.and(img, nr);
-        if new.is_false() {
-            return reached;
-        }
-        reached = mgr.or(reached, new);
-        frontier = new;
-    }
+    let sched = ImageSchedule::new(mgr, next_fns, &latches, &inputs);
+    sched.reach(mgr, init, valid_i).reached
 }
 
 #[cfg(test)]

@@ -52,6 +52,7 @@
 
 pub mod enumerate;
 mod explicit;
+mod image;
 mod input_classes;
 mod lower;
 mod minimize;

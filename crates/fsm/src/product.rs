@@ -25,6 +25,7 @@
 //! the inputs. A pair of distinct reachable states in `E_k` violates
 //! ∀k-distinguishability.
 
+use crate::image::ImageSchedule;
 use crate::lower::lower_netlist;
 use simcov_bdd::{Bdd, BddManager, Var};
 use simcov_netlist::{InputId, Netlist};
@@ -121,14 +122,6 @@ impl PairFns {
     }
 }
 
-/// Copy A's image step, built once per reachability: the cube quantified
-/// up front, then each `yA_j ⇔ δA_j` conjunct with the cube of the
-/// variables no later conjunct mentions.
-struct ImageSchedule {
-    pre: Bdd,
-    steps: Vec<(Bdd, Bdd)>,
-}
-
 impl PairFsm {
     /// Builds the pair machine of a netlist.
     ///
@@ -209,56 +202,6 @@ impl PairFsm {
                 *f = self.mgr.constrain(*f, valid);
             }
         }
-    }
-
-    /// The early-quantification schedule of [`PairFsm::image_a`]: a copy-A
-    /// current-state or input variable is quantified right after the last
-    /// conjunct whose next-state function mentions it, or up front if
-    /// none does. It reads the supports of the functions in use, which
-    /// `constrain` may have widened by care-set variables.
-    fn image_schedule(&mut self) -> ImageSchedule {
-        let nl = self.num_latches;
-        let mut last_use: Vec<Option<usize>> = vec![None; 4 * nl + self.num_inputs];
-        for (j, &f) in self.fns.next_a.iter().enumerate() {
-            for v in self.mgr.support(f) {
-                last_use[v.0 as usize] = Some(j);
-            }
-        }
-        let mut pre = Vec::new();
-        let mut per_step: Vec<Vec<Var>> = vec![Vec::new(); nl];
-        let state_vars = (0..nl).map(|j| Var(4 * j as u32));
-        for v in state_vars.chain((0..self.num_inputs).map(|k| self.input_var(k))) {
-            match last_use[v.0 as usize] {
-                Some(j) => per_step[j].push(v),
-                None => pre.push(v),
-            }
-        }
-        let pre = self.mgr.cube_from_vars(&pre);
-        let steps = per_step
-            .iter()
-            .enumerate()
-            .map(|(j, vars)| {
-                let y = self.mgr.var(4 * j as u32 + 2);
-                let conj = self.mgr.iff(y, self.fns.next_a[j]);
-                (conj, self.mgr.cube_from_vars(vars))
-            })
-            .collect();
-        ImageSchedule { pre, steps }
-    }
-
-    /// `Img(S)` over copy-A variables: `∃ xA, i . S ∧ valid ∧ (yA ⇔ δA)`,
-    /// using copy-A next-state slots (level `4j + 2`) as the image
-    /// variables, renamed back to `xA` (level `4j`).
-    fn image_a(&mut self, sched: &ImageSchedule, from: Bdd) -> Bdd {
-        let mut cur = self.mgr.and(from, self.valid);
-        cur = self.mgr.exists(cur, sched.pre);
-        for &(conj, cube) in &sched.steps {
-            cur = self.mgr.and_exists(cur, conj, cube);
-        }
-        let map: Vec<(Var, Var)> = (0..self.num_latches)
-            .map(|j| (Var(4 * j as u32 + 2), Var(4 * j as u32)))
-            .collect();
-        self.mgr.rename(cur, &map)
     }
 
     /// Runs the ∀k-distinguishability analysis.
@@ -342,7 +285,10 @@ impl PairFsm {
         (self.mgr.and(e, distinct), fixed_point)
     }
 
-    /// Reachable state set of one machine copy (over copy-A variables).
+    /// Reachable state set of one machine copy (over copy-A variables),
+    /// with copy-A next-state slots (level `4j + 2`) as the image
+    /// variables. The schedule is a local, so
+    /// [`PairFsm::transfer_detect_prep`]'s reclamation drops it.
     fn reachable_a(&mut self, init: &[bool]) -> Bdd {
         let mut init_a = Bdd::TRUE;
         for (j, &v) in init.iter().enumerate() {
@@ -350,19 +296,12 @@ impl PairFsm {
             let lit = if v { x } else { self.mgr.not(x) };
             init_a = self.mgr.and(init_a, lit);
         }
-        let sched = self.image_schedule();
-        let mut reached = init_a;
-        let mut frontier = init_a;
-        loop {
-            let img = self.image_a(&sched, frontier);
-            let nr = self.mgr.not(reached);
-            let new = self.mgr.and(img, nr);
-            if new.is_false() {
-                return reached;
-            }
-            reached = self.mgr.or(reached, new);
-            frontier = new;
-        }
+        let latches: Vec<(Var, Var)> = (0..self.num_latches as u32)
+            .map(|j| (Var(4 * j), Var(4 * j + 2)))
+            .collect();
+        let inputs: Vec<Var> = (0..self.num_inputs).map(|k| self.input_var(k)).collect();
+        let sched = ImageSchedule::new(&mut self.mgr, &self.fns.next_a, &latches, &inputs);
+        sched.reach(&mut self.mgr, init_a, self.valid).reached
     }
 
     fn rename_a_to_b(&mut self, f: Bdd) -> Bdd {
@@ -909,7 +848,8 @@ mod tests {
     }
 
     /// The prep survives cloning the pair machine: clones answer the same
-    /// per-latch queries (the shard-worker pattern of the symbolic engine).
+    /// per-latch queries (the shard-worker pattern of the implicit
+    /// campaign).
     #[test]
     fn transfer_prep_valid_in_clones() {
         let n = lookalike();

@@ -8,6 +8,7 @@
 //! the `y ⇔ f(x)` constraints narrow); primary input `k` sits at level
 //! `2 · num_latches + k`.
 
+use crate::image::ImageSchedule;
 use crate::lower::{lower_netlist, NetlistBdds};
 use simcov_bdd::{Bdd, BddManager, Var};
 use simcov_netlist::Netlist;
@@ -71,11 +72,9 @@ pub struct SymbolicFsm {
     init: Bdd,
     valid: Bdd,
     input_names: Vec<String>,
-    /// `(y_j ⇔ f_j)` conjuncts, built lazily.
-    trans_parts: Option<Vec<Bdd>>,
-    /// Per-step quantification cubes for early quantification, plus the
-    /// cube of variables quantifiable before the first conjunct.
-    schedule: Option<(Bdd, Vec<Bdd>)>,
+    /// The `(y_j ⇔ f_j)` conjuncts and their early-quantification
+    /// schedule, built on first use.
+    schedule: Option<ImageSchedule>,
 }
 
 impl SymbolicFsm {
@@ -118,7 +117,6 @@ impl SymbolicFsm {
             init,
             valid: Bdd::TRUE,
             input_names: n.input_names().map(str::to_string).collect(),
-            trans_parts: None,
             schedule: None,
         }
     }
@@ -199,50 +197,16 @@ impl SymbolicFsm {
         &self.output_fns
     }
 
-    fn ensure_trans_parts(&mut self) {
-        if self.trans_parts.is_some() {
-            return;
-        }
-        let parts: Vec<Bdd> = (0..self.num_latches)
-            .map(|j| {
-                let y = self.mgr.var(self.next_var(j).0);
-                let f = self.next_fns[j];
-                self.mgr.iff(y, f)
-            })
-            .collect();
-        // Early-quantification schedule: a current-state or input variable
-        // may be quantified out right after the last conjunct whose
-        // next-state function mentions it.
-        let mut last_use: Vec<Option<usize>> =
-            vec![None; (2 * self.num_latches + self.num_inputs).max(1)];
-        for (j, &f) in self.next_fns.iter().enumerate() {
-            for v in self.mgr.support(f) {
-                last_use[v.0 as usize] = Some(j);
-            }
-        }
-        let mut per_step: Vec<Vec<Var>> = vec![Vec::new(); self.num_latches];
-        let mut pre: Vec<Var> = Vec::new();
-        for j in 0..self.num_latches {
-            let v = self.state_var(j);
-            match last_use[v.0 as usize] {
-                Some(k) => per_step[k].push(v),
-                None => pre.push(v),
-            }
-        }
-        for k in 0..self.num_inputs {
-            let v = self.input_var(k);
-            match last_use[v.0 as usize] {
-                Some(k2) => per_step[k2].push(v),
-                None => pre.push(v),
-            }
-        }
-        let pre_cube = self.mgr.cube_from_vars(&pre);
-        let step_cubes: Vec<Bdd> = per_step
-            .iter()
-            .map(|vs| self.mgr.cube_from_vars(vs))
-            .collect();
-        self.trans_parts = Some(parts);
-        self.schedule = Some((pre_cube, step_cubes));
+    /// The image schedule, built on first use, and the manager it lives
+    /// in.
+    fn schedule(&mut self) -> (&ImageSchedule, &mut BddManager) {
+        let (nl, ni) = (self.num_latches as u32, self.num_inputs as u32);
+        let sched = self.schedule.get_or_insert_with(|| {
+            let latches: Vec<(Var, Var)> = (0..nl).map(|j| (Var(2 * j), Var(2 * j + 1))).collect();
+            let inputs: Vec<Var> = (0..ni).map(|k| Var(2 * nl + k)).collect();
+            ImageSchedule::new(&mut self.mgr, &self.next_fns, &latches, &inputs)
+        });
+        (sched, &mut self.mgr)
     }
 
     /// The monolithic transition relation `T(x, i, y) = ∧_j (y_j ⇔ f_j)`,
@@ -258,56 +222,26 @@ impl SymbolicFsm {
     /// lives in the BDD package's cache behaviour, not the schedule). The
     /// result is the same canonical BDD under any order.
     pub fn transition_relation(&mut self) -> Bdd {
-        self.ensure_trans_parts();
-        let parts = self.trans_parts.clone().expect("just built");
-        let mut t = self.valid;
-        for p in parts.into_iter().rev() {
-            t = self.mgr.and(t, p);
-        }
-        t
+        let valid = self.valid;
+        let (sched, mgr) = self.schedule();
+        sched.conjuncts().rev().fold(valid, |t, p| mgr.and(t, p))
     }
 
     /// Image of a state set under the transition relation, using
     /// partitioned conjunction with early quantification: `Img(S)(x) =
     /// (∃x, i . S ∧ valid ∧ T)[y → x]`.
     pub fn image(&mut self, from: Bdd) -> Bdd {
-        self.ensure_trans_parts();
-        let parts = self.trans_parts.clone().expect("just built");
-        let (pre_cube, step_cubes) = self.schedule.clone().expect("just built");
-        let mut cur = self.mgr.and(from, self.valid);
-        cur = self.mgr.exists(cur, pre_cube);
-        for (j, part) in parts.iter().enumerate() {
-            cur = self.mgr.and_exists(cur, *part, step_cubes[j]);
-        }
-        // Rename next-state variables to current-state variables.
-        let map: Vec<(Var, Var)> = (0..self.num_latches)
-            .map(|j| (self.next_var(j), self.state_var(j)))
-            .collect();
-        self.mgr.rename(cur, &map)
+        let valid = self.valid;
+        let (sched, mgr) = self.schedule();
+        sched.image(mgr, from, valid)
     }
 
     /// Least fixed point of [`SymbolicFsm::image`] from the initial state:
     /// the reachable state set.
     pub fn reachable(&mut self) -> ReachResult {
-        let mut reached = self.init;
-        let mut frontier = self.init;
-        let mut iterations = 0;
-        loop {
-            iterations += 1;
-            let img = self.image(frontier);
-            let new = {
-                let nr = self.mgr.not(reached);
-                self.mgr.and(img, nr)
-            };
-            if new.is_false() {
-                return ReachResult {
-                    reached,
-                    iterations,
-                };
-            }
-            reached = self.mgr.or(reached, new);
-            frontier = new;
-        }
+        let (init, valid) = (self.init, self.valid);
+        let (sched, mgr) = self.schedule();
+        sched.reach(mgr, init, valid)
     }
 
     /// `true` when the machine has too many support variables

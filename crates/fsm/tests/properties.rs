@@ -241,15 +241,90 @@ fn pack(bits: &[bool]) -> usize {
     bits.iter().rev().fold(0, |acc, &b| (acc << 1) | b as usize)
 }
 
-/// The implicit campaign agrees with a brute force over all `2^L` states:
-/// reachable states and cells, valid inputs, and the transfer flips
-/// detected within `k` — those whose golden successor `y` and flipped
-/// successor `y ⊕ e_j` are told apart by every valid `k`-long
-/// continuation (Theorem 1's guarantee). The flipped successor may be
-/// unreachable, so the brute force steps the netlist from it. The same
-/// `E_k` checks `forall_k` with and without the reachability restriction,
-/// and the prep's node reclamation: the constraint made before it still
-/// counts the same, and a second prep on the same manager agrees.
+/// A brute force over all `2^L` states of a netlist under a list of
+/// valid input vectors, at horizon `k`.
+struct BruteForce {
+    /// The states reachable from reset.
+    reach: Vec<usize>,
+    /// `e[a * 2^L + b]`: `E_k(a, b)`, some valid `k`-long continuation
+    /// keeps the outputs of `a` and `b` equal.
+    e: Vec<bool>,
+    /// Whether `E` reached its fixed point within `k` rounds.
+    fixed_point: bool,
+    /// Per latch `j`, the reachable cells whose flip of `j` is detected:
+    /// the golden successor `y` and the flipped one `y ⊕ e_j` are outside
+    /// `E_k` (Theorem 1's guarantee).
+    detected: Vec<u128>,
+}
+
+fn brute_force(n: &Netlist, valid: &[Vec<bool>], k: usize) -> BruteForce {
+    let nl = n.num_latches();
+    // step[s][v] = (successor state, outputs) of state `s` under valid
+    // input `v`.
+    let step: Vec<Vec<(usize, Vec<bool>)>> = (0..1usize << nl)
+        .map(|s| {
+            valid
+                .iter()
+                .map(|inp| {
+                    let (next, outs) = n.step(&bits(s, nl), inp);
+                    (pack(&next), outs)
+                })
+                .collect()
+        })
+        .collect();
+    let init = pack(&n.initial_state());
+    let mut reached = vec![false; 1 << nl];
+    reached[init] = true;
+    let mut frontier = vec![init];
+    while let Some(s) = frontier.pop() {
+        for &(t, _) in &step[s] {
+            if !std::mem::replace(&mut reached[t], true) {
+                frontier.push(t);
+            }
+        }
+    }
+    let reach: Vec<usize> = (0..1 << nl).filter(|&s| reached[s]).collect();
+    let ns = 1usize << nl;
+    let mut e = vec![true; ns * ns];
+    let mut fixed_point = false;
+    for _ in 0..k {
+        let next: Vec<bool> = (0..ns * ns)
+            .map(|ab| {
+                let (a, b) = (ab / ns, ab % ns);
+                step[a]
+                    .iter()
+                    .zip(&step[b])
+                    .any(|((na, oa), (nb, ob))| oa == ob && e[na * ns + nb])
+            })
+            .collect();
+        fixed_point |= next == e;
+        e = next;
+    }
+    // The flipped successor may be unreachable; `e` covers every state.
+    let mut detected = vec![0u128; nl];
+    for &s in &reach {
+        for &(y, _) in &step[s] {
+            for (j, d) in detected.iter_mut().enumerate() {
+                if !e[y * ns + (y ^ (1 << j))] {
+                    *d += 1;
+                }
+            }
+        }
+    }
+    BruteForce {
+        reach,
+        e,
+        fixed_point,
+        detected,
+    }
+}
+
+/// The implicit campaign agrees with [`brute_force`]: reachable states
+/// and cells, valid inputs, and the transfer flips detected within `k`.
+/// The same `E_k` checks `forall_k` with and without the reachability
+/// restriction, and the prep's node reclamation: the constraint made
+/// before it still counts the same, and a second prep on the same
+/// manager agrees.
 #[test]
 fn implicit_campaign_matches_bruteforce() {
     forall_cfg(
@@ -267,62 +342,13 @@ fn implicit_campaign_matches_bruteforce() {
             let all: Vec<Vec<bool>> = (0..1usize << ni).map(|v| bits(v, ni)).collect();
             let subset = all.iter().filter(|_| g.bool()).cloned().collect();
             for valid in [all, subset] {
-                // step[s][v] = (successor state, outputs) of state `s` under
-                // valid input `v`.
-                let step: Vec<Vec<(usize, Vec<bool>)>> = (0..1usize << nl)
-                    .map(|s| {
-                        valid
-                            .iter()
-                            .map(|inp| {
-                                let (next, outs) = n.step(&bits(s, nl), inp);
-                                (pack(&next), outs)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                // Reachable states from reset.
-                let init = pack(&n.initial_state());
-                let mut reached = vec![false; 1 << nl];
-                reached[init] = true;
-                let mut frontier = vec![init];
-                while let Some(s) = frontier.pop() {
-                    for &(t, _) in &step[s] {
-                        if !std::mem::replace(&mut reached[t], true) {
-                            frontier.push(t);
-                        }
-                    }
-                }
-                let reach: Vec<usize> = (0..1 << nl).filter(|&s| reached[s]).collect();
-                // E_t(a, b): some valid t-long continuation keeps the
-                // outputs of `a` and `b` equal.
+                let BruteForce {
+                    reach,
+                    e,
+                    fixed_point,
+                    detected,
+                } = brute_force(&n, &valid, k);
                 let ns = 1usize << nl;
-                let mut e = vec![true; ns * ns];
-                let mut fixed_point = false;
-                for _ in 0..k {
-                    let next: Vec<bool> = (0..ns * ns)
-                        .map(|ab| {
-                            let (a, b) = (ab / ns, ab % ns);
-                            step[a]
-                                .iter()
-                                .zip(&step[b])
-                                .any(|((na, oa), (nb, ob))| oa == ob && e[na * ns + nb])
-                        })
-                        .collect();
-                    fixed_point |= next == e;
-                    e = next;
-                }
-                // detected[j]: reachable cells whose flip of latch j is
-                // detected.
-                let mut detected = vec![0u128; nl];
-                for &s in &reach {
-                    for &(y, _) in &step[s] {
-                        for (j, d) in detected.iter_mut().enumerate() {
-                            if !e[y * ns + (y ^ (1 << j))] {
-                                *d += 1;
-                            }
-                        }
-                    }
-                }
 
                 // The OR of the valid vectors' minterms.
                 let constraint = |pf: &mut PairFsm| {
@@ -411,6 +437,46 @@ fn implicit_campaign_matches_bruteforce() {
             }
         },
     );
+}
+
+/// `simcov campaign --dlx reduced|reduced-obs --engine symbolic` runs
+/// the implicit campaign with every input valid; it agrees with
+/// [`brute_force`] at k = 1, 2, 3 and jobs 1 and 2. Both models have 18
+/// reachable states and 576 cells over 32 inputs. On `reduced` the
+/// detected transfer flips grow to their fixed point at k = 3; on
+/// `reduced-obs`, whose state is observable, every flip is detected at
+/// every k (Theorem 3).
+#[test]
+fn implicit_campaign_matches_bruteforce_on_reduced_dlx() {
+    use simcov_dlx::testmodel::{reduced_control_netlist, reduced_control_netlist_observable};
+    for (name, n, pinned) in [
+        ("reduced", reduced_control_netlist(), [1136u128, 1708, 1708]),
+        (
+            "reduced-obs",
+            reduced_control_netlist_observable(),
+            [4608; 3],
+        ),
+    ] {
+        let (nl, ni) = (n.num_latches(), n.num_inputs());
+        let all: Vec<Vec<bool>> = (0..1usize << ni).map(|v| bits(v, ni)).collect();
+        for (k, &pinned) in (1..=3).zip(&pinned) {
+            let bf = brute_force(&n, &all, k);
+            let detected: u128 = bf.detected.iter().sum();
+            assert_eq!(detected, pinned, "{name} k={k}");
+            assert_eq!(bf.reach.len(), 18, "{name}");
+            for jobs in [1, 2] {
+                let report = run_implicit_campaign(&n, |_| Bdd::TRUE, &ImplicitConfig { k, jobs });
+                let what = format!("{name} k={k} jobs={jobs}");
+                assert_eq!(report.valid_inputs, all.len() as u128, "{what}");
+                assert_eq!(report.reachable_states, bf.reach.len() as u128, "{what}");
+                let cells = (bf.reach.len() * all.len()) as u128;
+                assert_eq!(report.reachable_cells, cells, "{what}");
+                assert_eq!(report.transfer_faults, cells * nl as u128, "{what}");
+                assert_eq!(report.transfer_detected, detected, "{what}");
+                assert_eq!(report.fixed_point, bf.fixed_point, "{what}");
+            }
+        }
+    }
 }
 
 /// Machine mutations are involutive where expected: redirecting a

@@ -139,28 +139,27 @@ pub const ADAPTIVE_COLD_CELLS: &str = "adaptive.cold_cells";
 pub const ADAPTIVE_CLOSED: &str = "adaptive.closed";
 
 // ---------------------------------------------------------------------------
-// BDD package counters (symbolic engine; see `simcov_bdd::BddRuntimeStats`).
-// Emitted by the serial campaign merge loop after all shards complete.
-// Every shard runs its own `BddManager` through a deterministic operation
-// sequence, so the summed values are byte-identical across `--jobs` (see
-// the determinism contract in [`crate`]). As with the differential and
-// packed effort counters, shards restored from a resume journal contribute
-// no BDD work, so resumed runs report only the work actually redone.
+// BDD package counters of the implicit symbolic campaign (see
+// `simcov_bdd::BddRuntimeStats`). Emitted once, after every flip shard
+// has completed. The base manager and each flip shard's clone run a
+// deterministic operation sequence, so the summed values are
+// byte-identical across `--jobs` (see the determinism contract in
+// [`crate`]).
 
-/// Hash-consed nodes allocated across all shard managers of a symbolic
-/// campaign (unique-table size at end of shard, summed over shards).
+/// Hash-consed nodes: the base manager's nodes live after its prep, plus
+/// the nodes each flip shard adds to its clone.
 pub const BDD_UNIQUE_NODES: &str = "bdd.unique_nodes";
 
-/// ITE/apply calls answered from the operation cache, summed over shard
-/// managers (see `simcov_bdd::BddRuntimeStats::ite_cache_hits`).
+/// ITE/apply calls answered from the operation cache, summed over the
+/// campaign's managers (see `simcov_bdd::BddRuntimeStats::ite_cache_hits`).
 pub const BDD_ITE_CACHE_HITS: &str = "bdd.ite_cache_hits";
 
-/// ITE/apply calls that had to recurse, summed over shard managers (see
-/// `simcov_bdd::BddRuntimeStats::ite_cache_misses`).
+/// ITE/apply calls that had to recurse, summed over the campaign's
+/// managers (see `simcov_bdd::BddRuntimeStats::ite_cache_misses`).
 pub const BDD_ITE_CACHE_MISSES: &str = "bdd.ite_cache_misses";
 
-/// Cache-eviction garbage collections performed by shard managers (see
-/// `simcov_bdd::BddManager::maybe_gc`).
+/// Cache-eviction garbage collections performed by the campaign's
+/// managers (see `simcov_bdd::BddManager::maybe_gc`).
 pub const BDD_GC_COLLECTIONS: &str = "bdd.gc_collections";
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use simcov_core::fingerprint::machine_fingerprint;
 use simcov_core::{
     default_jobs, enumerate_single_faults, extend_cyclically, run_implicit_campaign,
     simulate_fault, ClosureConfig, ClosureDriver, CollapseMode, Engine, EngineStats, Fault,
-    FaultSpace, GoldenTrace, ImplicitConfig, PreparedEngine, ResilientCampaign, SymbolicContext,
+    FaultSpace, GoldenTrace, ImplicitConfig, PreparedEngine, ResilientCampaign,
 };
 use simcov_fsm::{enumerate_netlist, EnumerateOptions, ExplicitMealy};
 use simcov_netlist::Netlist;
@@ -128,6 +128,12 @@ pub fn enumerate(n: &Netlist) -> Result<ExplicitMealy, JobError> {
 }
 
 /// Options for a campaign job (`simcov campaign`'s flags).
+///
+/// [`Engine::Symbolic`] runs the implicit campaign, which reads only `k`
+/// and `jobs`. It rejects `deadline_ms`, `max_steps`, `checkpoint`,
+/// `resume` and a `collapse` other than off as usage errors. It ignores
+/// `max_faults`, `seed` and `max_retries`: a request that sets one to its
+/// default looks the same as one that omits it, so none can be refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignOpts {
     /// Fault-sample cap (`--max-faults`).
@@ -149,9 +155,10 @@ pub struct CampaignOpts {
     pub checkpoint: Option<String>,
     /// Restore journaled shards before simulating (`--resume`).
     pub resume: bool,
-    /// Fault-simulation engine (`--engine`). All engines produce
-    /// bit-identical reports; `naive` exists as the differential
-    /// engine's oracle for equivalence gates.
+    /// Fault-simulation engine (`--engine`). The explicit engines
+    /// produce bit-identical reports; `naive` exists as the differential
+    /// engine's oracle for equivalence gates. `symbolic` runs the
+    /// implicit campaign and prints its own report.
     pub engine: Engine,
     /// Static fault collapsing (`--collapse`): `off` simulates every
     /// fault, `on` prunes to class representatives (bit-identical
@@ -363,7 +370,8 @@ pub struct ExecCtx<'a> {
     /// Cross-request golden-trace cache.
     pub cache: Option<&'a TraceCache>,
     /// Engine-equivalence sampling audit; `Some` enables the
-    /// `packed → differential → naive` degradation ladder.
+    /// `packed → differential → naive` degradation ladder. Symbolic jobs
+    /// run the implicit campaign and are never audited.
     pub audit: Option<AuditPolicy>,
     /// Chaos hook: force an audit verdict per engine (`true` = fail the
     /// audit). `None` audits honestly.
@@ -388,8 +396,12 @@ impl Default for AuditPolicy {
 /// Audits `engine` against the naive oracle on a seeded fault sample;
 /// `true` means every sampled outcome agreed. Runs entirely outside the
 /// job's telemetry so a passed audit leaves no trace in the job's trace.
-/// `sym` is the netlist bridge for [`Engine::Symbolic`] (auditing that
-/// engine without one fails the audit, descending the ladder).
+/// [`Engine::Symbolic`] simulates no fault list, so its audit fails.
+///
+/// `_unused` can only be `None` ([`Infallible`](std::convert::Infallible)
+/// has no values). It keeps the signature that `simcov-e2e`, which calls
+/// this function with `None`, builds against, and goes when that caller
+/// drops the argument.
 pub fn audit_engine(
     m: &ExplicitMealy,
     trace: &GoldenTrace,
@@ -397,12 +409,12 @@ pub fn audit_engine(
     tests: &TestSet,
     engine: Engine,
     policy: AuditPolicy,
-    sym: Option<&SymbolicContext<'_>>,
+    _unused: Option<std::convert::Infallible>,
 ) -> bool {
     if faults.is_empty() || engine == Engine::Naive {
         return true;
     }
-    let Some(prepared) = PreparedEngine::new(engine, m, tests, Some(trace), sym) else {
+    let Some(prepared) = PreparedEngine::new(engine, m, tests, Some(trace)) else {
         return false;
     };
     let mut rng = Prng::seed_from_u64(policy.seed);
@@ -415,12 +427,12 @@ pub fn audit_engine(
     prepared.simulate(&sample, &mut EngineStats::default()) == expected
 }
 
-/// One rung down the degradation ladder.
+/// One rung down the explicit engines' degradation ladder,
+/// `packed → differential → naive`. Symbolic jobs never reach it.
 fn degrade(engine: Engine) -> Engine {
     match engine {
-        Engine::Symbolic => Engine::Differential,
         Engine::Packed => Engine::Differential,
-        Engine::Differential | Engine::Naive => Engine::Naive,
+        _ => Engine::Naive,
     }
 }
 
@@ -465,12 +477,10 @@ fn execute_campaign(
     if opts.resume && opts.checkpoint.is_none() {
         return Err(JobError::usage("--resume requires --checkpoint <FILE>"));
     }
-    let n = model.netlist()?;
-    if opts.engine == Engine::Symbolic && n.num_inputs() > 16 {
-        // Too wide to enumerate: run the implicit (fault-family) campaign
-        // instead of the explicit-comparable shard engine.
-        return execute_campaign_implicit(model, &n, opts, tel);
+    if opts.engine == Engine::Symbolic {
+        return execute_campaign_implicit(model, opts, tel);
     }
+    let n = model.netlist()?;
     let m = enumerate(&n)?;
     let tour = generate_tour_traced(&m, TourKind::Postman, tel)
         .map_err(|e| JobError::runtime(format!("tour generation failed: {e}")))?;
@@ -485,17 +495,6 @@ fn execute_campaign(
     let tests = TestSet::single(extend_cyclically(&tour.inputs, opts.k));
     tel.counter_add("campaign.faults_enumerated", faults.len() as u64);
     tel.gauge_set("campaign.test_vectors", tests.total_vectors() as u64);
-
-    // The symbolic shard engine needs the netlist bridge; building it
-    // revalidates the netlist against the enumerated machine.
-    let exhaustive_inputs = EnumerateOptions::exhaustive(&n).inputs;
-    let sym_ctx = match opts.engine {
-        Engine::Symbolic => Some(
-            SymbolicContext::new(&n, &m, &exhaustive_inputs)
-                .map_err(|e| JobError::runtime(format!("symbolic context: {e}")))?,
-        ),
-        _ => None,
-    };
 
     // Server-side extras, both invisible to the job's telemetry: fetch
     // the golden trace (cache or local build) once, audit the requested
@@ -518,7 +517,7 @@ fn execute_campaign(
         while engine != Engine::Naive {
             let fail = match ctx.force_audit_fail {
                 Some(force) => force(engine),
-                None => !audit_engine(&m, trace, &faults, &tests, engine, policy, sym_ctx.as_ref()),
+                None => !audit_engine(&m, trace, &faults, &tests, engine, policy, None),
             };
             if !fail {
                 break;
@@ -549,13 +548,9 @@ fn execute_campaign(
         .jobs(jobs)
         .max_retries(opts.max_retries)
         .telemetry(tel.clone());
-    // Engines ignore the artefacts they do not use, so a degraded job can
-    // keep both.
+    // The naive engine ignores the trace, so a degraded job can keep it.
     if let Some(trace) = &shared_trace {
         campaign = campaign.golden_trace(Arc::clone(trace));
-    }
-    if let Some(ctx) = &sym_ctx {
-        campaign = campaign.symbolic(ctx);
     }
     if let Some(a) = &analysis {
         campaign = campaign.collapse(&a.certificate, opts.collapse);
@@ -649,17 +644,44 @@ fn execute_campaign(
     })
 }
 
-/// Implicit symbolic campaign: models too wide to enumerate (the
-/// full-width DLX) get their single-bit-flip fault families analysed
-/// over BDDs instead of an explicit fault list. Full-width DLX models
-/// carry the abstract-ISA valid-input constraint; anything else runs
-/// unconstrained.
+/// The implicit symbolic campaign, `--engine symbolic` at every model
+/// width: the single-bit-flip fault families analysed over BDDs instead
+/// of an explicit fault list. Full-width DLX models carry the
+/// abstract-ISA valid-input constraint; anything else runs unconstrained.
+///
+/// It reads only `k` and `jobs`. Options that bound or checkpoint an
+/// explicit run are usage errors naming the option (CLI flag and wire
+/// field), raised before the model is read.
 fn execute_campaign_implicit(
     model: &ModelSource,
-    n: &Netlist,
     opts: &CampaignOpts,
     tel: &Telemetry,
 ) -> Result<JobOutcome, JobError> {
+    let rejected = [
+        (
+            opts.deadline_ms.is_some(),
+            "--deadline (wire field `deadline_ms`)",
+        ),
+        (
+            opts.max_steps.is_some(),
+            "--max-steps (wire field `max_steps`)",
+        ),
+        (
+            opts.checkpoint.is_some() || opts.resume,
+            "--checkpoint/--resume",
+        ),
+        (
+            opts.collapse != CollapseMode::Off,
+            "--collapse on|verify (wire field `collapse`)",
+        ),
+    ];
+    if let Some((_, option)) = rejected.iter().find(|(set, _)| *set) {
+        return Err(JobError::usage(format!(
+            "{option} does not apply to --engine symbolic: the implicit campaign \
+             reads only --k and --jobs"
+        )));
+    }
+    let n = &model.netlist()?;
     let started = Instant::now();
     let constrained = matches!(model.dlx_name(), Some("fig3b") | Some("final"));
     let names: Vec<String> = n.input_names().map(str::to_string).collect();
@@ -1232,36 +1254,126 @@ mod tests {
             audit: Some(AuditPolicy::default()),
             force_audit_fail: None,
         };
+        // Symbolic jobs run the implicit campaign and skip the audit.
         for engine in [Engine::Differential, Engine::Packed, Engine::Symbolic] {
             let out = execute(&campaign_spec(5, engine), &Telemetry::new(), &ctx).unwrap();
             assert_eq!(out.engine_used, Some(engine));
             assert_eq!(out.degraded, 0, "{engine}");
         }
+    }
 
-        // The symbolic audit needs the netlist bridge: it passes with one
-        // and fails without, which descends the ladder.
-        let model = ModelSource::Dlx("reduced-obs".to_string());
-        let n = model.netlist().unwrap();
-        let m = enumerate(&n).unwrap();
-        let faults = enumerate_single_faults(&m, &FaultSpace::default());
-        let tour = generate_tour_traced(&m, TourKind::Postman, &Telemetry::new()).unwrap();
-        let tests = TestSet::single(extend_cyclically(&tour.inputs, 1));
-        let trace = GoldenTrace::build(&m, &tests);
-        let bridge =
-            SymbolicContext::new(&n, &m, &EnumerateOptions::exhaustive(&n).inputs).unwrap();
-        let audit = |sym| {
-            audit_engine(
-                &m,
-                &trace,
-                &faults,
-                &tests,
-                Engine::Symbolic,
-                AuditPolicy::default(),
-                sym,
-            )
+    fn symbolic_spec(model: &str, opts: CampaignOpts) -> JobSpec {
+        JobSpec {
+            id: format!("sym-{model}"),
+            model: ModelSource::Dlx(model.to_string()),
+            kind: JobKind::Campaign(CampaignOpts {
+                engine: Engine::Symbolic,
+                ..opts
+            }),
+        }
+    }
+
+    #[test]
+    fn symbolic_runs_the_implicit_campaign_at_every_width() {
+        // `reduced` has 5 inputs, so it enumerates; symbolic still runs
+        // the implicit campaign over every input vector.
+        let strip_wall = |s: &str| -> String {
+            s.lines()
+                .filter(|l| !l.starts_with("wall:"))
+                .collect::<Vec<_>>()
+                .join("\n")
         };
-        assert!(audit(Some(&bridge)));
-        assert!(!audit(None));
+        let run = |jobs| {
+            let opts = CampaignOpts {
+                k: 2,
+                jobs,
+                ..CampaignOpts::default()
+            };
+            execute(
+                &symbolic_spec("reduced", opts),
+                &Telemetry::new(),
+                &ExecCtx::default(),
+            )
+            .unwrap()
+        };
+        let one = run(1);
+        assert_eq!(one.status, ExitStatus::Ok, "{}", one.text);
+        assert_eq!(one.engine_used, Some(Engine::Symbolic));
+        for line in [
+            "engine: symbolic (implicit; all inputs valid)",
+            "  reachable states 18 / cells 576 / valid inputs 32",
+            "  transfer flips 1708 detected of 4608 (2900 escapes)",
+        ] {
+            assert!(one.text.contains(line), "{line}\n{}", one.text);
+        }
+        for jobs in [2, 8] {
+            assert_eq!(strip_wall(&run(jobs).text), strip_wall(&one.text), "{jobs}");
+        }
+    }
+
+    #[test]
+    fn symbolic_rejects_options_the_implicit_campaign_ignores() {
+        let journal = std::env::temp_dir().join(format!(
+            "simcov_jobs_symbolic_{}.journal",
+            std::process::id()
+        ));
+        let path = journal.to_string_lossy().into_owned();
+        let cases = [
+            (
+                CampaignOpts {
+                    deadline_ms: Some(1),
+                    ..CampaignOpts::default()
+                },
+                "deadline_ms",
+            ),
+            (
+                CampaignOpts {
+                    max_steps: Some(10),
+                    ..CampaignOpts::default()
+                },
+                "max_steps",
+            ),
+            (
+                CampaignOpts {
+                    checkpoint: Some(path.clone()),
+                    ..CampaignOpts::default()
+                },
+                "--checkpoint",
+            ),
+            (
+                CampaignOpts {
+                    checkpoint: Some(path.clone()),
+                    resume: true,
+                    ..CampaignOpts::default()
+                },
+                "--resume",
+            ),
+            (
+                CampaignOpts {
+                    collapse: CollapseMode::On,
+                    ..CampaignOpts::default()
+                },
+                "--collapse",
+            ),
+            (
+                CampaignOpts {
+                    collapse: CollapseMode::Verify,
+                    ..CampaignOpts::default()
+                },
+                "collapse",
+            ),
+        ];
+        for (opts, option) in cases {
+            let e = execute(
+                &symbolic_spec("final", opts),
+                &Telemetry::new(),
+                &ExecCtx::default(),
+            )
+            .unwrap_err();
+            assert_eq!(e.status, ExitStatus::Usage, "{option}: {e}");
+            assert!(e.message.contains(option), "{option}: {e}");
+        }
+        assert!(!journal.exists(), "a refused job writes no journal");
     }
 
     fn close_spec(jobs: usize, engine: Engine, format: &str) -> JobSpec {

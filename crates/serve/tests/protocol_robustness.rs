@@ -269,6 +269,55 @@ fn symbolic_close_is_a_usage_error_not_a_retry() {
 }
 
 #[test]
+fn symbolic_campaign_refuses_fields_it_would_ignore() {
+    // A symbolic campaign is the implicit campaign, which reads only `k`
+    // and `jobs`. A wire field that would bound or collapse an explicit
+    // run is a usage error naming the field, on the first attempt; an
+    // explicit `"collapse":"off"` is the default and runs.
+    let (addr, handle) = start_server();
+    let mut cl = Client::connect(&addr).expect("connect");
+    let cases = [
+        (r#""deadline_ms":1"#, Some("deadline_ms")),
+        (r#""max_steps":10"#, Some("max_steps")),
+        (r#""collapse":"on""#, Some("collapse")),
+        (r#""collapse":"verify""#, Some("collapse")),
+        (r#""collapse":"off""#, None),
+    ];
+    for (i, (field, refused)) in cases.into_iter().enumerate() {
+        let id = format!("sym-{i}");
+        let req = format!(
+            r#"{{"type":"campaign","id":"{id}","model":{{"dlx":"reduced"}},"engine":"symbolic","k":1,"jobs":1,{field}}}"#
+        );
+        let frame = cl.run_job(&req, &id).expect("job completes");
+        let output = frame.get("output").and_then(Json::as_str).unwrap_or("");
+        let exit = frame.get("exit").and_then(Json::as_u64);
+        match refused {
+            Some(name) => {
+                assert_eq!(exit, Some(2), "{field}: {frame:?}");
+                assert!(output.contains(name), "{field}: {output}");
+            }
+            None => {
+                assert_eq!(exit, Some(0), "{field}: {frame:?}");
+                assert!(
+                    output.contains("transfer flips 1136 detected of 4608"),
+                    "{output}"
+                );
+            }
+        }
+    }
+    let stats = cl.request(&client::stats()).expect("stats");
+    let retried = stats
+        .get("counters")
+        .and_then(|c| c.get("serve.jobs_retried"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    assert_eq!(retried, 0);
+    let _ = cl.request(&client::shutdown()).expect("shutdown");
+    let summary = handle.join().expect("server thread never panics");
+    assert_eq!(summary.quarantined, 0);
+}
+
+#[test]
 fn sequential_requests_do_not_wait_for_delayed_acks() {
     // Each request/response pair must cost a loopback round trip, not a
     // ~40 ms delayed ACK: a frame whose length prefix leaves in a write
