@@ -5,29 +5,13 @@
 
 use simcov_bench::timing::BenchReport;
 use simcov_core::{run_implicit_campaign, ImplicitConfig, ImplicitReport};
-use simcov_dlx::testmodel::{derive_test_model, valid_inputs_constraint};
+use simcov_dlx::testmodel::{derive_test_model, pair_valid_inputs_bdd};
 
 /// The implicit campaign on the full-width DLX under the abstract-ISA
 /// valid-input constraint, serial so the timing is scheduler-free.
 fn implicit_full_dlx(k: usize) -> ImplicitReport {
     let (fin, _) = derive_test_model();
-    let names: Vec<String> = fin.input_names().map(str::to_string).collect();
-    run_implicit_campaign(
-        &fin,
-        |pf| {
-            let vars: Vec<_> = names
-                .iter()
-                .map(|n| pf.input_var_by_name(n).expect("input present"))
-                .collect();
-            valid_inputs_constraint(pf.mgr(), &|name| {
-                vars[names
-                    .iter()
-                    .position(|n| n == name)
-                    .expect("known input name")]
-            })
-        },
-        &ImplicitConfig { k, jobs: 1 },
-    )
+    run_implicit_campaign(&fin, pair_valid_inputs_bdd, &ImplicitConfig { k, jobs: 1 })
 }
 
 fn main() {

@@ -15,8 +15,8 @@ use simcov_core::{
 };
 use simcov_dlx::control::initial_control_netlist;
 use simcov_dlx::testmodel::{
-    derive_test_model, derive_test_model_observable, fig3b_pipeline, valid_inputs_bdd,
-    valid_inputs_constraint,
+    derive_test_model, derive_test_model_observable, fig3b_pipeline, pair_valid_inputs_bdd,
+    valid_inputs_bdd,
 };
 use simcov_fsm::{PairFsm, SymbolicFsm};
 use simcov_tour::{
@@ -332,15 +332,7 @@ fn distinguishability() {
     println!("================ E9 (beyond the paper): symbolic forall-k on the full model ================");
     let make_pair = |n: &simcov_netlist::Netlist| -> PairFsm {
         let mut pf = PairFsm::from_netlist(n);
-        let names: Vec<String> = n.input_names().map(str::to_string).collect();
-        let vars: Vec<_> = names
-            .iter()
-            .map(|nm| pf.input_var_by_name(nm).expect("input present"))
-            .collect();
-        let valid = valid_inputs_constraint(pf.mgr(), &|name| {
-            let i = names.iter().position(|nm| nm == name).expect("known input");
-            vars[i]
-        });
+        let valid = pair_valid_inputs_bdd(&mut pf);
         pf.set_valid_inputs(valid);
         pf
     };

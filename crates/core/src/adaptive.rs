@@ -63,7 +63,7 @@ use crate::differential::Engine;
 use crate::error_model::{is_detectable, Fault};
 use crate::faults::{CampaignReport, FaultOutcome};
 use crate::parallel::CampaignStats;
-use crate::resilient::ResilientCampaign;
+use crate::resilient::{CampaignError, ResilientCampaign};
 use simcov_fsm::{ExplicitMealy, InputSym, StateId};
 use simcov_obs::names::{
     ADAPTIVE_CLOSED, ADAPTIVE_COLD_CELLS, ADAPTIVE_NEW_DETECTIONS, ADAPTIVE_ROUNDS,
@@ -222,26 +222,47 @@ impl<'a> ClosureDriver<'a> {
     /// Re-targets rounds at collapse-class representatives only; the
     /// final report is expanded back to the full fault list. The
     /// certificate must have been built for exactly this machine and
-    /// fault list ([`run`](Self::run) panics otherwise).
+    /// fault list ([`try_run`](Self::try_run) refuses it otherwise).
     pub fn collapse(mut self, cert: &'a CollapseCertificate) -> Self {
         self.collapse = Some(cert);
         self
     }
 
-    /// Runs the feedback loop to closure or budget exhaustion.
+    /// [`try_run`](Self::try_run), panicking on its errors.
     ///
     /// # Panics
     ///
-    /// Panics if a supplied collapse certificate fails
-    /// [`check`](CollapseCertificate::check) against the machine and
-    /// fault list, or if an inner campaign quarantines a shard that
-    /// panicked on every attempt.
+    /// Panics if the configured engine is [`Engine::Symbolic`], if a
+    /// supplied collapse certificate fails its
+    /// [`check`](CollapseCertificate::check), or if an inner campaign
+    /// quarantines a shard that panicked on every attempt.
     pub fn run(&self) -> ClosureRun {
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Runs the feedback loop to closure or budget exhaustion.
+    ///
+    /// # Errors
+    ///
+    /// Before any round is simulated: [`CampaignError::ImplicitEngine`]
+    /// for [`Engine::Symbolic`], which simulates no fault list, and
+    /// [`CampaignError::Certificate`] for a collapse certificate that
+    /// fails its [`check`](CollapseCertificate::check) against the
+    /// machine and fault list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an inner campaign quarantines a shard that panicked on
+    /// every attempt.
+    pub fn try_run(&self) -> Result<ClosureRun, CampaignError> {
         let m = self.golden;
         let cfg = &self.config;
+        if cfg.engine == Engine::Symbolic {
+            return Err(CampaignError::ImplicitEngine);
+        }
         if let Some(cert) = self.collapse {
             cert.check(m, self.faults)
-                .expect("collapse certificate must match the closure fault list");
+                .map_err(|detail| CampaignError::Certificate { detail })?;
         }
         let work: Vec<Fault> = match self.collapse {
             Some(cert) => cert.representative_faults(self.faults),
@@ -448,7 +469,7 @@ impl<'a> ClosureDriver<'a> {
             tel.counter_add(ADAPTIVE_UNDETECTABLE, undetectable.len() as u64);
             tel.counter_add(ADAPTIVE_CLOSED, u64::from(closed));
         }
-        ClosureRun {
+        Ok(ClosureRun {
             rounds,
             report: CampaignReport {
                 outcomes: final_outcomes,
@@ -458,7 +479,7 @@ impl<'a> ClosureDriver<'a> {
             closed,
             undetectable: undetectable.len(),
             total_steps,
-        }
+        })
     }
 
     /// One inner campaign of `faults` against `tests` under the
@@ -597,6 +618,40 @@ mod tests {
         assert_eq!(run.stats.detected, 0);
         assert_eq!(run.report.outcomes.len(), faults.len());
         assert_eq!(run.total_steps, 0);
+    }
+
+    /// The symbolic engine and a certificate for another fault list are
+    /// refused before any round is simulated.
+    #[test]
+    fn try_run_refuses_the_implicit_engine_and_a_stale_certificate() {
+        let (m, _) = figure2();
+        let faults = enumerate_single_faults(&m, &FaultSpace::default());
+        let tel = Telemetry::new();
+        let symbolic = ClosureConfig {
+            engine: Engine::Symbolic,
+            ..ClosureConfig::default()
+        };
+        let err = ClosureDriver::new(&m, &faults, symbolic)
+            .telemetry(tel.clone())
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(err, CampaignError::ImplicitEngine), "{err}");
+        let fewer = &faults[..faults.len() - 1];
+        let cert = CollapseCertificate::new(
+            &m,
+            fewer,
+            (0..fewer.len() as u32).collect(),
+            vec![crate::collapse::ClassKind::Singleton; fewer.len()],
+            Vec::new(),
+        )
+        .unwrap();
+        let err = ClosureDriver::new(&m, &faults, ClosureConfig::default())
+            .telemetry(tel.clone())
+            .collapse(&cert)
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(err, CampaignError::Certificate { .. }), "{err}");
+        assert_eq!(tel.snapshot().counter(ADAPTIVE_ROUNDS), None);
     }
 
     #[test]

@@ -20,10 +20,15 @@
 //! transition tour of the case study is generated.
 //!
 //! The two input copies `i` and `i'` are two [`lower_netlist`]s of the
-//! design sharing the state variables.
+//! design sharing the state variables. Each copy's δ and λ are cofactored
+//! by that copy's own valid set (the crate's care-set rule) before
+//! reachability and the difference relation are built. This is exact:
+//! the cofactors agree with δ and λ on valid inputs, reachability only
+//! takes valid inputs, and `D(i, i')` is only read on valid × valid
+//! pairs.
 
 use crate::image::ImageSchedule;
-use crate::lower::lower_netlist;
+use crate::lower::{constrain_to_care, lower_netlist};
 use simcov_bdd::{Bdd, BddManager, Var};
 use simcov_netlist::{LatchId, Netlist};
 
@@ -79,13 +84,13 @@ pub fn input_equivalence_classes(
     let total = (nl + 2 * ni) as u32;
     let mut mgr = BddManager::new(total.max(1));
     let latch = |m: &mut BddManager, l: LatchId| m.var(l.index() as u32);
-    let a = lower_netlist(
+    let mut a = lower_netlist(
         &mut mgr,
         netlist,
         |m, i| m.var((nl + 2 * i.index()) as u32),
         latch,
     );
-    let b = lower_netlist(
+    let mut b = lower_netlist(
         &mut mgr,
         netlist,
         |m, i| m.var((nl + 2 * i.index() + 1) as u32),
@@ -109,6 +114,8 @@ pub fn input_equivalence_classes(
         })
         .collect();
     let valid_ip = mgr.rename(valid_i, &map);
+    constrain_to_care(&mut mgr, a.next.iter_mut().chain(&mut a.outputs), valid_i);
+    constrain_to_care(&mut mgr, b.next.iter_mut().chain(&mut b.outputs), valid_ip);
 
     // Reachable state set over the x variables, computed in this manager
     // with next-state variables appended below everything else.

@@ -70,6 +70,6 @@ pub use input_classes::{input_equivalence_classes, InputClasses};
 pub use lower::{lower_netlist, NetlistBdds};
 pub use minimize::{minimize, Minimized};
 pub use packed::{LanePatch, PackedMealy, LANES, UNDEFINED_NARROW, UNDEFINED_RECORD};
-pub use product::{forall_k_symbolic, PairAnalysisResult, PairFsm, TransferDetectPrep};
+pub use product::{PairAnalysisResult, PairFsm, TransferDetectPrep};
 pub use refine::{partition_by_rows, refine_partition, Partition};
 pub use symbolic::{CoverageAccumulator, ReachResult, SymbolicFsm, SymbolicStats};

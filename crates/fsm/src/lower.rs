@@ -3,6 +3,8 @@
 //! symbolic machine, both copies of the pair machine, the two input
 //! copies of the input-class analysis and the symbolic campaign engine's
 //! golden cones — is this lowering under a different variable layout.
+//! The care-set rule that cofactors lowered functions by a valid-input
+//! constraint ([`constrain_to_care`]) lives here too.
 
 use simcov_bdd::{Bdd, BddManager};
 use simcov_netlist::{Gate, InputId, LatchId, Netlist};
@@ -51,5 +53,24 @@ pub fn lower_netlist(
             .map(|l| sig[l.next.expect("checked").index()])
             .collect(),
         outputs: n.outputs().iter().map(|&(_, s)| sig[s.index()]).collect(),
+    }
+}
+
+/// The care-set rule: replaces each of `fns`, in order, by its
+/// generalized cofactor `f ↓ care` ([`BddManager::constrain`]), which
+/// equals `f` wherever `care` holds, so it is exact for a caller that
+/// evaluates them only there. A constant `care` leaves them as they are:
+/// `TRUE` has nothing to cofactor by, and `FALSE` (which `constrain`
+/// rejects) leaves no point to evaluate them at.
+pub(crate) fn constrain_to_care<'a>(
+    mgr: &mut BddManager,
+    fns: impl IntoIterator<Item = &'a mut Bdd>,
+    care: Bdd,
+) {
+    if care.is_const() {
+        return;
+    }
+    for f in fns {
+        *f = mgr.constrain(*f, care);
     }
 }

@@ -26,7 +26,7 @@
 //! ∀k-distinguishability.
 
 use crate::image::ImageSchedule;
-use crate::lower::lower_netlist;
+use crate::lower::{constrain_to_care, lower_netlist};
 use simcov_bdd::{Bdd, BddManager, Var};
 use simcov_netlist::{InputId, Netlist};
 
@@ -181,27 +181,28 @@ impl PairFsm {
             .map(|k| self.input_var(k))
     }
 
+    /// The input names, cloned (useful when the borrow checker forbids
+    /// holding a reference across `mgr()` calls).
+    pub fn input_names_owned(&self) -> Vec<String> {
+        self.input_names.clone()
+    }
+
     /// Restricts the analysis to input vectors satisfying `valid` (over
     /// the shared input variables).
     ///
     /// Both copies' next-state and output functions are replaced by their
-    /// generalized cofactors `f ↓ valid` ([`BddManager::constrain`]),
+    /// generalized cofactors `f ↓ valid` (the crate's care-set rule),
     /// derived from the functions as lowered, so a later call starts
-    /// afresh. This is exact: `f ↓ valid` equals `f` wherever `valid`
-    /// holds, and every query evaluates the functions only there (images
-    /// conjoin `valid`, each `E` step conjoins a care set inside it, and
-    /// flips are counted over `reached ∧ valid`), so every result is the
-    /// same canonical BDD as without the cofactors. A constant `valid`
-    /// keeps the lowered functions: `TRUE` has nothing to cofactor by and
-    /// `FALSE` leaves no point at which they are evaluated.
+    /// afresh. This is exact: every query evaluates the functions only
+    /// where `valid` holds (images conjoin `valid`, each `E` step
+    /// conjoins a care set inside it, and flips are counted over
+    /// `reached ∧ valid`), so every result is the same canonical BDD as
+    /// without the cofactors. A constant `valid` keeps the lowered
+    /// functions.
     pub fn set_valid_inputs(&mut self, valid: Bdd) {
         self.valid = valid;
         self.fns = self.lowered.clone();
-        if !valid.is_const() {
-            for f in self.fns.all_mut() {
-                *f = self.mgr.constrain(*f, valid);
-            }
-        }
+        constrain_to_care(&mut self.mgr, self.fns.all_mut(), valid);
     }
 
     /// Runs the ∀k-distinguishability analysis.
@@ -444,21 +445,6 @@ impl std::fmt::Debug for PairFsm {
             self.num_latches, self.num_inputs
         )
     }
-}
-
-/// Convenience wrapper tying the pieces together: builds the pair machine
-/// of `netlist`, applies a valid-input constraint builder, and runs the
-/// analysis for `k`.
-pub fn forall_k_symbolic(
-    netlist: &Netlist,
-    valid: impl FnOnce(&mut PairFsm) -> Bdd,
-    init: &[bool],
-    k: usize,
-) -> PairAnalysisResult {
-    let mut pf = PairFsm::from_netlist(netlist);
-    let v = valid(&mut pf);
-    pf.set_valid_inputs(v);
-    pf.forall_k(init, k, true)
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use simcov_bdd::{Bdd, BddManager};
 use simcov_core::testutil::{forall_cfg, Config, Gen};
 use simcov_core::{run_implicit_campaign, ImplicitConfig};
 use simcov_fsm::{
-    enumerate_netlist, lower_netlist, minimize, EnumerateOptions, ExplicitMealy, InputSym,
-    MealyBuilder, PairFsm, StateId, SymbolicFsm,
+    enumerate_netlist, input_equivalence_classes, lower_netlist, minimize, EnumerateOptions,
+    ExplicitMealy, InputSym, MealyBuilder, PairFsm, StateId, SymbolicFsm,
 };
 use simcov_netlist::{Netlist, SignalId};
 
@@ -433,6 +433,76 @@ fn implicit_campaign_matches_bruteforce() {
                     assert_eq!(r.violating_pairs, violating, "{what}");
                     assert_eq!(r.holds, violating == 0, "{what}");
                     assert_eq!(r.fixed_point, fixed_point, "{what}");
+                }
+            }
+        },
+    );
+}
+
+/// The input classes agree with a brute force: two valid vectors share a
+/// class exactly when they give every state in scope (the reachable
+/// states, or all `2^L`) the same successor and outputs. The valid set is
+/// every vector, then a random non-empty subset given as an OR of
+/// minterms, which the care-set rule cofactors by.
+#[test]
+fn input_classes_match_bruteforce() {
+    forall_cfg(
+        "input_classes_match_bruteforce",
+        Config::with_cases(96),
+        |g| {
+            let n = build(&recipe_sized(g, 4, 4));
+            let (nl, ni) = (n.num_latches(), n.num_inputs());
+            let all: Vec<Vec<bool>> = (0..1usize << ni).map(|v| bits(v, ni)).collect();
+            let mut subset: Vec<Vec<bool>> = all.iter().filter(|_| g.bool()).cloned().collect();
+            if subset.is_empty() {
+                subset.push(all[g.int_in(0..all.len())].clone());
+            }
+            for valid in [all, subset] {
+                let reach = brute_force(&n, &valid, 0).reach;
+                for restrict in [true, false] {
+                    let states: Vec<usize> = if restrict {
+                        reach.clone()
+                    } else {
+                        (0..1 << nl).collect()
+                    };
+                    // The group of each valid vector: its (successor, outputs)
+                    // row over the states in scope.
+                    let row = |v: &[bool]| -> Vec<(Vec<bool>, Vec<bool>)> {
+                        states.iter().map(|&s| n.step(&bits(s, nl), v)).collect()
+                    };
+                    let mut groups: std::collections::HashMap<_, u128> = Default::default();
+                    for v in &valid {
+                        *groups.entry(row(v)).or_default() += 1;
+                    }
+                    let classes = input_equivalence_classes(
+                        &n,
+                        |mgr, lookup| {
+                            let mut c = Bdd::FALSE;
+                            for v in &valid {
+                                let mut minterm = Bdd::TRUE;
+                                for (i, &b) in v.iter().enumerate() {
+                                    let level = lookup(&format!("i{i}")).0;
+                                    let x = if b { mgr.var(level) } else { mgr.nvar(level) };
+                                    minterm = mgr.and(minterm, x);
+                                }
+                                c = mgr.or(c, minterm);
+                            }
+                            c
+                        },
+                        restrict,
+                        usize::MAX,
+                    )
+                    .expect("no class bound");
+                    let what = format!("restrict={restrict} valid={valid:?}");
+                    assert_eq!(classes.len(), groups.len(), "{what}");
+                    assert_eq!(classes.total_valid(), valid.len() as u128, "{what}");
+                    let mut seen = std::collections::HashSet::new();
+                    for (rep, &size) in classes.representatives.iter().zip(&classes.class_sizes) {
+                        assert!(valid.contains(rep), "{what}: {rep:?} is not valid");
+                        let r = row(rep);
+                        assert_eq!(groups[&r], size, "{what}: class of {rep:?}");
+                        assert!(seen.insert(r), "{what}: {rep:?} shares a group");
+                    }
                 }
             }
         },

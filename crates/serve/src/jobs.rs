@@ -684,7 +684,6 @@ fn execute_campaign_implicit(
     let n = &model.netlist()?;
     let started = Instant::now();
     let constrained = matches!(model.dlx_name(), Some("fig3b") | Some("final"));
-    let names: Vec<String> = n.input_names().map(str::to_string).collect();
     let jobs = if opts.jobs == 0 {
         default_jobs()
     } else {
@@ -698,17 +697,7 @@ fn execute_campaign_implicit(
         n,
         |pf| {
             if constrained {
-                let vars: Vec<_> = names
-                    .iter()
-                    .map(|nm| pf.input_var_by_name(nm).expect("netlist input present"))
-                    .collect();
-                simcov_dlx::testmodel::valid_inputs_constraint(pf.mgr(), &|name| {
-                    let i = names
-                        .iter()
-                        .position(|nm| nm == name)
-                        .unwrap_or_else(|| panic!("model lost input `{name}`"));
-                    vars[i]
-                })
+                simcov_dlx::testmodel::pair_valid_inputs_bdd(pf)
             } else {
                 pf.mgr().constant(true)
             }
@@ -831,7 +820,9 @@ fn execute_close(
         driver = driver.collapse(&a.certificate);
     }
     let started = std::time::Instant::now();
-    let run = driver.run();
+    let run = driver
+        .try_run()
+        .map_err(|e| JobError::runtime(e.to_string()))?;
     let wall = started.elapsed();
 
     let mut out = String::new();

@@ -11,8 +11,8 @@
 //! against:
 //!
 //! * [`transition_tour`] — optimal (Chinese postman): Eulerian
-//!   augmentation by successive-shortest-path min-cost flow, then
-//!   Hierholzer's circuit algorithm;
+//!   augmentation by one successive-shortest-path min-cost flow on the
+//!   machine graph, then Hierholzer's circuit algorithm;
 //! * [`greedy_transition_tour`] — the nearest-uncovered-transition
 //!   heuristic (what the paper actually ran inside SIS): the walk of
 //!   [`targeted_tour`] aimed at every reachable transition, then the

@@ -4,16 +4,17 @@
 //! least once, of minimum total length, is a directed Chinese postman
 //! tour: duplicate a minimum-cost set of edges to make the graph Eulerian
 //! (every vertex balanced), then extract an Euler circuit. Duplication is
-//! a transportation problem from surplus vertices (in-degree > out-degree)
-//! to deficit vertices, solved here with successive shortest paths —
-//! optimal because all arc costs are non-negative (one edge = one step).
+//! one min-cost flow on the machine graph itself, from surplus vertices
+//! (in-degree > out-degree) to deficit vertices, solved with successive
+//! shortest paths — optimal because all arc costs are non-negative (one
+//! edge = one step).
 //!
-//! The graph is the machine itself: states are indexed by `StateId` and
-//! cells by state × input. Distances and the paths that carry the
-//! duplicates come from one [`ExplicitMealy::bfs`] tree per surplus
-//! state.
+//! States are indexed by `StateId` and cells by state × input. Each
+//! distinct `(state, successor)` pair is one uncapacitated unit-cost arc,
+//! carried by its smallest input, so the flow on an arc is the number of
+//! extra traversals of that cell.
 
-use simcov_fsm::{BfsTree, ExplicitMealy, InputSym, StateId};
+use simcov_fsm::{ExplicitMealy, InputSym, StateId};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -133,81 +134,55 @@ pub fn transition_tour(m: &ExplicitMealy) -> Result<Tour, TourError> {
     })
 }
 
-/// Minimum-cost transportation: route `balance > 0` supply to
+/// Minimum-cost flow on the machine graph: route `balance > 0` supply to
 /// `balance < 0` demand along transitions (cost 1 each), adding the
 /// duplicated traversals to `uses`. Returns the total duplicated edge
 /// count.
 ///
-/// The problem is solved exactly: shortest-path distances from each
-/// supply give a bipartite transportation instance, solved by successive
-/// shortest paths *with residual arcs* (plain greedy pairing is not
-/// optimal in general). Supplies and demands are listed in `reach` order,
+/// Node `s` is state `s`; a source feeds every surplus state and every
+/// deficit state drains into a sink. Arcs are added in `reach` order —
+/// each state's successor arcs by input, then its source or sink arc —
 /// which fixes the instance and so its tie-breaks.
 fn solve_flow(m: &ExplicitMealy, reach: &[StateId], balance: &[i64], uses: &mut [u64]) -> u64 {
-    let supplies: Vec<(StateId, u64)> = reach
-        .iter()
-        .filter(|s| balance[s.index()] > 0)
-        .map(|&s| (s, balance[s.index()] as u64))
-        .collect();
-    let demands: Vec<(StateId, u64)> = reach
-        .iter()
-        .filter(|s| balance[s.index()] < 0)
-        .map(|&s| (s, (-balance[s.index()]) as u64))
-        .collect();
-    if supplies.is_empty() {
-        return 0;
-    }
-    // One search from each supply gives both its distances and the
-    // shortest paths the flow is materialised along.
-    let trees: Vec<BfsTree> = supplies.iter().map(|&(s, _)| m.bfs(s, |_| false)).collect();
-    // Bipartite min-cost flow: node 0 = source, 1..=S supplies,
-    // S+1..=S+D demands, S+D+1 = sink.
-    let ns = supplies.len();
-    let nd = demands.len();
-    let mut mcmf = Mcmf::new(ns + nd + 2);
-    let src = 0;
-    let snk = ns + nd + 1;
-    for (i, &(_, amt)) in supplies.iter().enumerate() {
-        mcmf.add_edge(src, 1 + i, amt, 0);
-    }
-    for (j, &(_, amt)) in demands.iter().enumerate() {
-        mcmf.add_edge(1 + ns + j, snk, amt, 0);
-    }
-    for (i, &(_, s_amt)) in supplies.iter().enumerate() {
-        for (j, &(dv, _)) in demands.iter().enumerate() {
-            let d = trees[i].depth(dv).expect("strongly connected");
-            mcmf.add_edge(1 + i, 1 + ns + j, s_amt, d as i64);
+    let n = m.num_states();
+    let ni = m.num_inputs();
+    let (src, snk) = (n, n + 1);
+    let mut mcmf = Mcmf::new(n + 2);
+    // `(arc, cell)` for every state-graph arc; `last_from[t] == s + 1`
+    // once `s -> t` has its arc.
+    let mut arcs: Vec<(usize, usize)> = Vec::new();
+    let mut last_from = vec![0usize; n];
+    for &s in reach {
+        let s = s.index();
+        for i in m.inputs() {
+            if let Some((t, _)) = m.step(StateId(s as u32), i) {
+                if last_from[t.index()] != s + 1 {
+                    last_from[t.index()] = s + 1;
+                    arcs.push((mcmf.add_edge(s, t.index(), u64::MAX, 1), s * ni + i.index()));
+                }
+            }
+        }
+        match balance[s] {
+            b if b > 0 => _ = mcmf.add_edge(src, s, b as u64, 0),
+            b if b < 0 => _ = mcmf.add_edge(s, snk, b.unsigned_abs(), 0),
+            _ => {}
         }
     }
     let total = mcmf.run(src, snk);
-    // Materialise the flow: duplicate every cell on the supply's tree
-    // path to each demand it sends flow to.
-    let ni = m.num_inputs();
-    for (i, &(su, _)) in supplies.iter().enumerate() {
-        for (j, &(dv, _)) in demands.iter().enumerate() {
-            let f = mcmf.flow_between(1 + i, 1 + ns + j);
-            if f == 0 {
-                continue;
-            }
-            let mut cur = su;
-            for inp in trees[i].path(dv).expect("strongly connected") {
-                uses[cur.index() * ni + inp.index()] += f;
-                cur = m.step(cur, inp).expect("tree paths are defined").0;
-            }
-        }
+    for (e, cell) in arcs {
+        uses[cell] += mcmf.flow(e);
     }
     total
 }
 
 /// Minimal successive-shortest-path min-cost max-flow (SPFA variant,
-/// correct with the negative-cost residual arcs transportation creates).
+/// correct with the negative-cost residual arcs the augmentations create).
 struct Mcmf {
     // Edge arrays: to, cap, cost; edge i and i^1 are a residual pair.
     to: Vec<usize>,
     cap: Vec<u64>,
     cost: Vec<i64>,
     head: Vec<Vec<usize>>,
-    orig_cap: Vec<u64>,
 }
 
 impl Mcmf {
@@ -217,22 +192,21 @@ impl Mcmf {
             cap: Vec::new(),
             cost: Vec::new(),
             head: vec![Vec::new(); n],
-            orig_cap: Vec::new(),
         }
     }
 
-    fn add_edge(&mut self, u: usize, v: usize, cap: u64, cost: i64) {
+    /// Adds the arc `u -> v` and its residual twin; returns the arc.
+    fn add_edge(&mut self, u: usize, v: usize, cap: u64, cost: i64) -> usize {
         let e = self.to.len();
         self.to.push(v);
         self.cap.push(cap);
         self.cost.push(cost);
-        self.orig_cap.push(cap);
         self.head[u].push(e);
         self.to.push(u);
         self.cap.push(0);
         self.cost.push(-cost);
-        self.orig_cap.push(0);
         self.head[v].push(e + 1);
+        e
     }
 
     /// Runs max-flow at min cost; returns total cost.
@@ -282,14 +256,9 @@ impl Mcmf {
         total_cost as u64
     }
 
-    /// Flow sent on the (first) edge from `u` to `v`.
-    fn flow_between(&self, u: usize, v: usize) -> u64 {
-        for &e in &self.head[u] {
-            if e % 2 == 0 && self.to[e] == v {
-                return self.orig_cap[e] - self.cap[e];
-            }
-        }
-        0
+    /// Flow sent on arc `e`: what its residual twin has gained.
+    fn flow(&self, e: usize) -> u64 {
+        self.cap[e ^ 1]
     }
 }
 

@@ -72,6 +72,70 @@ fn postman_tour_covers_everything() {
     );
 }
 
+/// The postman tour duplicates as few edges as possible. The brute force
+/// splits every surplus and deficit state into unit copies and tries
+/// every assignment of surplus units to deficit units, a pair costing the
+/// shortest-path distance ([`ExplicitMealy::bfs`]) between its states.
+/// The ring is balanced, so at most seven extra edges keep it to at most
+/// seven units a side.
+#[test]
+fn postman_duplicates_are_minimal() {
+    forall_cfg(
+        "postman_duplicates_are_minimal",
+        Config::with_cases(256),
+        |g| {
+            let mut r = machine_recipe(g);
+            r.extra.truncate(7);
+            let m = build(&r);
+            let tour = transition_tour(&m).expect("ring base makes it strongly connected");
+            // In-degree minus out-degree of every state.
+            let mut balance = vec![0i64; m.num_states()];
+            for s in (0..m.num_states()).map(|s| StateId(s as u32)) {
+                for i in m.inputs() {
+                    if let Some((t, _)) = m.step(s, i) {
+                        balance[s.index()] -= 1;
+                        balance[t.index()] += 1;
+                    }
+                }
+            }
+            let (mut surplus, mut deficit) = (Vec::new(), Vec::new());
+            for (s, &b) in balance.iter().enumerate() {
+                let units = if b > 0 { &mut surplus } else { &mut deficit };
+                units.extend(std::iter::repeat_n(
+                    StateId(s as u32),
+                    b.unsigned_abs() as usize,
+                ));
+            }
+            assert!(surplus.len() <= 7 && surplus.len() == deficit.len());
+            let dist: Vec<Vec<usize>> = surplus
+                .iter()
+                .map(|&s| {
+                    let tree = m.bfs(s, |_| false);
+                    deficit
+                        .iter()
+                        .map(|&d| tree.depth(d).expect("strongly connected"))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(tour.duplicates, min_assignment(&dist, 0), "{r:?}");
+        },
+    );
+}
+
+/// The cheapest assignment of the surplus units from row
+/// `used.count_ones()` on to the deficit units not in `used`.
+fn min_assignment(dist: &[Vec<usize>], used: u32) -> usize {
+    let row = used.count_ones() as usize;
+    if row == dist.len() {
+        return 0;
+    }
+    (0..dist.len())
+        .filter(|&j| used & (1 << j) == 0)
+        .map(|j| dist[row][j] + min_assignment(dist, used | (1 << j)))
+        .min()
+        .expect("a free deficit unit for every surplus unit")
+}
+
 /// The greedy tour also covers everything and is never shorter than
 /// the optimum.
 #[test]

@@ -4,22 +4,14 @@
 //! at the case study's real scale.
 
 use simcov::dlx::testmodel::{
-    derive_test_model, derive_test_model_observable, valid_inputs_constraint,
+    derive_test_model, derive_test_model_observable, pair_valid_inputs_bdd,
 };
 use simcov::fsm::PairFsm;
 use simcov::netlist::Netlist;
 
 fn pair_with_valid(n: &Netlist) -> PairFsm {
     let mut pf = PairFsm::from_netlist(n);
-    let names: Vec<String> = n.input_names().map(str::to_string).collect();
-    let vars: Vec<_> = names
-        .iter()
-        .map(|nm| pf.input_var_by_name(nm).expect("input present"))
-        .collect();
-    let valid = valid_inputs_constraint(pf.mgr(), &|name| {
-        let i = names.iter().position(|nm| nm == name).expect("known input");
-        vars[i]
-    });
+    let valid = pair_valid_inputs_bdd(&mut pf);
     pf.set_valid_inputs(valid);
     pf
 }

@@ -155,7 +155,7 @@ const PINS: [(&str, [u64; 9]); 10] = [
         "random/40x4",
         [
             0x902fa889505b5ee5, // reachable_states
-            0x00049bd1800ac08f, // transition_tour
+            0xbf3ebef70fa5cc0d, // transition_tour
             0x443fa3511f93fdee, // greedy_transition_tour
             0xea33d3b817299cc8, // state_tour
             0x97af6b678e2fa780, // uio_test_set
