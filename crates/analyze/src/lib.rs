@@ -10,8 +10,8 @@
 //! behaviours are bisimilar. This crate computes those equivalences
 //! whole-model and packages them as a
 //! [`simcov_core::CollapseCertificate`] that
-//! [`simcov_core::ResilientCampaign`] and the closure driver consume
-//! (`--collapse on|off|verify` in the CLI):
+//! [`simcov_core::ResilientCampaign`] consumes (`campaign --collapse
+//! on|off|verify` in the CLI):
 //!
 //! * [`analyze_collapse`] — the analysis: reachability fixpoint,
 //!   per-cell output/ineffective grouping, transfer-fault equivalence by

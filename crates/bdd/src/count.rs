@@ -74,11 +74,6 @@ impl BddManager {
         }
         total
     }
-
-    /// Fraction of the full space `2^num_vars` that satisfies `f`.
-    pub fn density(&self, f: Bdd, num_vars: u32) -> f64 {
-        self.sat_count(f, num_vars) as f64 / 2f64.powi(num_vars as i32)
-    }
 }
 
 #[cfg(test)]
@@ -137,13 +132,6 @@ mod tests {
         let f = m.or(t, c);
         let nf = m.not(f);
         assert_eq!(m.sat_count(f, 6) + m.sat_count(nf, 6), 64);
-    }
-
-    #[test]
-    fn density_matches_count() {
-        let mut m = BddManager::new(4);
-        let a = m.var(0);
-        assert!((m.density(a, 4) - 0.5).abs() < 1e-12);
     }
 
     #[test]

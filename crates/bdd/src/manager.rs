@@ -278,16 +278,6 @@ impl BddManager {
         }
     }
 
-    /// The top variable of `f`, or `None` for terminals.
-    pub fn top_var(&self, f: Bdd) -> Option<Var> {
-        let l = self.level_of(f);
-        if l == TERMINAL_LEVEL {
-            None
-        } else {
-            Some(Var(l))
-        }
-    }
-
     /// Number of distinct nodes in the DAG rooted at `f` (counting
     /// terminals).
     pub fn size(&self, f: Bdd) -> usize {
@@ -556,14 +546,6 @@ mod tests {
         assert_eq!(f, f2);
         assert_eq!(g, g2);
         assert!(m.heap_bytes() > 0);
-    }
-
-    #[test]
-    fn top_var() {
-        let mut m = BddManager::new(3);
-        let b = m.var(1);
-        assert_eq!(m.top_var(b), Some(Var(1)));
-        assert_eq!(m.top_var(Bdd::TRUE), None);
     }
 
     #[test]

@@ -138,30 +138,6 @@ impl BddManager {
         self.ite(f, g, Bdd::TRUE)
     }
 
-    /// Conjunction of a sequence of functions (empty input yields `TRUE`).
-    pub fn and_many<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
-        let mut acc = Bdd::TRUE;
-        for f in fs {
-            acc = self.and(acc, f);
-            if acc.is_false() {
-                return acc;
-            }
-        }
-        acc
-    }
-
-    /// Disjunction of a sequence of functions (empty input yields `FALSE`).
-    pub fn or_many<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
-        let mut acc = Bdd::FALSE;
-        for f in fs {
-            acc = self.or(acc, f);
-            if acc.is_true() {
-                return acc;
-            }
-        }
-        acc
-    }
-
     /// Builds the positive cube `∧ vars` used as the variable set of
     /// quantification operations.
     pub fn cube_from_vars(&mut self, vars: &[Var]) -> Bdd {
@@ -449,20 +425,6 @@ mod tests {
         assert_eq!(m.ite(a, b, b), b);
         // ite(a, 1, 0) == a
         assert_eq!(m.ite(a, Bdd::TRUE, Bdd::FALSE), a);
-    }
-
-    #[test]
-    fn and_many_or_many() {
-        let mut m = mgr();
-        let vs: Vec<Bdd> = (0..4).map(|i| m.var(i)).collect();
-        let all = m.and_many(vs.iter().copied());
-        let any = m.or_many(vs.iter().copied());
-        assert!(m.eval(all, &[true, true, true, true, false, false]));
-        assert!(!m.eval(all, &[true, true, false, true, false, false]));
-        assert!(m.eval(any, &[false, false, true, false, false, false]));
-        assert!(!m.eval(any, &[false; 6]));
-        assert_eq!(m.and_many(std::iter::empty()), Bdd::TRUE);
-        assert_eq!(m.or_many(std::iter::empty()), Bdd::FALSE);
     }
 
     #[test]

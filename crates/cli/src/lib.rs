@@ -179,7 +179,7 @@ USAGE:
   simcov analyze --dlx <name> [same options]
   simcov close <model.blif> [--max-faults <N>] [--seed <S>] [--rounds <R>]
                [--budget <STEPS>] [--jobs <J>]
-               [--engine naive|differential|packed] [--collapse off|on]
+               [--engine naive|differential|packed]
                [--format text|json] [--trace-out <FILE>] [--metrics]
   simcov close --dlx <name> [same options]
   simcov serve [--addr <HOST:PORT>] [--workers <N>] [--queue <N>] [--cache <N>]
@@ -206,10 +206,11 @@ OPTIONS:
                 refuses --deadline, --max-steps, --checkpoint, --resume
                 and --collapse on|verify
   --collapse <M>
-                static fault collapsing: off (default) simulates every
-                fault; on simulates one representative per equivalence
-                class from the collapse certificate and expands — the
-                report and stats are bit-identical to off; verify
+                campaign: static fault collapsing: off (default)
+                simulates every fault; on simulates one representative
+                per equivalence class from the collapse certificate and
+                expands — the report and stats are bit-identical to off,
+                and the wall line includes the analysis; verify
                 simulates everything and audits the certificate, failing
                 the run on any divergence
   --max-nodes <N>
@@ -810,7 +811,6 @@ const CLOSE_FLAGS: FlagTable = &[
     ("--budget", true),
     ("--jobs", true),
     ("--engine", true),
-    ("--collapse", true),
     ("--format", true),
     ("--trace-out", true),
     ("--metrics", false),
@@ -1059,18 +1059,6 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                 // `symbolic` parses, then is refused by the job layer with
                 // the same message a served `close` request gets.
                 engine: a.engine(defaults.engine, "naive|differential|packed")?,
-                // Rounds either simulate every fault or one representative
-                // per collapse class; there is no `verify` mode because the
-                // certificate is audited up front by the driver.
-                collapse: match a.value("--collapse") {
-                    None | Some("off") => false,
-                    Some("on") => true,
-                    Some(other) => {
-                        return Err(CliError::usage(format!(
-                            "unknown collapse mode `{other}` for close (off|on)"
-                        )))
-                    }
-                },
                 format: format.to_string(),
             };
             return cmd_close(a.source(cmd)?, &opts, &ObsOpts::parse(&a));
@@ -1843,15 +1831,6 @@ mod tests {
             "close",
             "--dlx",
             "reduced-obs",
-            "--collapse",
-            "verify",
-        ]))
-        .unwrap_err();
-        assert!(e.message.contains("unknown collapse mode"));
-        let e = run(&args(&[
-            "close",
-            "--dlx",
-            "reduced-obs",
             "--rounds",
             "many",
         ]))
@@ -1995,8 +1974,9 @@ mod tests {
     }
 
     #[test]
-    fn misspelled_close_collapse_flag_is_refused() {
-        // Would otherwise run without collapse.
+    fn close_refuses_the_removed_collapse_flag() {
+        // Closure rounds simulate every fault; `--collapse` belongs to
+        // `campaign` only.
         assert_unknown_flag(
             &[
                 "close",
@@ -2006,10 +1986,10 @@ mod tests {
                 "50",
                 "--rounds",
                 "1",
-                "--colapse",
+                "--collapse",
                 "on",
             ],
-            "--colapse",
+            "--collapse",
         );
     }
 

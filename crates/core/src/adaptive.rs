@@ -1,5 +1,5 @@
 //! Coverage-directed closure: the feedback loop that turns one-shot
-//! fault campaigns into an adaptive verification engine (ROADMAP item 4).
+//! fault campaigns into an adaptive verification engine.
 //!
 //! The paper measures the coverage of a *fixed* test set. This module
 //! closes the loop: run a campaign, harvest its telemetry — which faults
@@ -52,13 +52,7 @@
 //! undetected by every earlier sequence (so the earlier sequences
 //! contribute exactly the already-accumulated excitation/masking bits
 //! and no detection). The property suite pins this equivalence.
-//!
-//! When a [`CollapseCertificate`] is supplied, rounds iterate over the
-//! class *representatives* only; the final report is expanded back to
-//! the full fault list with
-//! [`expand_outcomes`](CollapseCertificate::expand_outcomes).
 
-use crate::collapse::CollapseCertificate;
 use crate::differential::Engine;
 use crate::error_model::{is_detectable, Fault};
 use crate::faults::{CampaignReport, FaultOutcome};
@@ -72,7 +66,21 @@ use simcov_obs::names::{
 use simcov_obs::Telemetry;
 use simcov_tour::{biased_random_test_set, targeted_tour, TestSet};
 
-/// Knobs of the closure loop. [`Default`] gives the configuration the
+/// Constrained-random sequences added per round.
+const RANDOM_PER_ROUND: usize = 4;
+/// Length of each constrained-random sequence.
+const RANDOM_LENGTH: usize = 64;
+/// Random propagation steps appended to each targeted-tour sequence (the
+/// detection window after the last targeted excitation).
+const PROPAGATE: usize = 6;
+/// Weight of a bias-target cell relative to 1 for any other defined
+/// input in the constrained-random walks.
+const BIAS_WEIGHT: u32 = 8;
+/// The loop stops after this many consecutive rounds with no new
+/// detection.
+const STAGNATION: usize = 3;
+
+/// Budgets of the closure loop. [`Default`] gives the configuration the
 /// CLI and CI gate use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClosureConfig {
@@ -90,20 +98,6 @@ pub struct ClosureConfig {
     /// Worker threads for every round's campaign; 0 = automatic. The
     /// result is identical for any value. Default 0.
     pub jobs: usize,
-    /// Constrained-random sequences added per round. Default 4.
-    pub random_per_round: usize,
-    /// Length of each constrained-random sequence. Default 64.
-    pub random_length: usize,
-    /// Random propagation steps appended to each targeted-tour sequence
-    /// (the detection window after the last targeted excitation).
-    /// Default 6.
-    pub propagate: usize,
-    /// Weight of a bias-target cell relative to 1 for any other defined
-    /// input in the constrained-random walks. Default 8.
-    pub bias_weight: u32,
-    /// Stop after this many consecutive rounds with no new detection.
-    /// Default 3.
-    pub stagnation: usize,
 }
 
 impl Default for ClosureConfig {
@@ -114,11 +108,6 @@ impl Default for ClosureConfig {
             seed: 0,
             engine: Engine::default(),
             jobs: 0,
-            random_per_round: 4,
-            random_length: 64,
-            propagate: 6,
-            bias_weight: 8,
-            stagnation: 3,
         }
     }
 }
@@ -160,8 +149,7 @@ pub struct ClosureRun {
     /// Per-round records, in round order.
     pub rounds: Vec<RoundRecord>,
     /// Final per-fault outcomes under the accumulated test set, in the
-    /// order of the *input* fault list (expanded through the collapse
-    /// certificate when one was supplied).
+    /// order of the input fault list.
     pub report: CampaignReport,
     /// Deterministic tally of [`report`](Self::report).
     pub stats: CampaignStats,
@@ -169,8 +157,7 @@ pub struct ClosureRun {
     pub tests: TestSet,
     /// `true` when every detectable targeted fault was detected.
     pub closed: bool,
-    /// Faults (or class representatives) proven undetectable and
-    /// excluded from the closure target.
+    /// Faults proven undetectable and excluded from the closure target.
     pub undetectable: usize,
     /// Total vectors across the accumulated test set.
     pub total_steps: u64,
@@ -196,7 +183,6 @@ pub struct ClosureDriver<'a> {
     faults: &'a [Fault],
     config: ClosureConfig,
     telemetry: Option<Telemetry>,
-    collapse: Option<&'a CollapseCertificate>,
 }
 
 impl<'a> ClosureDriver<'a> {
@@ -207,7 +193,6 @@ impl<'a> ClosureDriver<'a> {
             faults,
             config,
             telemetry: None,
-            collapse: None,
         }
     }
 
@@ -219,23 +204,12 @@ impl<'a> ClosureDriver<'a> {
         self
     }
 
-    /// Re-targets rounds at collapse-class representatives only; the
-    /// final report is expanded back to the full fault list. The
-    /// certificate must have been built for exactly this machine and
-    /// fault list ([`try_run`](Self::try_run) refuses it otherwise).
-    pub fn collapse(mut self, cert: &'a CollapseCertificate) -> Self {
-        self.collapse = Some(cert);
-        self
-    }
-
     /// [`try_run`](Self::try_run), panicking on its errors.
     ///
     /// # Panics
     ///
-    /// Panics if the configured engine is [`Engine::Symbolic`], if a
-    /// supplied collapse certificate fails its
-    /// [`check`](CollapseCertificate::check), or if an inner campaign
-    /// quarantines a shard that panicked on every attempt.
+    /// Panics if the configured engine is [`Engine::Symbolic`], or if an
+    /// inner campaign quarantines a shard that panicked on every attempt.
     pub fn run(&self) -> ClosureRun {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -244,11 +218,8 @@ impl<'a> ClosureDriver<'a> {
     ///
     /// # Errors
     ///
-    /// Before any round is simulated: [`CampaignError::ImplicitEngine`]
-    /// for [`Engine::Symbolic`], which simulates no fault list, and
-    /// [`CampaignError::Certificate`] for a collapse certificate that
-    /// fails its [`check`](CollapseCertificate::check) against the
-    /// machine and fault list.
+    /// [`CampaignError::ImplicitEngine`] for [`Engine::Symbolic`], which
+    /// simulates no fault list, before any round is simulated.
     ///
     /// # Panics
     ///
@@ -256,18 +227,11 @@ impl<'a> ClosureDriver<'a> {
     /// every attempt.
     pub fn try_run(&self) -> Result<ClosureRun, CampaignError> {
         let m = self.golden;
+        let faults = self.faults;
         let cfg = &self.config;
         if cfg.engine == Engine::Symbolic {
             return Err(CampaignError::ImplicitEngine);
         }
-        if let Some(cert) = self.collapse {
-            cert.check(m, self.faults)
-                .map_err(|detail| CampaignError::Certificate { detail })?;
-        }
-        let work: Vec<Fault> = match self.collapse {
-            Some(cert) => cert.representative_faults(self.faults),
-            None => self.faults.to_vec(),
-        };
 
         // Cold-cell tracking: which reachable defined cells has the
         // accumulated stimulus traversed?
@@ -276,12 +240,12 @@ impl<'a> ClosureDriver<'a> {
         let transitions_total = reachable.iter().filter(|&&r| r).count();
         let mut covered = vec![false; m.num_states() * ni];
 
-        // Accumulated outcome per work fault (all simulated in round 0).
-        let mut outcomes: Vec<Option<FaultOutcome>> = vec![None; work.len()];
-        let mut pending: Vec<usize> = (0..work.len()).collect();
+        // Accumulated outcome per fault (all simulated in round 0).
+        let mut outcomes: Vec<Option<FaultOutcome>> = vec![None; faults.len()];
+        let mut pending: Vec<usize> = (0..faults.len()).collect();
         // Memoized detectability screen — only ever computed for a fault
         // that survives a round.
-        let mut detectable: Vec<Option<bool>> = vec![None; work.len()];
+        let mut detectable: Vec<Option<bool>> = vec![None; faults.len()];
         let mut detected_count = 0usize;
         let mut tests = TestSet::default();
         let mut total_steps = 0u64;
@@ -291,7 +255,7 @@ impl<'a> ClosureDriver<'a> {
         while !pending.is_empty()
             && rounds.len() < cfg.max_rounds
             && cfg.max_steps.is_none_or(|b| total_steps < b)
-            && stagnant < cfg.stagnation
+            && stagnant < STAGNATION
         {
             let round = rounds.len();
             // Bias targets: cells of surviving faults (detection), plus
@@ -299,7 +263,7 @@ impl<'a> ClosureDriver<'a> {
             // and deduplicated for determinism.
             let mut survivor_cells: Vec<(StateId, InputSym)> = pending
                 .iter()
-                .map(|&i| (work[i].state, work[i].input))
+                .map(|&i| (faults[i].state, faults[i].input))
                 .collect();
             survivor_cells.sort_unstable();
             survivor_cells.dedup();
@@ -317,16 +281,16 @@ impl<'a> ClosureDriver<'a> {
             let mut new_tests = targeted_tour(
                 m,
                 &survivor_cells,
-                cfg.propagate,
+                PROPAGATE,
                 round_seed(cfg.seed, round, 0),
             );
             new_tests.extend(
                 biased_random_test_set(
                     m,
                     &hot,
-                    cfg.random_per_round,
-                    cfg.random_length,
-                    cfg.bias_weight,
+                    RANDOM_PER_ROUND,
+                    RANDOM_LENGTH,
+                    BIAS_WEIGHT,
                     round_seed(cfg.seed, round, 1),
                 )
                 .sequences,
@@ -338,7 +302,7 @@ impl<'a> ClosureDriver<'a> {
             }
 
             // Incremental campaign: surviving faults × new sequences.
-            let pending_faults: Vec<Fault> = pending.iter().map(|&i| work[i]).collect();
+            let pending_faults: Vec<Fault> = pending.iter().map(|&i| faults[i]).collect();
             let report = self.campaign(&pending_faults, &new_tests);
 
             // Exact merge (see module docs): OR observation bits, offset
@@ -363,7 +327,7 @@ impl<'a> ClosureDriver<'a> {
             detected_count += new_detections;
             // Screen the survivors: a fault whose mutant is equivalent
             // to the golden machine can never close — stop targeting it.
-            pending.retain(|&i| *detectable[i].get_or_insert_with(|| is_detectable(m, &work[i])));
+            pending.retain(|&i| *detectable[i].get_or_insert_with(|| is_detectable(m, &faults[i])));
 
             let steps_added = new_tests.total_vectors();
             let tests_added = new_tests.len();
@@ -413,7 +377,7 @@ impl<'a> ClosureDriver<'a> {
         }
 
         let closed = pending.is_empty();
-        let undetectable: Vec<usize> = (0..work.len())
+        let undetectable: Vec<usize> = (0..faults.len())
             .filter(|&i| detectable[i] == Some(false))
             .collect();
         // A pruned fault stopped riding the rounds when its screen
@@ -422,30 +386,26 @@ impl<'a> ClosureDriver<'a> {
         // accumulated test set — exact by definition — to keep the final
         // report bit-identical to a from-scratch campaign.
         if !undetectable.is_empty() && !tests.is_empty() {
-            let pruned_faults: Vec<Fault> = undetectable.iter().map(|&i| work[i]).collect();
+            let pruned_faults: Vec<Fault> = undetectable.iter().map(|&i| faults[i]).collect();
             let report = self.campaign(&pruned_faults, &tests);
             for (&slot, out) in undetectable.iter().zip(report.outcomes.iter()) {
                 outcomes[slot] = Some(out.clone());
             }
         }
-        let work_outcomes: Vec<FaultOutcome> = outcomes
+        let final_outcomes: Vec<FaultOutcome> = outcomes
             .into_iter()
             .enumerate()
             .map(|(i, o)| {
                 o.unwrap_or(FaultOutcome {
                     // Zero rounds ran (empty budget / no stimulus): the
                     // empty test set excites and detects nothing.
-                    fault: work[i],
+                    fault: faults[i],
                     detected: None,
                     excited: false,
                     masked_somewhere: false,
                 })
             })
             .collect();
-        let final_outcomes = match self.collapse {
-            Some(cert) => cert.expand_outcomes(self.faults, &work_outcomes),
-            None => work_outcomes,
-        };
         let stats = CampaignStats::tally(&final_outcomes);
         if let Some(tel) = &self.telemetry {
             tel.counter_add(ADAPTIVE_ROUNDS, rounds.len() as u64);
@@ -460,7 +420,7 @@ impl<'a> ClosureDriver<'a> {
             );
             tel.counter_add(
                 ADAPTIVE_SURVIVORS,
-                rounds.last().map_or(work.len(), |r| r.survivors) as u64,
+                rounds.last().map_or(faults.len(), |r| r.survivors) as u64,
             );
             tel.counter_add(
                 ADAPTIVE_COLD_CELLS,
@@ -572,39 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn collapse_rounds_target_representatives_and_expand_back() {
-        use crate::collapse::ClassKind;
-        let (m, _) = figure2();
-        let faults = enumerate_single_faults(&m, &FaultSpace::default());
-        // Singleton partition: sound for any fault list, and exercises
-        // the check → representative → expand path end to end. (Sound
-        // *merging* partitions come from `simcov-analyze`; the CLI tests
-        // drive closure through a real analysis certificate.)
-        let cert = CollapseCertificate::new(
-            &m,
-            &faults,
-            (0..faults.len() as u32).collect(),
-            vec![ClassKind::Singleton; faults.len()],
-            Vec::new(),
-        )
-        .unwrap();
-        let plain = ClosureDriver::new(&m, &faults, ClosureConfig::default()).run();
-        let collapsed = ClosureDriver::new(&m, &faults, ClosureConfig::default())
-            .collapse(&cert)
-            .run();
-        assert!(collapsed.closed);
-        assert_eq!(collapsed.report.outcomes.len(), faults.len());
-        assert_eq!(
-            collapsed.stats.detected + collapsed.undetectable,
-            faults.len()
-        );
-        // Under the identity partition the collapsed run must reproduce
-        // the plain run exactly.
-        assert_eq!(collapsed.report, plain.report);
-        assert_eq!(collapsed.rounds, plain.rounds);
-    }
-
-    #[test]
     fn zero_round_budget_reports_everything_undetected() {
         let (m, _) = figure2();
         let faults = enumerate_single_faults(&m, &FaultSpace::default());
@@ -620,10 +547,9 @@ mod tests {
         assert_eq!(run.total_steps, 0);
     }
 
-    /// The symbolic engine and a certificate for another fault list are
-    /// refused before any round is simulated.
+    /// The symbolic engine is refused before any round is simulated.
     #[test]
-    fn try_run_refuses_the_implicit_engine_and_a_stale_certificate() {
+    fn try_run_refuses_the_implicit_engine() {
         let (m, _) = figure2();
         let faults = enumerate_single_faults(&m, &FaultSpace::default());
         let tel = Telemetry::new();
@@ -636,21 +562,6 @@ mod tests {
             .try_run()
             .unwrap_err();
         assert!(matches!(err, CampaignError::ImplicitEngine), "{err}");
-        let fewer = &faults[..faults.len() - 1];
-        let cert = CollapseCertificate::new(
-            &m,
-            fewer,
-            (0..fewer.len() as u32).collect(),
-            vec![crate::collapse::ClassKind::Singleton; fewer.len()],
-            Vec::new(),
-        )
-        .unwrap();
-        let err = ClosureDriver::new(&m, &faults, ClosureConfig::default())
-            .telemetry(tel.clone())
-            .collapse(&cert)
-            .try_run()
-            .unwrap_err();
-        assert!(matches!(err, CampaignError::Certificate { .. }), "{err}");
         assert_eq!(tel.snapshot().counter(ADAPTIVE_ROUNDS), None);
     }
 

@@ -7,18 +7,19 @@
 //! outcomes are expanded deterministically. This module defines the
 //! artifact that carries such a partition — the [`CollapseCertificate`] —
 //! together with the campaign-side machinery that consumes it: pruning to
-//! representatives, outcome expansion, and the `verify` check that
-//! re-simulates everything and fails on any member whose outcome diverges
-//! from its representative's.
+//! representatives and the `verify` check that re-simulates everything
+//! and fails on any member whose outcome diverges from its
+//! representative's.
 //!
 //! The *analysis* that computes a certificate lives in the
 //! `simcov-analyze` crate (it layers on top of this one); the certificate
-//! type lives here so [`crate::ResilientCampaign`] and the closure driver
-//! can consume it without a dependency cycle. A certificate is bound to its `(machine, fault list)` pair by
-//! an FNV-1a fingerprint (same hash discipline as the checkpoint journal
-//! and the telemetry traces, via [`crate::fingerprint`]); using a
-//! certificate against a different machine or fault list is rejected by
-//! [`CollapseCertificate::check`] instead of silently expanding garbage.
+//! type lives here so [`crate::ResilientCampaign`] can consume it without
+//! a dependency cycle. A certificate is bound to its `(machine, fault
+//! list)` pair by an FNV-1a fingerprint (same hash discipline as the
+//! checkpoint journal and the telemetry traces, via
+//! [`crate::fingerprint`]); using a certificate against a different
+//! machine or fault list is rejected by [`CollapseCertificate::check`]
+//! instead of silently expanding garbage.
 //!
 //! Soundness is *not* re-established here — it is the analysis's theorem
 //! (equivalence of the label streams that drive `detects` /
@@ -418,39 +419,6 @@ impl CollapseCertificate {
             .collect()
     }
 
-    /// Expands per-representative outcomes (in class order, as produced
-    /// by simulating [`representative_faults`](Self::representative_faults))
-    /// to the full fault list: each member receives its representative's
-    /// observables with its own fault identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rep_outcomes.len() != self.num_classes()`.
-    pub fn expand_outcomes(
-        &self,
-        faults: &[Fault],
-        rep_outcomes: &[FaultOutcome],
-    ) -> Vec<FaultOutcome> {
-        assert_eq!(
-            rep_outcomes.len(),
-            self.num_classes(),
-            "one outcome per representative"
-        );
-        self.class_of
-            .iter()
-            .enumerate()
-            .map(|(idx, &c)| {
-                let rep = &rep_outcomes[c as usize];
-                FaultOutcome {
-                    fault: faults[idx],
-                    detected: rep.detected,
-                    excited: rep.excited,
-                    masked_somewhere: rep.masked_somewhere,
-                }
-            })
-            .collect()
-    }
-
     /// Audits a full (uncollapsed) campaign's outcomes against the
     /// partition: every member must observably equal its representative.
     /// Returns the divergences in `(class, member)` order — empty for a
@@ -568,33 +536,6 @@ mod tests {
         )
         .unwrap();
         assert_ne!(singles.fingerprint(), merged.fingerprint());
-    }
-
-    #[test]
-    fn expand_restores_fault_identity() {
-        let (m, _) = figure2();
-        let faults = enumerate_single_faults(&m, &FaultSpace::default());
-        // One big (unsound, but structurally fine) class.
-        let cert = CollapseCertificate::new(
-            &m,
-            &faults,
-            vec![0; faults.len()],
-            vec![ClassKind::Singleton],
-            Vec::new(),
-        )
-        .unwrap();
-        let rep = FaultOutcome {
-            fault: faults[0],
-            detected: Some((0, 3)),
-            excited: true,
-            masked_somewhere: false,
-        };
-        let expanded = cert.expand_outcomes(&faults, &[rep]);
-        assert_eq!(expanded.len(), faults.len());
-        for (idx, o) in expanded.iter().enumerate() {
-            assert_eq!(o.fault, faults[idx]);
-            assert_eq!(o.detected, Some((0, 3)));
-        }
     }
 
     #[test]

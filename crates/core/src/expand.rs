@@ -16,17 +16,6 @@
 //!    solution adopted in Section 6.1), forcing them to the values the
 //!    test sequence assumed.
 
-/// Strategy for filling in the input fields the abstraction removed.
-pub trait InputExpander {
-    /// The concrete vector type (e.g. a 32-bit DLX instruction).
-    type Concrete;
-
-    /// Expands the `index`-th abstract vector of a sequence into a
-    /// concrete one. `index` lets strategies hand out distinct data values
-    /// per position (Requirement 3).
-    fn expand(&mut self, abstract_bits: &[bool], index: usize) -> Self::Concrete;
-}
-
 /// A data-selection strategy producing pairwise-distinct filler values:
 /// vector `i` of a sequence receives `base + i * stride`, truncated to the
 /// requested width. With `stride` odd and width ≥ log2(sequence length),
@@ -63,18 +52,6 @@ impl DistinctData {
     }
 }
 
-/// Expands a whole abstract sequence with an [`InputExpander`].
-pub fn expand_sequence<E: InputExpander>(
-    expander: &mut E,
-    abstract_vectors: &[Vec<bool>],
-) -> Vec<E::Concrete> {
-    abstract_vectors
-        .iter()
-        .enumerate()
-        .map(|(i, v)| expander.expand(v, i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,18 +73,5 @@ mod tests {
         };
         assert_eq!(d.value(0, 8), 0xff);
         assert_eq!(d.value(1, 64), 0x10000);
-    }
-
-    #[test]
-    fn expand_sequence_passes_indices() {
-        struct Tagger;
-        impl InputExpander for Tagger {
-            type Concrete = (usize, usize);
-            fn expand(&mut self, bits: &[bool], index: usize) -> (usize, usize) {
-                (bits.len(), index)
-            }
-        }
-        let out = expand_sequence(&mut Tagger, &[vec![true], vec![false, true]]);
-        assert_eq!(out, vec![(1, 0), (2, 1)]);
     }
 }

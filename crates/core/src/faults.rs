@@ -12,7 +12,7 @@
 //! effective fault — the testable content of Theorem 3.
 
 use crate::error_model::{detects, excited_at, is_masked_on, Fault, FaultKind};
-use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, StateId};
+use simcov_fsm::{ExplicitMealy, InputSym, OutputSym};
 use simcov_prng::Prng;
 use simcov_tour::TestSet;
 
@@ -268,23 +268,6 @@ pub fn extend_cyclically(tour: &[InputSym], k: usize) -> Vec<InputSym> {
     v
 }
 
-/// Convenience: all transfer faults of one specific transition (used for
-/// targeted experiments such as the Figure 2 reproduction).
-pub fn transfer_faults_of(m: &ExplicitMealy, state: StateId, input: InputSym) -> Vec<Fault> {
-    let Some((next, _)) = m.step(state, input) else {
-        return Vec::new();
-    };
-    m.reachable_states()
-        .into_iter()
-        .filter(|&t| t != next)
-        .map(|t| Fault {
-            state,
-            input,
-            kind: FaultKind::Transfer { new_next: t },
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,17 +381,5 @@ mod tests {
         assert_eq!(ext, vec![b, b, b, b]);
         // An empty tour has nothing to replay.
         assert!(extend_cyclically(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn transfer_faults_of_transition() {
-        let (m, _) = figure2();
-        let a = m.input_by_label("a").unwrap();
-        let s2 = m.state_by_label("2").unwrap();
-        let fs = transfer_faults_of(&m, s2, a);
-        assert_eq!(fs.len(), 6); // 7 reachable states minus the true dest
-        for f in &fs {
-            assert!(f.is_effective(&m));
-        }
     }
 }

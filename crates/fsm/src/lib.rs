@@ -15,8 +15,9 @@
 //!   statistics;
 //! * [`lower_netlist`] — the one lowering of a netlist's gates into BDDs,
 //!   under a caller-chosen variable layout; the symbolic machine, the
-//!   pair machine, the input classes and the symbolic campaign engine in
-//!   `simcov-core` are all built on it;
+//!   pair machine and the input classes are built on it, and the
+//!   implicit campaign in `simcov-core` reaches it only through the pair
+//!   machine ([`PairFsm`]);
 //! * [`enumerate`] — extraction of an [`ExplicitMealy`] from a netlist by
 //!   forward enumeration of the reachable state graph under a declared set
 //!   of valid input vectors (the paper's input don't-cares);

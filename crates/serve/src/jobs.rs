@@ -223,8 +223,6 @@ pub struct CloseOpts {
     pub jobs: usize,
     /// Fault-simulation engine for every round (`--engine`).
     pub engine: Engine,
-    /// Run rounds over collapse-class representatives (`--collapse`).
-    pub collapse: bool,
     /// Report format: `text` or `json`.
     pub format: String,
 }
@@ -238,7 +236,6 @@ impl Default for CloseOpts {
             budget: None,
             jobs: 0,
             engine: Engine::default(),
-            collapse: false,
             format: "text".to_string(),
         }
     }
@@ -528,7 +525,9 @@ fn execute_campaign(
     }
 
     // Static collapsing runs the whole-model analysis up front; the
-    // certificate binds exactly this (machine, fault list) pair.
+    // certificate binds exactly this (machine, fault list) pair. The
+    // report's wall line counts the analysis.
+    let analysis_started = Instant::now();
     let analysis = match opts.collapse {
         CollapseMode::Off => None,
         _ => Some(
@@ -536,6 +535,7 @@ fn execute_campaign(
                 .map_err(|e| JobError::runtime(format!("collapse analysis failed: {e}")))?,
         ),
     };
+    let analysis_wall = analysis_started.elapsed();
     // The supervisor clamps jobs(0) to serial, so the CLI's "0 = all
     // cores" convention is resolved here.
     let jobs = if opts.jobs == 0 {
@@ -617,7 +617,7 @@ fn execute_campaign(
     let _ = writeln!(
         out,
         "wall: {:.1} ms on {} worker thread{}",
-        run.wall.as_secs_f64() * 1e3,
+        (analysis_wall + run.wall).as_secs_f64() * 1e3,
         run.jobs,
         if run.jobs == 1 { "" } else { "s" }
     );
@@ -799,28 +799,16 @@ fn execute_close(
         },
     );
     tel.counter_add("campaign.faults_enumerated", faults.len() as u64);
-    let analysis = if opts.collapse {
-        Some(
-            analyze_collapse(&m, &faults, &AnalyzeOptions::default())
-                .map_err(|e| JobError::runtime(format!("collapse analysis failed: {e}")))?,
-        )
-    } else {
-        None
-    };
     let config = ClosureConfig {
         max_rounds: opts.rounds,
         max_steps: opts.budget,
         seed: opts.seed,
         engine: opts.engine,
         jobs: opts.jobs,
-        ..ClosureConfig::default()
     };
-    let mut driver = ClosureDriver::new(&m, &faults, config).telemetry(tel.clone());
-    if let Some(a) = &analysis {
-        driver = driver.collapse(&a.certificate);
-    }
-    let started = std::time::Instant::now();
-    let run = driver
+    let started = Instant::now();
+    let run = ClosureDriver::new(&m, &faults, config)
+        .telemetry(tel.clone())
         .try_run()
         .map_err(|e| JobError::runtime(e.to_string()))?;
     let wall = started.elapsed();
@@ -836,9 +824,8 @@ fn execute_close(
             opts.engine,
             opts.seed,
             faults.len(),
-            analysis
-                .as_ref()
-                .map_or(faults.len(), |a| a.certificate.num_classes()),
+            // Rounds run over every fault: one class per fault.
+            faults.len(),
         );
         for (idx, r) in run.rounds.iter().enumerate() {
             let _ = write!(
@@ -877,19 +864,7 @@ fn execute_close(
     } else {
         let _ = writeln!(out, "model: {m:?}");
         let _ = writeln!(out, "engine: {}", opts.engine);
-        match &analysis {
-            Some(a) => {
-                let _ = writeln!(
-                    out,
-                    "faults: {} in {} classes (rounds target representatives)",
-                    faults.len(),
-                    a.certificate.num_classes()
-                );
-            }
-            None => {
-                let _ = writeln!(out, "faults: {}", faults.len());
-            }
-        }
+        let _ = writeln!(out, "faults: {}", faults.len());
         for r in &run.rounds {
             let _ = writeln!(
                 out,
@@ -1438,47 +1413,6 @@ mod tests {
         .unwrap();
         assert!(text.text.contains("closure: reached"), "{}", text.text);
         assert!(text.text.contains("round 0:"), "{}", text.text);
-    }
-
-    #[test]
-    fn close_with_collapse_still_closes() {
-        let spec = JobSpec {
-            id: "close-collapse".to_string(),
-            model: ModelSource::Dlx("reduced-obs".to_string()),
-            kind: JobKind::Close(CloseOpts {
-                max_faults: 120,
-                seed: 3,
-                jobs: 2,
-                collapse: true,
-                format: "json".to_string(),
-                ..CloseOpts::default()
-            }),
-        };
-        let out = execute(&spec, &Telemetry::new(), &ExecCtx::default()).unwrap();
-        assert_eq!(out.status, ExitStatus::Ok, "{}", out.text);
-        assert!(out.text.contains("\"closed\":true"), "{}", out.text);
-        // The classes field shows the representative universe shrank.
-        let classes: usize = out
-            .text
-            .split("\"classes\":")
-            .nth(1)
-            .unwrap()
-            .split(',')
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
-        let faults: usize = out
-            .text
-            .split("\"faults\":")
-            .nth(1)
-            .unwrap()
-            .split(',')
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(classes < faults, "{classes} vs {faults}");
     }
 
     #[test]

@@ -322,6 +322,11 @@ pub fn parse_request(req: &Json) -> Result<Request, String> {
                     }
                 }
                 "close" => {
+                    if req.get("collapse").is_some() {
+                        return Err("`collapse` is not accepted for `close`: \
+                                    closure rounds simulate every fault"
+                            .to_string());
+                    }
                     let engine = get_engine(req)?;
                     let defaults = CloseOpts::default();
                     JobKind::Close(CloseOpts {
@@ -332,7 +337,6 @@ pub fn parse_request(req: &Json) -> Result<Request, String> {
                         budget: get_opt_u64(req, "budget")?,
                         jobs: get_u64(req, "jobs", defaults.jobs as u64)? as usize,
                         engine,
-                        collapse: get_bool(req, "collapse")?,
                         format: req
                             .get("format")
                             .map(|v| v.as_str().map(str::to_string))
@@ -483,7 +487,7 @@ mod tests {
     fn close_request_parses_with_defaults_and_overrides() {
         let req = simcov_obs::json::parse(
             r#"{"type":"close","id":"c1","model":{"dlx":"reduced-obs"},"seed":7,
-                "rounds":4,"budget":5000,"collapse":true,"format":"json"}"#,
+                "rounds":4,"budget":5000,"format":"json"}"#,
         )
         .unwrap();
         match parse_request(&req).unwrap() {
@@ -492,7 +496,6 @@ mod tests {
                     assert_eq!(opts.seed, 7);
                     assert_eq!(opts.rounds, 4);
                     assert_eq!(opts.budget, Some(5000));
-                    assert!(opts.collapse);
                     assert_eq!(opts.format, "json");
                     assert_eq!(opts.max_faults, CloseOpts::default().max_faults);
                 }
@@ -513,19 +516,9 @@ mod tests {
 
     #[test]
     fn wire_booleans_must_be_booleans() {
-        for (req, field) in [
-            (
-                r#"{"type":"close","id":"c","model":{"dlx":"reduced-obs"},"collapse":"on"}"#,
-                "collapse",
-            ),
-            (
-                r#"{"type":"campaign","id":"j","model":{"dlx":"reduced-obs"},"trace":1}"#,
-                "trace",
-            ),
-        ] {
-            let err = parse_request(&simcov_obs::json::parse(req).unwrap()).unwrap_err();
-            assert_eq!(err, format!("`{field}` must be a boolean"), "{req}");
-        }
+        let req = r#"{"type":"campaign","id":"j","model":{"dlx":"reduced-obs"},"trace":1}"#;
+        let err = parse_request(&simcov_obs::json::parse(req).unwrap()).unwrap_err();
+        assert_eq!(err, "`trace` must be a boolean");
         let req = simcov_obs::json::parse(
             r#"{"type":"campaign","id":"j","model":{"dlx":"reduced-obs"},"trace":true}"#,
         )
@@ -537,6 +530,19 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn wire_close_refuses_collapse() {
+        // Closure rounds simulate every fault; a request still carrying
+        // the field gets an error frame naming it, whatever its value.
+        for value in [r#""on""#, "true", "false"] {
+            let req = format!(
+                r#"{{"type":"close","id":"c","model":{{"dlx":"reduced-obs"}},"collapse":{value}}}"#
+            );
+            let err = parse_request(&simcov_obs::json::parse(&req).unwrap()).unwrap_err();
+            assert!(err.starts_with("`collapse` is not accepted"), "{err}");
+        }
     }
 
     #[test]

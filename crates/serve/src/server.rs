@@ -120,9 +120,7 @@ impl ServeSummary {
 /// A queued unit of work.
 struct QueuedJob {
     spec: JobSpec,
-    /// The original request payload (journaled verbatim on admit).
     want_trace: bool,
-    attempt_base: usize,
     /// Where to push the result frame; `None` for jobs recovered from
     /// the journal (their clients will reconnect and `query`).
     reply: Option<Arc<Mutex<TcpStream>>>,
@@ -281,7 +279,6 @@ impl Server {
                         restored_pending.push(QueuedJob {
                             spec,
                             want_trace,
-                            attempt_base: 0,
                             reply: None,
                         });
                     }
@@ -432,26 +429,8 @@ fn process_job(shared: &Shared, job: QueuedJob) {
                 plan.should_fail_audit(fp ^ Fnv64::hash(engine.name().as_bytes()))
             }) as Box<dyn Fn(Engine) -> bool + Sync>
         });
-    let mut attempt = job.attempt_base;
+    let mut attempt = 0;
     let outcome = loop {
-        #[cfg(feature = "chaos")]
-        if let Some(plan) = &config.chaos {
-            if plan.should_panic(fp, attempt) {
-                // Simulate a worker dying mid-job: unwind exactly like a
-                // real job panic would, through the same isolation path.
-                let caught = std::panic::catch_unwind(|| {
-                    std::panic::panic_any(format!("chaos: worker panic on job {fp:016x}"))
-                });
-                debug_assert!(caught.is_err());
-                if attempt >= config.max_retries {
-                    break Err("panicked".to_string());
-                }
-                shared.telemetry.counter_add(names::SERVE_JOBS_RETRIED, 1);
-                std::thread::sleep(backoff(config.seed, fp, attempt, config.backoff_base_ms));
-                attempt += 1;
-                continue;
-            }
-        }
         let tel = Telemetry::new();
         let ctx = ExecCtx {
             cache: Some(&shared.cache),
@@ -462,13 +441,21 @@ fn process_job(shared: &Shared, job: QueuedJob) {
             force_audit_fail: None,
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // A worker dying mid-job unwinds exactly like a real job
+            // panic, through the same isolation path.
+            #[cfg(feature = "chaos")]
+            if let Some(plan) = &config.chaos {
+                if plan.should_panic(fp, attempt) {
+                    std::panic::panic_any(format!("chaos: worker panic on job {fp:016x}"));
+                }
+            }
             jobs::execute(&job.spec, &tel, &ctx)
         }));
         match result {
-            Ok(executed) => break Ok((executed, tel)),
+            Ok(executed) => break Some((executed, tel)),
             Err(_) => {
                 if attempt >= config.max_retries {
-                    break Err("panicked".to_string());
+                    break None;
                 }
                 shared.telemetry.counter_add(names::SERVE_JOBS_RETRIED, 1);
                 std::thread::sleep(backoff(config.seed, fp, attempt, config.backoff_base_ms));
@@ -481,7 +468,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
         _ => None,
     };
     let frame = match outcome {
-        Err(_) => {
+        None => {
             // Retries exhausted: quarantine the fingerprint so identical
             // resubmissions are refused at admission instead of burning
             // the pool again.
@@ -501,7 +488,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
             };
             result_frame(&job.spec.id, job.spec.kind.name(), None, &outcome, None)
         }
-        Ok((Ok(executed), tel)) => {
+        Some((Ok(executed), tel)) => {
             shared.telemetry.counter_add(names::SERVE_JOBS_COMPLETED, 1);
             if executed.degraded > 0 {
                 shared
@@ -522,7 +509,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
                 trace.as_deref(),
             )
         }
-        Ok((Err(err), _)) => {
+        Some((Err(err), _)) => {
             shared.telemetry.counter_add(names::SERVE_JOBS_COMPLETED, 1);
             let outcome = jobs::JobOutcome {
                 text: format!("{}\n", err.message),
@@ -656,7 +643,6 @@ fn connection_loop(shared: &Shared, stream: TcpStream, conn_id: u64) {
                     let job = QueuedJob {
                         spec,
                         want_trace,
-                        attempt_base: 0,
                         reply: Some(Arc::clone(&writer)),
                     };
                     // Hold the reply writer across admission: a fast
@@ -783,6 +769,63 @@ mod tests {
         assert_eq!(kept.get("type").and_then(Json::as_str), Some("result"));
         cl.request(&client::shutdown()).unwrap();
         assert_eq!(handle.join().unwrap().completed, 2);
+    }
+
+    /// A job that panics on every attempt runs `1 + max_retries` times,
+    /// is quarantined, and the same spec is then refused at admission.
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn a_job_panicking_on_every_attempt_is_retried_then_quarantined() {
+        use crate::chaos::silence_chaos_panics;
+        static ATTEMPTS: AtomicUsize = AtomicUsize::new(0);
+        const PAYLOAD: &str = r#"{"type":"lint","id":"doomed","model":{"dlx":"reduced-obs"}}"#;
+        let Ok(Request::Submit { spec, .. }) = parse_request(&json::parse(PAYLOAD).unwrap()) else {
+            panic!("the payload is a submit");
+        };
+        // Each attempt raises one injected panic tagged with the job's
+        // fingerprint: count them on top of the silencing hook.
+        let tag = format!("chaos: worker panic on job {:016x}", spec.fingerprint());
+        silence_chaos_panics();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<String>() == Some(&tag) {
+                ATTEMPTS.fetch_add(1, Ordering::SeqCst);
+            }
+            prev(info);
+        }));
+        let server = Server::bind(ServerConfig {
+            workers: 1,
+            max_retries: 2,
+            chaos: Some(ServeChaosPlan {
+                job_panic_prob: 1.0,
+                ..ServeChaosPlan::new(5)
+            }),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || server.serve().unwrap());
+        let mut cl = Client::connect(&addr).unwrap();
+        let frame = cl.run_job(PAYLOAD, "doomed").unwrap();
+        let output = frame.get("output").and_then(Json::as_str).unwrap_or("");
+        assert!(output.contains("quarantined after 3 attempts"), "{output}");
+        assert_eq!(ATTEMPTS.load(Ordering::SeqCst), 3);
+        let again = cl.request(PAYLOAD).unwrap();
+        assert_eq!(
+            again.get("status").and_then(Json::as_str),
+            Some("quarantined")
+        );
+        let stats = cl.request(&client::stats()).unwrap();
+        let counter = |name: &str| {
+            stats
+                .get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(counter(names::SERVE_JOBS_RETRIED), Some(2));
+        assert_eq!(counter(names::SERVE_JOBS_QUARANTINED), Some(1));
+        cl.request(&client::shutdown()).unwrap();
+        assert_eq!(handle.join().unwrap().quarantined, 1);
     }
 
     #[test]

@@ -60,9 +60,10 @@ impl std::error::Error for WMethodError {}
 /// of input sequences distinguishing every pair of distinct reachable
 /// states.
 ///
-/// Construction: partition refinement recording, for each refinement
-/// round, one separating input per freshly split class — yielding
-/// sequences of length at most `n - 1` and at most `n - 1` sequences.
+/// Construction: one breadth-first search over the pair graph per
+/// unordered pair of reachable states, each yielding a shortest
+/// distinguishing sequence (so of length at most `n - 1`). Equal
+/// sequences are merged, which leaves up to `n(n - 1)/2` of them.
 ///
 /// # Errors
 ///
