@@ -15,7 +15,8 @@
 //!   one-variable and constant cases) and renaming
 //!   ([`BddManager::rename`]),
 //! * node reclamation from explicit roots
-//!   ([`BddManager::reclaim_since`]),
+//!   ([`BddManager::reclaim_since`]) and copying a function between
+//!   managers over one order ([`BddManager::copy_from`]),
 //! * exact satisfying-assignment counting ([`BddManager::sat_count`]),
 //! * cube extraction ([`BddManager::pick_cube`]) and minterm iteration
 //!   ([`BddManager::cubes`]),

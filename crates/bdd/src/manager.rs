@@ -448,6 +448,56 @@ impl BddManager {
         self.and_exists_cache = DirectCache::with_capacity_pow2(OP_CACHE_SLOTS);
     }
 
+    /// Copies `f`, a function of `src`, into this manager and returns the
+    /// handle this manager gives that function: the one building it here
+    /// directly returns. `src` must order its variables as this manager
+    /// does, level for level (a clone of it, say). Constants map to
+    /// constants, and the copy makes its nodes in one fixed order, so
+    /// node numbering stays a function of the operation sequence.
+    ///
+    /// The copy runs no operation of its own. Instead it adds to this
+    /// manager's [`runtime_stats`](Self::runtime_stats) the work `src`
+    /// did since `src_since`, an earlier reading of `src`'s counters.
+    /// With the reading taken when `src` was cloned from this manager,
+    /// the counters here count every operation of a computation split
+    /// across the two; with `src.runtime_stats()` the copy adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` has more variables than this manager.
+    pub fn copy_from(&mut self, src: &BddManager, f: Bdd, src_since: &BddRuntimeStats) -> Bdd {
+        assert!(
+            src.num_vars <= self.num_vars,
+            "source manager has more variables"
+        );
+        let done = src.stats.since(src_since);
+        self.stats.ite_cache_hits += done.ite_cache_hits;
+        self.stats.ite_cache_misses += done.ite_cache_misses;
+        self.stats.gc_collections += done.gc_collections;
+        let mut copied = std::collections::HashMap::new();
+        self.copy_rec(src, f, &mut copied)
+    }
+
+    fn copy_rec(
+        &mut self,
+        src: &BddManager,
+        f: Bdd,
+        copied: &mut std::collections::HashMap<u32, Bdd>,
+    ) -> Bdd {
+        if f.is_const() {
+            return f;
+        }
+        if let Some(&r) = copied.get(&f.0) {
+            return r;
+        }
+        let (var, low, high) = src.expand(f);
+        let low = self.copy_rec(src, low, copied);
+        let high = self.copy_rec(src, high, copied);
+        let r = self.mk_node(var, low, high);
+        copied.insert(f.0, r);
+        r
+    }
+
     /// Approximate heap usage of the node store, in bytes. Useful for
     /// instrumentation in benchmarks.
     pub fn heap_bytes(&self) -> usize {

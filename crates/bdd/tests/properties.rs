@@ -330,6 +330,54 @@ fn reclaim_keeps_roots_and_everything_below_the_mark() {
     });
 }
 
+/// copy_from carries functions of manager A into a clone of A taken
+/// before they were built and into an unrelated manager over the same
+/// order: each copy evaluates like the original, is the handle building
+/// it in the target returns, and copies to the same handle twice;
+/// constants stay constants. The clone takes A's operation counters
+/// since the clone once, with the first copy.
+#[test]
+fn copy_from_keeps_functions_and_canonical_handles() {
+    forall("copy_from_keeps_functions_and_canonical_handles", |g| {
+        let before: Vec<Expr> = g.vec_of(0..3usize, expr);
+        let copied: Vec<Expr> = g.vec_of(1..5usize, expr);
+        let other: Vec<Expr> = g.vec_of(0..4usize, expr);
+        let mut a = BddManager::new(NVARS);
+        for e in &before {
+            build(&mut a, e);
+        }
+        let mut clone = a.clone();
+        let since = a.runtime_stats();
+        let fs: Vec<Bdd> = copied.iter().map(|e| build(&mut a, e)).collect();
+        let mut unrelated = BddManager::new(NVARS);
+        for e in &other {
+            build(&mut unrelated, e);
+        }
+        let unrelated_stats = unrelated.runtime_stats();
+        let mut copies = Vec::new();
+        for (i, &f) in fs.iter().enumerate() {
+            let from = if i == 0 { since } else { a.runtime_stats() };
+            let in_clone = clone.copy_from(&a, f, &from);
+            let in_unrelated = unrelated.copy_from(&a, f, &a.runtime_stats());
+            copies.push([in_clone, in_unrelated]);
+        }
+        assert_eq!(clone.runtime_stats(), a.runtime_stats());
+        assert_eq!(unrelated.runtime_stats(), unrelated_stats);
+        for ((&f, e), hs) in fs.iter().zip(&copied).zip(copies) {
+            for (m, h) in [&mut clone, &mut unrelated].into_iter().zip(hs) {
+                if f.is_const() {
+                    assert_eq!(h, f);
+                }
+                for asg in assignments() {
+                    assert_eq!(m.eval(h, &asg), eval(e, &asg));
+                }
+                assert_eq!(m.copy_from(&a, f, &a.runtime_stats()), h);
+                assert_eq!(build(m, e), h);
+            }
+        }
+    });
+}
+
 /// pick_cube returns satisfying cubes; cube iteration is exact.
 #[test]
 fn cubes_are_satisfying_and_exhaustive() {

@@ -8,7 +8,8 @@ use simcov_core::{run_implicit_campaign, ImplicitConfig, ImplicitReport};
 use simcov_dlx::testmodel::{derive_test_model, pair_valid_inputs_bdd};
 
 /// The implicit campaign on the full-width DLX under the abstract-ISA
-/// valid-input constraint, serial so the timing is scheduler-free.
+/// valid-input constraint, its flips serial (`jobs: 1`); the prep's two
+/// halves still take two threads.
 fn implicit_full_dlx(k: usize) -> ImplicitReport {
     let (fin, _) = derive_test_model();
     run_implicit_campaign(&fin, pair_valid_inputs_bdd, &ImplicitConfig { k, jobs: 1 })

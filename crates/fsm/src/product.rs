@@ -211,6 +211,11 @@ impl PairFsm {
     /// space to *reachable* states of the machine). When
     /// `restrict_reachable` is `false`, all `2^L × 2^L` pairs are
     /// analysed instead (a stronger, state-space-wide property).
+    ///
+    /// With the restriction, copy A's reachable states are computed on a
+    /// clone of the manager on a second thread while the `E` recursion
+    /// runs on this one, as in [`PairFsm::transfer_detect_prep`]; the
+    /// result does not depend on how the two interleave.
     pub fn forall_k(
         &mut self,
         init: &[bool],
@@ -218,18 +223,15 @@ impl PairFsm {
         restrict_reachable: bool,
     ) -> PairAnalysisResult {
         assert_eq!(init.len(), self.num_latches, "init width mismatch");
-        let (bad, fixed_point) = self.equal_output_pairs(k);
-        let (bad, reachable_states) = if restrict_reachable {
-            let reached = self.reachable_a(init);
-            let count = self.count_over(reached, self.num_latches);
-            let reached_b = self.rename_a_to_b(reached);
-            let t = self.mgr.and(bad, reached);
-            (self.mgr.and(t, reached_b), count)
+        let (bad, fixed_point, reachable_states) = if restrict_reachable {
+            let (bad, fixed_point, reached) = self.reachable_violations(init, k);
+            (bad, fixed_point, self.count_over(reached, self.num_latches))
         } else {
+            let (bad, fixed_point) = self.equal_output_pairs(k);
             let all = u32::try_from(self.num_latches)
                 .ok()
                 .and_then(|nl| 1u128.checked_shl(nl));
-            (bad, all.unwrap_or(u128::MAX))
+            (bad, fixed_point, all.unwrap_or(u128::MAX))
         };
         let violating_pairs = match self.count_over(bad, 2 * self.num_latches) {
             u128::MAX => u128::MAX,
@@ -242,6 +244,17 @@ impl PairFsm {
             holds: bad.is_false(),
             fixed_point,
         }
+    }
+
+    /// `E_k ∧ distinct` over pairs of reachable states, whether the `E`
+    /// iteration converged before `k` rounds, and copy A's reachable
+    /// states.
+    fn reachable_violations(&mut self, init: &[bool], k: usize) -> (Bdd, bool, Bdd) {
+        let ((bad, fixed_point), reached) =
+            self.beside_reachable_a(init, |pf| pf.equal_output_pairs(k));
+        let reached_b = self.rename_a_to_b(reached);
+        let t = self.mgr.and(bad, reached);
+        (self.mgr.and(t, reached_b), fixed_point, reached)
     }
 
     /// The `E_k ∧ distinct` relation and whether the iteration converged
@@ -286,23 +299,62 @@ impl PairFsm {
         (self.mgr.and(e, distinct), fixed_point)
     }
 
-    /// Reachable state set of one machine copy (over copy-A variables),
-    /// with copy-A next-state slots (level `4j + 2`) as the image
-    /// variables. The schedule is a local, so
-    /// [`PairFsm::transfer_detect_prep`]'s reclamation drops it.
-    fn reachable_a(&mut self, init: &[bool]) -> Bdd {
+    /// Runs `main` on this machine while copy A's reachable states from
+    /// `init` are computed beside it, then returns both, the states as a
+    /// handle of this machine's manager.
+    ///
+    /// The two share no intermediate result. The reachability runs on a
+    /// clone of the manager taken on entry, on a scoped thread, and the
+    /// set is copied back once both are done ([`BddManager::copy_from`],
+    /// which adds the clone's operation counters to this manager's). Each
+    /// manager runs the same operations however the threads interleave,
+    /// so every handle, node count and counter is the same on every run.
+    /// The clone, and the image schedule the reachability builds in it,
+    /// die here.
+    fn beside_reachable_a<T>(
+        &mut self,
+        init: &[bool],
+        main: impl FnOnce(&mut Self) -> T,
+    ) -> (T, Bdd) {
+        let mut side = self.mgr.clone();
+        let since = side.runtime_stats();
+        let next_a = self.fns.next_a.clone();
+        let (valid, num_inputs) = (self.valid, self.num_inputs);
+        let (out, reached) = std::thread::scope(|s| {
+            let reach = s.spawn(|| Self::reachable_a(&mut side, &next_a, valid, init, num_inputs));
+            let out = main(self);
+            let reached = reach
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (out, reached)
+        });
+        (out, self.mgr.copy_from(&side, reached, &since))
+    }
+
+    /// Reachable state set of copy A (over copy-A variables) in `mgr`,
+    /// with next-state functions `next_a` under the input care set
+    /// `valid`, and copy-A next-state slots (level `4j + 2`) as the image
+    /// variables.
+    fn reachable_a(
+        mgr: &mut BddManager,
+        next_a: &[Bdd],
+        valid: Bdd,
+        init: &[bool],
+        num_inputs: usize,
+    ) -> Bdd {
+        let nl = init.len();
         let mut init_a = Bdd::TRUE;
         for (j, &v) in init.iter().enumerate() {
-            let x = self.mgr.var(4 * j as u32);
-            let lit = if v { x } else { self.mgr.not(x) };
-            init_a = self.mgr.and(init_a, lit);
+            let x = mgr.var(4 * j as u32);
+            let lit = if v { x } else { mgr.not(x) };
+            init_a = mgr.and(init_a, lit);
         }
-        let latches: Vec<(Var, Var)> = (0..self.num_latches as u32)
+        let latches: Vec<(Var, Var)> = (0..nl as u32)
             .map(|j| (Var(4 * j), Var(4 * j + 2)))
             .collect();
-        let inputs: Vec<Var> = (0..self.num_inputs).map(|k| self.input_var(k)).collect();
-        let sched = ImageSchedule::new(&mut self.mgr, &self.fns.next_a, &latches, &inputs);
-        sched.reach(&mut self.mgr, init_a, self.valid).reached
+        let inputs: Vec<Var> = (0..num_inputs).map(|k| Var((4 * nl + k) as u32)).collect();
+        let sched = ImageSchedule::new(mgr, next_a, &latches, &inputs);
+        sched.reach(mgr, init_a, valid).reached
     }
 
     fn rename_a_to_b(&mut self, f: Bdd) -> Bdd {
@@ -333,6 +385,16 @@ impl PairFsm {
     /// relation, and the `k`-step output-equality escape relation. See
     /// [`PairFsm::transfer_flip_detectable`].
     ///
+    /// The escape relation and the reachability share no intermediate
+    /// result, so they run at once on two managers: the reachability on
+    /// a clone of this machine's manager, on a scoped thread, the `E`
+    /// recursion on the manager itself. The reachable set is then copied
+    /// back ([`BddManager::copy_from`]), and this manager's
+    /// [`BddManager::runtime_stats`] then include the clone's operations.
+    /// The split takes a second thread whatever thread budget the caller
+    /// has, and the result, the node numbering and the counters do not
+    /// depend on how the two threads interleave.
+    ///
     /// Before returning it reclaims every node it made that its three
     /// result handles do not reach ([`BddManager::reclaim_since`]), so
     /// the per-flip clones copy a small store. Every handle taken before
@@ -340,8 +402,8 @@ impl PairFsm {
     pub fn transfer_detect_prep(&mut self, init: &[bool], k: usize) -> TransferDetectPrep {
         assert_eq!(init.len(), self.num_latches, "init width mismatch");
         let mark = self.mgr.num_nodes();
-        let (escape, fixed_point) = self.equal_output_pairs(k);
-        let reached = self.reachable_a(init);
+        let ((escape, fixed_point), reached) =
+            self.beside_reachable_a(init, |pf| pf.equal_output_pairs(k));
         let cells = self.mgr.and(reached, self.valid);
         let mut roots = [reached, cells, escape];
         self.mgr.reclaim_since(mark, &mut roots);
@@ -407,7 +469,7 @@ impl PairFsm {
     ) -> Vec<(Vec<bool>, Vec<bool>)> {
         // Cheap approach: rerun and enumerate cubes of the bad set.
         let nl = self.num_latches;
-        let result_set = self.bad_set(init, k);
+        let (result_set, _, _) = self.reachable_violations(init, k);
         let vars: Vec<Var> = (0..nl)
             .flat_map(|j| [Var(4 * j as u32), Var(4 * j as u32 + 1)])
             .collect();
@@ -426,14 +488,6 @@ impl PairFsm {
             out.push((a, b));
         }
         out
-    }
-
-    fn bad_set(&mut self, init: &[bool], k: usize) -> Bdd {
-        let (bad, _) = self.equal_output_pairs(k);
-        let reached = self.reachable_a(init);
-        let reached_b = self.rename_a_to_b(reached);
-        let t = self.mgr.and(bad, reached);
-        self.mgr.and(t, reached_b)
     }
 }
 
@@ -831,6 +885,33 @@ mod tests {
         let r = pf.forall_k(&init, 2, false);
         assert!(r.holds && r.fixed_point);
         assert_eq!(r.violating_pairs, 0);
+    }
+
+    /// The prep's two halves run on two threads, yet two fresh machines
+    /// under the same constraint end every prep with the same handles,
+    /// counts, node store and operation counters: nothing depends on how
+    /// the threads interleaved.
+    #[test]
+    fn transfer_prep_does_not_depend_on_thread_interleaving() {
+        let n = mixer();
+        let init = n.initial_state();
+        let run = || {
+            let mut pf = PairFsm::from_netlist(&n);
+            let v = valid_vectors(&mut pf, &[0b001, 0b011, 0b100, 0b111]);
+            pf.set_valid_inputs(v);
+            (1..=3)
+                .map(|k| {
+                    let prep = pf.transfer_detect_prep(&init, k);
+                    let handles = [prep.reached, prep.reachable_cells_set, prep.escape];
+                    let counts = [prep.reachable_states, prep.reachable_cells];
+                    let mgr = (pf.mgr.runtime_stats(), pf.mgr.num_nodes());
+                    (handles, counts, prep.fixed_point, mgr)
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = run();
+        assert!(first.iter().all(|(_, [states, _], ..)| *states > 1));
+        assert_eq!(run(), first);
     }
 
     /// The prep survives cloning the pair machine: clones answer the same

@@ -511,7 +511,8 @@ fn input_classes_match_bruteforce() {
 
 /// `simcov campaign --dlx reduced|reduced-obs --engine symbolic` runs
 /// the implicit campaign with every input valid; it agrees with
-/// [`brute_force`] at k = 1, 2, 3 and jobs 1 and 2. Both models have 18
+/// [`brute_force`] at k = 1, 2, 3 and jobs 1, 2 and 8, with the same
+/// `bdd.*` effort counters at every job count. Both models have 18
 /// reachable states and 576 cells over 32 inputs. On `reduced` the
 /// detected transfer flips grow to their fixed point at k = 3; on
 /// `reduced-obs`, whose state is observable, every flip is detected at
@@ -534,9 +535,11 @@ fn implicit_campaign_matches_bruteforce_on_reduced_dlx() {
             let detected: u128 = bf.detected.iter().sum();
             assert_eq!(detected, pinned, "{name} k={k}");
             assert_eq!(bf.reach.len(), 18, "{name}");
-            for jobs in [1, 2] {
+            let mut sym = None;
+            for jobs in [1, 2, 8] {
                 let report = run_implicit_campaign(&n, |_| Bdd::TRUE, &ImplicitConfig { k, jobs });
                 let what = format!("{name} k={k} jobs={jobs}");
+                assert_eq!(*sym.get_or_insert(report.sym), report.sym, "{what}");
                 assert_eq!(report.valid_inputs, all.len() as u128, "{what}");
                 assert_eq!(report.reachable_states, bf.reach.len() as u128, "{what}");
                 let cells = (bf.reach.len() * all.len()) as u128;

@@ -141,10 +141,10 @@ pub const ADAPTIVE_CLOSED: &str = "adaptive.closed";
 // ---------------------------------------------------------------------------
 // BDD package counters of the implicit symbolic campaign (see
 // `simcov_bdd::BddRuntimeStats`). Emitted once, after every flip shard
-// has completed. The base manager and each flip shard's clone run a
-// deterministic operation sequence, so the summed values are
-// byte-identical across `--jobs` (see the determinism contract in
-// [`crate`]).
+// has completed. The base manager, the prep's reachability clone and
+// each flip shard's clone run a deterministic operation sequence, so
+// the summed values are byte-identical across `--jobs` (see the
+// determinism contract in [`crate`]).
 
 /// Hash-consed nodes: the base manager's nodes live after its prep, plus
 /// the nodes each flip shard adds to its clone.

@@ -258,6 +258,7 @@ impl Server {
         let telemetry = Telemetry::new();
         let mut restored_pending = Vec::new();
         let mut restored_results = Vec::new();
+        let mut restored_refusals = Vec::new();
         let journal = match (&config.journal, config.resume) {
             (None, _) => None,
             (Some(path), false) => Some(ServerJournal::create(path)?),
@@ -271,16 +272,31 @@ impl Server {
                         }
                     }
                 }
-                for (_fp, request) in pending {
-                    let parsed = json::parse(&request)
-                        .ok()
-                        .and_then(|req| parse_request(&req).ok());
-                    if let Some(Request::Submit { spec, want_trace }) = parsed {
-                        restored_pending.push(QueuedJob {
-                            spec,
-                            want_trace,
-                            reply: None,
-                        });
+                for (fp, request) in pending {
+                    let Ok(req) = json::parse(&request) else {
+                        continue;
+                    };
+                    match parse_request(&req) {
+                        Ok(Request::Submit { spec, want_trace }) => {
+                            restored_pending.push(QueuedJob {
+                                spec,
+                                want_trace,
+                                reply: None,
+                            })
+                        }
+                        // Admitted under an older protocol: the error a
+                        // live submit of it gets now is its result.
+                        Err(message) => {
+                            if let Some(id) = req.get("id").and_then(Json::as_str) {
+                                let frame = format!(
+                                    r#"{{"type":"error","id":"{}","error":"{}"}}"#,
+                                    json::escape(id),
+                                    json::escape(&message)
+                                );
+                                restored_refusals.push((fp, id.to_string(), frame));
+                            }
+                        }
+                        Ok(_) => {}
                     }
                 }
                 Some(ServerJournal::append(path)?)
@@ -292,7 +308,7 @@ impl Server {
         }
         telemetry.counter_add(
             names::SERVE_JOBS_RESTORED,
-            (restored_results.len() + restored_pending.len()) as u64,
+            (restored_results.len() + restored_refusals.len() + restored_pending.len()) as u64,
         );
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_capacity),
@@ -308,6 +324,10 @@ impl Server {
         });
         for (id, result) in restored_results {
             shared.store_result(&id, result);
+        }
+        for (fp, id, frame) in restored_refusals {
+            shared.journal_write(|j| j.done(fp, &frame));
+            shared.store_result(&id, frame);
         }
         Ok(Server {
             listener,
@@ -826,6 +846,48 @@ mod tests {
         assert_eq!(counter(names::SERVE_JOBS_QUARANTINED), Some(1));
         cl.request(&client::shutdown()).unwrap();
         assert_eq!(handle.join().unwrap().quarantined, 1);
+    }
+
+    /// A journaled admission that no longer parses (a `close` carrying
+    /// `collapse`, which the protocol now refuses) is restored as the
+    /// error a live submit of it gets, under its id, counted as restored
+    /// and journaled as done, so a second resume restores the same frame.
+    #[test]
+    fn resume_answers_an_admitted_request_that_no_longer_parses() {
+        let path = std::env::temp_dir().join(format!(
+            "simcov-serve-refused-{}.journal",
+            std::process::id()
+        ));
+        const REQUEST: &str = r#"{"type":"close","id":"slow","model":{"dlx":"reduced"},"max_faults":100000,"collapse":true}"#;
+        let live = parse_request(&json::parse(REQUEST).unwrap()).unwrap_err();
+        let journal = ServerJournal::create(&path).unwrap();
+        journal.admit(7, REQUEST).unwrap();
+        drop(journal);
+        for resume in 1..=2 {
+            let server = Server::bind(ServerConfig {
+                journal: Some(path.to_string_lossy().into_owned()),
+                resume: true,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            let stored = lock(&server.shared.results).by_id.get("slow").cloned();
+            let frame = json::parse(&stored.expect("a frame is stored under the id")).unwrap();
+            let field = |name: &str| frame.get(name).and_then(Json::as_str).map(str::to_string);
+            assert_eq!(field("type").as_deref(), Some("error"), "resume {resume}");
+            assert_eq!(field("id").as_deref(), Some("slow"), "resume {resume}");
+            assert_eq!(field("error"), Some(live.clone()), "resume {resume}");
+            let restored = server.shared.telemetry.snapshot();
+            assert_eq!(
+                restored.counter(names::SERVE_JOBS_RESTORED),
+                Some(1),
+                "resume {resume}"
+            );
+            drop(server);
+            let entries = ServerJournal::recover(&path).unwrap();
+            assert_eq!(entries.len(), 2, "one admit and one done record");
+            assert!(journal::unfinished(&entries).1.is_empty());
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
