@@ -17,9 +17,10 @@
 //!   per-cell output/ineffective grouping, transfer-fault equivalence by
 //!   partition refinement ([`simcov_fsm::refine_partition`]) over the
 //!   fault-patched joint successor structure, and class dominance edges;
-//! * [`passes`] — `SC05x` lint passes surfacing collapse-blocking
-//!   ambiguities and degenerate (never-detectable) classes through the
-//!   `simcov-lint` diagnostic pipeline.
+//! * [`lint_analysis`] — the `SC05x` lint family: one function per code
+//!   ([`passes`]) surfacing collapse-blocking ambiguities and degenerate
+//!   (never-detectable) classes through the `simcov-lint` diagnostic
+//!   pipeline.
 //!
 //! The soundness argument — why class members have *identical*
 //! [`simcov_core::FaultOutcome`]s under every test set in the fault
@@ -35,4 +36,4 @@ pub mod passes;
 pub use collapse::{
     analyze_collapse, AnalyzeError, AnalyzeOptions, AnalyzeStats, CollapseAnalysis,
 };
-pub use passes::{analyze_passes, lint_analysis, AnalyzeTarget};
+pub use passes::{lint_analysis, AnalyzeTarget};

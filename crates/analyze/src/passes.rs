@@ -1,8 +1,8 @@
-//! `SC05x` lint passes over a completed collapse analysis.
+//! `SC05x` lint checks over a completed collapse analysis.
 //!
 //! The analysis itself never fails on a degenerate fault universe — it
 //! just produces a weaker (or misleadingly strong) partition. These
-//! passes surface the conditions a campaign author should know about
+//! checks surface the conditions a campaign author should know about
 //! through the standard `simcov-lint` pipeline, with the same severity
 //! policy, text/JSON rendering and CI-gating story as the model and
 //! netlist families:
@@ -23,9 +23,9 @@ use simcov_fsm::ExplicitMealy;
 use simcov_lint::codes::{
     SC050_COLLAPSE_AMBIGUITY, SC051_INEFFECTIVE_FAULT_CLASS, SC052_UNREACHABLE_FAULT_CLASS,
 };
-use simcov_lint::{Diagnostics, LintCode, LintConfig, LintPass, Location};
+use simcov_lint::{Diagnostics, LintConfig, Location};
 
-/// What the `SC05x` passes lint: a machine, its fault universe and the
+/// What the `SC05x` checks lint: a machine, its fault universe and the
 /// collapse analysis computed over them.
 pub struct AnalyzeTarget<'a> {
     /// The golden machine the analysis ran over.
@@ -37,130 +37,97 @@ pub struct AnalyzeTarget<'a> {
 }
 
 /// SC050: cells whose bisimulation exceeded the node budget.
-pub struct CollapseAmbiguity;
-
-impl LintPass<AnalyzeTarget<'_>> for CollapseAmbiguity {
-    fn code(&self) -> &'static LintCode {
-        &SC050_COLLAPSE_AMBIGUITY
-    }
-
-    fn run(&self, t: &AnalyzeTarget<'_>, out: &mut Diagnostics) {
-        for &(s, i) in &t.analysis.ambiguous_cells {
-            let stuck = t
-                .faults
-                .iter()
-                .filter(|f| {
-                    f.state == s
-                        && f.input == i
-                        && matches!(f.kind, FaultKind::Transfer { .. })
-                        && f.is_effective(t.machine)
-                })
-                .count();
-            out.emit(
-                self.code(),
-                Location::Transition {
-                    state: t.machine.state_label(s).to_string(),
-                    input: t.machine.input_label(i).to_string(),
-                },
-                format!(
-                    "transfer-fault bisimulation exceeded the node budget; \
-                     {stuck} fault(s) stay singletons"
-                ),
-            );
-        }
-    }
-}
-
-/// SC051: classes of no-op faults.
-pub struct IneffectiveFaultClasses;
-
-impl LintPass<AnalyzeTarget<'_>> for IneffectiveFaultClasses {
-    fn code(&self) -> &'static LintCode {
-        &SC051_INEFFECTIVE_FAULT_CLASS
-    }
-
-    fn run(&self, t: &AnalyzeTarget<'_>, out: &mut Diagnostics) {
-        let cert = &t.analysis.certificate;
-        for (c, &kind) in cert.kinds().iter().enumerate() {
-            if kind != ClassKind::Ineffective {
-                continue;
-            }
-            let members = cert.members(c as u32);
-            let f = &t.faults[members[0] as usize];
-            out.emit(
-                self.code(),
-                Location::Transition {
-                    state: t.machine.state_label(f.state).to_string(),
-                    input: t.machine.input_label(f.input).to_string(),
-                },
-                format!(
-                    "{} no-op fault(s) at this cell: the patched machine equals \
-                     the golden machine, so no test set can detect them",
-                    members.len()
-                ),
-            );
-        }
-    }
-}
-
-/// SC052: the global class of faults on unreachable states.
-pub struct UnreachableFaultClasses;
-
-impl LintPass<AnalyzeTarget<'_>> for UnreachableFaultClasses {
-    fn code(&self) -> &'static LintCode {
-        &SC052_UNREACHABLE_FAULT_CLASS
-    }
-
-    fn run(&self, t: &AnalyzeTarget<'_>, out: &mut Diagnostics) {
-        let cert = &t.analysis.certificate;
-        let Some(c) = cert
-            .kinds()
+fn collapse_ambiguity(t: &AnalyzeTarget<'_>, out: &mut Diagnostics) {
+    for &(s, i) in &t.analysis.ambiguous_cells {
+        let stuck = t
+            .faults
             .iter()
-            .position(|&k| k == ClassKind::Unreachable)
-        else {
-            return;
-        };
-        let members = cert.members(c as u32);
-        let mut states: Vec<&str> = Vec::new();
-        for &idx in members {
-            let label = t.machine.state_label(t.faults[idx as usize].state);
-            if !states.contains(&label) {
-                states.push(label);
-            }
-        }
-        let mut listed: Vec<String> = states.iter().take(4).map(|s| format!("`{s}`")).collect();
-        if states.len() > 4 {
-            listed.push(format!("... {} more", states.len() - 4));
-        }
-        out.emit_with_notes(
-            self.code(),
-            Location::Model,
+            .filter(|f| {
+                f.state == s
+                    && f.input == i
+                    && matches!(f.kind, FaultKind::Transfer { .. })
+                    && f.is_effective(t.machine)
+            })
+            .count();
+        out.emit(
+            &SC050_COLLAPSE_AMBIGUITY,
+            Location::Transition {
+                state: t.machine.state_label(s).to_string(),
+                input: t.machine.input_label(i).to_string(),
+            },
             format!(
-                "{} fault(s) target unreachable states and can never be \
-                 excited, detected or masked",
-                members.len()
+                "transfer-fault bisimulation exceeded the node budget; \
+                 {stuck} fault(s) stay singletons"
             ),
-            vec![format!("states: {}", listed.join(", "))],
         );
     }
 }
 
-/// The `SC05x` pass family, in code order.
-pub fn analyze_passes<'a>() -> Vec<Box<dyn LintPass<AnalyzeTarget<'a>>>> {
-    vec![
-        Box::new(CollapseAmbiguity),
-        Box::new(IneffectiveFaultClasses),
-        Box::new(UnreachableFaultClasses),
-    ]
+/// SC051: classes of no-op faults.
+fn ineffective_fault_classes(t: &AnalyzeTarget<'_>, out: &mut Diagnostics) {
+    let cert = &t.analysis.certificate;
+    for (c, &kind) in cert.kinds().iter().enumerate() {
+        if kind != ClassKind::Ineffective {
+            continue;
+        }
+        let members = cert.members(c as u32);
+        let f = &t.faults[members[0] as usize];
+        out.emit(
+            &SC051_INEFFECTIVE_FAULT_CLASS,
+            Location::Transition {
+                state: t.machine.state_label(f.state).to_string(),
+                input: t.machine.input_label(f.input).to_string(),
+            },
+            format!(
+                "{} no-op fault(s) at this cell: the patched machine equals \
+                 the golden machine, so no test set can detect them",
+                members.len()
+            ),
+        );
+    }
 }
 
-/// Runs every `SC05x` pass over `target` under `config`, returning the
-/// deny-first sorted findings.
+/// SC052: the global class of faults on unreachable states.
+fn unreachable_fault_classes(t: &AnalyzeTarget<'_>, out: &mut Diagnostics) {
+    let cert = &t.analysis.certificate;
+    let Some(c) = cert
+        .kinds()
+        .iter()
+        .position(|&k| k == ClassKind::Unreachable)
+    else {
+        return;
+    };
+    let members = cert.members(c as u32);
+    let mut states: Vec<&str> = Vec::new();
+    for &idx in members {
+        let label = t.machine.state_label(t.faults[idx as usize].state);
+        if !states.contains(&label) {
+            states.push(label);
+        }
+    }
+    let mut listed: Vec<String> = states.iter().take(4).map(|s| format!("`{s}`")).collect();
+    if states.len() > 4 {
+        listed.push(format!("... {} more", states.len() - 4));
+    }
+    out.emit_with_notes(
+        &SC052_UNREACHABLE_FAULT_CLASS,
+        Location::Model,
+        format!(
+            "{} fault(s) target unreachable states and can never be \
+             excited, detected or masked",
+            members.len()
+        ),
+        vec![format!("states: {}", listed.join(", "))],
+    );
+}
+
+/// Runs every `SC05x` check over `target` under `config`, in code order,
+/// returning the deny-first sorted findings.
 pub fn lint_analysis(target: &AnalyzeTarget<'_>, config: &LintConfig) -> Diagnostics {
     let mut out = Diagnostics::new(config.clone());
-    CollapseAmbiguity.run(target, &mut out);
-    IneffectiveFaultClasses.run(target, &mut out);
-    UnreachableFaultClasses.run(target, &mut out);
+    collapse_ambiguity(target, &mut out);
+    ineffective_fault_classes(target, &mut out);
+    unreachable_fault_classes(target, &mut out);
     out.sort_by_severity();
     out
 }
@@ -286,15 +253,29 @@ mod tests {
     }
 
     #[test]
-    fn family_is_registered_and_ordered() {
-        let passes = analyze_passes();
-        let codes: Vec<&str> = passes.iter().map(|p| p.code().code).collect();
-        assert_eq!(codes, ["SC050", "SC051", "SC052"]);
-        for c in &codes {
+    fn every_finding_carries_a_registered_sc05x_code() {
+        let (m, faults) = fixture();
+        let opts = AnalyzeOptions {
+            max_nodes_per_cell: 0, // every cell with transfer faults: SC050
+        };
+        let analysis = analyze_collapse(&m, &faults, &opts).unwrap();
+        let target = AnalyzeTarget {
+            machine: &m,
+            faults: &faults,
+            analysis: &analysis,
+        };
+        let report = lint_analysis(&target, &LintConfig::new());
+        let mut fired: Vec<&str> = report.items().iter().map(|d| d.code.code).collect();
+        fired.dedup();
+        assert_eq!(fired, ["SC050", "SC051", "SC052"]);
+        for d in report.items() {
+            let code = d.code.code;
+            let registered = simcov_lint::find_code(code);
             assert!(
-                simcov_lint::find_code(c).is_some(),
-                "{c} must be registered"
+                registered.is_some_and(|r| std::ptr::eq(r, d.code)),
+                "{code} must be the registered static"
             );
+            assert!(("SC050"..="SC052").contains(&code), "{code} is not SC05x");
         }
     }
 }

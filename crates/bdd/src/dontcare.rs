@@ -1,5 +1,5 @@
 //! Don't-care minimization with the generalized cofactor (`constrain`)
-//! of Coudert & Madre, and Graphviz export.
+//! of Coudert & Madre.
 //!
 //! The paper leans on *input don't-cares* ("of the 2^25 possible input
 //! combinations, only 8228 are valid... Taking input don't-cares into
@@ -60,55 +60,6 @@ impl BddManager {
         };
         self.quant_cache.insert(f.0, c.0, TAG_CONSTRAIN, r.0);
         r
-    }
-
-    /// Renders the DAG rooted at the given functions in Graphviz DOT
-    /// format (solid = then-edge, dashed = else-edge). Variables can be
-    /// given names via `var_name`; pass `|v| format!("v{}", v.0)` for the
-    /// default.
-    pub fn to_dot(&self, roots: &[(&str, Bdd)], var_name: impl Fn(crate::Var) -> String) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("digraph bdd {\n  rankdir=TB;\n");
-        let _ = writeln!(s, "  t0 [label=\"0\", shape=box];");
-        let _ = writeln!(s, "  t1 [label=\"1\", shape=box];");
-        let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<u32> = Vec::new();
-        for (name, f) in roots {
-            let _ = writeln!(s, "  root_{0} [label=\"{0}\", shape=plaintext];", name);
-            let _ = writeln!(s, "  root_{} -> {};", name, node_id(f.0));
-            stack.push(f.0);
-        }
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) || n <= 1 {
-                continue;
-            }
-            let node = self.nodes[n as usize];
-            let _ = writeln!(
-                s,
-                "  {} [label=\"{}\"];",
-                node_id(n),
-                var_name(crate::Var(node.var))
-            );
-            let _ = writeln!(s, "  {} -> {};", node_id(n), node_id(node.high));
-            let _ = writeln!(
-                s,
-                "  {} -> {} [style=dashed];",
-                node_id(n),
-                node_id(node.low)
-            );
-            stack.push(node.low);
-            stack.push(node.high);
-        }
-        s.push_str("}\n");
-        s
-    }
-}
-
-fn node_id(n: u32) -> String {
-    match n {
-        0 => "t0".to_string(),
-        1 => "t1".to_string(),
-        other => format!("n{other}"),
     }
 }
 
@@ -176,19 +127,5 @@ mod tests {
         let mut m = mgr();
         let a = m.var(0);
         let _ = m.constrain(a, Bdd::FALSE);
-    }
-
-    #[test]
-    fn dot_export_shape() {
-        let mut m = mgr();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        let dot = m.to_dot(&[("f", f)], |v| format!("x{}", v.0));
-        assert!(dot.starts_with("digraph bdd"));
-        assert!(dot.contains("x0"));
-        assert!(dot.contains("x1"));
-        assert!(dot.contains("root_f"));
-        assert!(dot.contains("style=dashed"));
     }
 }

@@ -21,8 +21,7 @@
 //! * cube extraction ([`BddManager::pick_cube`]) and minterm iteration
 //!   ([`BddManager::cubes`]),
 //! * don't-care minimization by the generalized cofactor
-//!   ([`BddManager::constrain`]) and Graphviz export
-//!   ([`BddManager::to_dot`]).
+//!   ([`BddManager::constrain`]).
 //!
 //! # Example
 //!

@@ -68,14 +68,6 @@ impl Bdd {
 /// Variable level assigned to terminal nodes: below every real variable.
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
-/// Node-store size below which [`BddManager::maybe_gc`] never collects
-/// (collecting tiny managers only costs cache warmth).
-const GC_MIN_NODES: usize = 1 << 16;
-
-/// Growth multiple over the last collection's node count that triggers
-/// the next cache-eviction collection.
-const GC_GROWTH_FACTOR: usize = 4;
-
 /// Initial slots of the unique table, of the ITE cache, and of each other
 /// operation cache.
 const UNIQUE_SLOTS: usize = 1 << 12;
@@ -101,7 +93,9 @@ pub struct BddRuntimeStats {
     pub ite_cache_hits: u64,
     /// ITE calls that had to recurse (and then filled the cache).
     pub ite_cache_misses: u64,
-    /// Cache-eviction collections performed by [`BddManager::maybe_gc`].
+    /// Cache-eviction collections. Nothing increments it any more: no
+    /// manager evicts its caches, so it stays 0. It is kept because the
+    /// `bdd.gc_collections` counter and the traces that carry it read it.
     pub gc_collections: u64,
 }
 
@@ -123,8 +117,7 @@ impl BddRuntimeStats {
 ///
 /// All operations go through the manager (`C-SMART-PTR`-style: [`Bdd`]
 /// handles carry no inherent methods that mutate state). Operation results
-/// are memoized in internal caches; [`BddManager::clear_caches`] frees that
-/// memory without invalidating any handle.
+/// are memoized in internal caches.
 ///
 /// # Example
 ///
@@ -145,9 +138,6 @@ pub struct BddManager {
     pub(crate) and_exists_cache: DirectCache,
     num_vars: u32,
     pub(crate) stats: BddRuntimeStats,
-    /// Node count at the last collection (or construction): the growth
-    /// reference [`BddManager::maybe_gc`] triggers against.
-    gc_node_floor: usize,
 }
 
 impl BddManager {
@@ -179,7 +169,6 @@ impl BddManager {
             and_exists_cache: DirectCache::with_capacity_pow2(OP_CACHE_SLOTS),
             num_vars,
             stats: BddRuntimeStats::default(),
-            gc_node_floor: GC_MIN_NODES,
         }
     }
 
@@ -337,38 +326,9 @@ impl BddManager {
         }
     }
 
-    /// Drops all memoization caches (unique table is kept — handles remain
-    /// valid). Call between large, unrelated computations to bound memory.
-    pub fn clear_caches(&mut self) {
-        self.ite_cache.clear();
-        self.quant_cache.clear();
-        self.and_exists_cache.clear();
-    }
-
     /// Cumulative operation counters (see [`BddRuntimeStats`]).
     pub fn runtime_stats(&self) -> BddRuntimeStats {
         self.stats
-    }
-
-    /// Cache-eviction garbage collection: when the node store has grown by
-    /// `GC_GROWTH_FACTOR`× since the last collection, drop the operation
-    /// caches (whose entries reference mostly-dead intermediate results of
-    /// completed computations) and reset the growth reference.
-    ///
-    /// The unique table — and therefore every issued [`Bdd`] handle — is
-    /// untouched, so this is always safe to call between computations. The
-    /// trigger depends only on the operation sequence, never on wall clock
-    /// or memory pressure, keeping symbolic campaigns deterministic.
-    /// Returns `true` if a collection ran (counted in
-    /// [`BddRuntimeStats::gc_collections`]).
-    pub fn maybe_gc(&mut self) -> bool {
-        if self.nodes.len() < self.gc_node_floor.saturating_mul(GC_GROWTH_FACTOR) {
-            return false;
-        }
-        self.clear_caches();
-        self.gc_node_floor = self.nodes.len().max(GC_MIN_NODES);
-        self.stats.gc_collections += 1;
-        true
     }
 
     /// Drops every node created since `mark` (a [`BddManager::num_nodes`]
@@ -497,12 +457,6 @@ impl BddManager {
         copied.insert(f.0, r);
         r
     }
-
-    /// Approximate heap usage of the node store, in bytes. Useful for
-    /// instrumentation in benchmarks.
-    pub fn heap_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node>()
-    }
 }
 
 impl fmt::Debug for BddManager {
@@ -582,23 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_caches_preserves_results() {
-        let mut m = BddManager::new(6);
-        let a = m.var(0);
-        let b = m.var(3);
-        let f = m.xor(a, b);
-        let g = m.and(f, a);
-        m.clear_caches();
-        // Recomputation after clearing yields the identical nodes
-        // (canonicity is carried by the unique table, not the caches).
-        let f2 = m.xor(a, b);
-        let g2 = m.and(f2, a);
-        assert_eq!(f, f2);
-        assert_eq!(g, g2);
-        assert!(m.heap_bytes() > 0);
-    }
-
-    #[test]
     fn runtime_stats_count_ite_traffic() {
         let mut m = BddManager::new(6);
         assert_eq!(m.runtime_stats(), BddRuntimeStats::default());
@@ -613,19 +550,6 @@ mod tests {
         assert!(after_second.ite_cache_hits > after_first.ite_cache_hits);
         let delta = after_second.since(&after_first);
         assert_eq!(delta.ite_cache_misses, 0);
-    }
-
-    #[test]
-    fn maybe_gc_is_a_noop_below_the_floor() {
-        let mut m = BddManager::new(4);
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        assert!(!m.maybe_gc());
-        assert_eq!(m.runtime_stats().gc_collections, 0);
-        // Results stay canonical either way.
-        let f2 = m.and(a, b);
-        assert_eq!(f, f2);
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl BddManager {
         self.ite(f, g, ng)
     }
 
-    /// Logical implication `f → g`.
-    pub fn implies(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.ite(f, g, Bdd::TRUE)
-    }
-
     /// Builds the positive cube `∧ vars` used as the variable set of
     /// quantification operations.
     pub fn cube_from_vars(&mut self, vars: &[Var]) -> Bdd {
@@ -394,14 +389,12 @@ mod tests {
         let or = m.or(a, b);
         let xor = m.xor(a, b);
         let iff = m.iff(a, b);
-        let imp = m.implies(a, b);
         for (va, vb) in cases {
             let asg = [va, vb, false, false, false, false];
             assert_eq!(m.eval(and, &asg), va && vb);
             assert_eq!(m.eval(or, &asg), va || vb);
             assert_eq!(m.eval(xor, &asg), va ^ vb);
             assert_eq!(m.eval(iff, &asg), va == vb);
-            assert_eq!(m.eval(imp, &asg), !va || vb);
         }
     }
 

@@ -227,11 +227,6 @@ impl DirectCache {
         self.slots[idx * 2 + 1] = pack(c, value);
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.slots.fill(EMPTY);
-        self.inserts = 0;
-    }
-
     fn grow(&mut self) {
         let new_cap = ((self.mask + 1) * 4).min(MAX_CACHE_SLOTS);
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap * 2]);

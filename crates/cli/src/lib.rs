@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 
 use simcov_core::Engine;
-use simcov_fsm::{ExplicitMealy, PairFsm, SymbolicFsm};
+use simcov_fsm::{PairFsm, SymbolicFsm};
 use simcov_netlist::Netlist;
 use simcov_obs::Telemetry;
 use simcov_serve::jobs::{self, JobKind, JobSpec, ModelSource};
@@ -309,10 +309,6 @@ fn load_model_source(path: &str) -> Result<ModelSource, CliError> {
     })
 }
 
-fn enumerate(n: &Netlist) -> Result<ExplicitMealy, CliError> {
-    Ok(jobs::enumerate(n)?)
-}
-
 /// Runs one job through the shared execution layer under the CLI
 /// context (no cache, no audit) — exactly what `simcov serve` runs for
 /// the same spec, which is what keeps the two byte-identical.
@@ -452,17 +448,14 @@ pub fn cmd_campaign(
     if opts.resume && opts.checkpoint.is_none() {
         return Err(CliError::usage("--resume requires --checkpoint <FILE>"));
     }
-    let model = match source {
-        LintSource::Path(path) => load_model_source(path)?,
-        LintSource::Dlx(which) => ModelSource::Dlx(which.to_string()),
-    };
+    let model = source.model()?;
     execute_job(model, JobKind::Campaign(opts.clone()), obs)
 }
 
 /// `simcov dot`: the reachable FSM in Graphviz format.
 pub fn cmd_dot(path: &str) -> Result<String, CliError> {
     let n = load_model(path)?;
-    let m = enumerate(&n)?;
+    let m = jobs::enumerate(&n)?;
     Ok(m.to_dot())
 }
 
@@ -476,13 +469,9 @@ pub fn cmd_normalize(path: &str) -> Result<String, CliError> {
     Ok(simcov_netlist::to_blif(&n, name))
 }
 
-fn dlx_netlist(which: &str) -> Result<Netlist, CliError> {
-    Ok(jobs::dlx_netlist(which)?)
-}
-
 /// `simcov dlx`: export the case-study models as BLIF.
 pub fn cmd_dlx(which: &str) -> Result<String, CliError> {
-    let n = dlx_netlist(which)?;
+    let n = jobs::dlx_netlist(which)?;
     Ok(simcov_netlist::to_blif(&n, &format!("dlx_{which}")))
 }
 
@@ -494,6 +483,16 @@ pub enum LintSource<'a> {
     /// A case-study model by name (`--dlx`), linted with its valid-input
     /// alphabet where one is defined (`reduced`, `reduced-obs`).
     Dlx(&'a str),
+}
+
+impl LintSource<'_> {
+    /// The [`ModelSource`] the job layer runs over.
+    fn model(self) -> Result<ModelSource, CliError> {
+        match self {
+            LintSource::Path(path) => load_model_source(path),
+            LintSource::Dlx(which) => Ok(ModelSource::Dlx(which.to_string())),
+        }
+    }
 }
 
 /// `simcov lint`: run the `SC0xx` static diagnostics over a model.
@@ -512,10 +511,7 @@ pub fn cmd_lint(
     k: usize,
     obs: &ObsOpts,
 ) -> Result<CmdOutput, CliError> {
-    let model = match source {
-        LintSource::Path(path) => load_model_source(path)?,
-        LintSource::Dlx(which) => ModelSource::Dlx(which.to_string()),
-    };
+    let model = source.model()?;
     execute_job(
         model,
         JobKind::Lint {
@@ -543,10 +539,7 @@ pub fn cmd_analyze(
     opts: &AnalyzeOpts,
     obs: &ObsOpts,
 ) -> Result<CmdOutput, CliError> {
-    let model = match source {
-        LintSource::Path(path) => load_model_source(path)?,
-        LintSource::Dlx(which) => ModelSource::Dlx(which.to_string()),
-    };
+    let model = source.model()?;
     execute_job(
         model,
         JobKind::Analyze {
@@ -575,10 +568,7 @@ pub fn cmd_close(
     opts: &CloseOpts,
     obs: &ObsOpts,
 ) -> Result<CmdOutput, CliError> {
-    let model = match source {
-        LintSource::Path(path) => load_model_source(path)?,
-        LintSource::Dlx(which) => ModelSource::Dlx(which.to_string()),
-    };
+    let model = source.model()?;
     execute_job(model, JobKind::Close(opts.clone()), obs)
 }
 

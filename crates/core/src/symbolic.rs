@@ -45,6 +45,8 @@ pub struct SymbolicEngineStats {
     /// managers.
     pub ite_cache_misses: u64,
     /// Cache-eviction garbage collections, summed over the managers.
+    /// Nothing increments it any more, so it is 0; the `bdd.gc_collections`
+    /// counter still carries it.
     pub gc_collections: u64,
 }
 

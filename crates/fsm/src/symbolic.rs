@@ -138,12 +138,6 @@ impl SymbolicFsm {
         Var(2 * j as u32)
     }
 
-    /// Next-state variable of latch `j`.
-    pub fn next_var(&self, j: usize) -> Var {
-        assert!(j < self.num_latches);
-        Var(2 * j as u32 + 1)
-    }
-
     /// Variable of primary input `k`.
     pub fn input_var(&self, k: usize) -> Var {
         assert!(k < self.num_inputs);
@@ -338,11 +332,6 @@ impl CoverageAccumulator {
         CoverageAccumulator {
             visited: Bdd::FALSE,
         }
-    }
-
-    /// The characteristic function of the visited pairs.
-    pub fn visited(&self) -> Bdd {
-        self.visited
     }
 }
 

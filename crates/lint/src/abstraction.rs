@@ -25,8 +25,8 @@ const MAX_CONFLICT_WITNESSES: usize = 4;
 /// Runs the abstraction lints over `target` under `config`.
 ///
 /// The three checks share one `build_quotient` call (the conflicts it
-/// collects *are* the lint findings), so this family is a single
-/// function rather than a pass list:
+/// collects *are* the lint findings), so they run inline here rather
+/// than as one function per code:
 ///
 /// * **SC040** — the class vectors do not fit the machine; nothing else
 ///   can run, so this is the only finding when it fires.

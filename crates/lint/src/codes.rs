@@ -7,7 +7,7 @@
 //! * `SC020`–`SC039` — **netlist lints** over sequential circuits;
 //! * `SC040`–`SC049` — **abstraction lints** over quotient maps;
 //! * `SC050`–`SC059` — **collapse-analysis lints** over fault-equivalence
-//!   partitions (the passes live in `simcov-analyze`; the codes are
+//!   partitions (the checks live in `simcov-analyze`; the codes are
 //!   registered here so policy and documentation stay in one registry).
 //!
 //! Codes are never renumbered or reused once published; retired checks

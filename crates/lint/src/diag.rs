@@ -1,6 +1,5 @@
 //! The diagnostic engine: severities, stable codes, source locations,
-//! the [`Diagnostics`] sink with per-code severity overrides, and the
-//! [`LintPass`] composition trait.
+//! and the [`Diagnostics`] sink with per-code severity overrides.
 //!
 //! The design mirrors compiler diagnostics rather than ad-hoc `Result`
 //! types: every finding carries a *stable code* (`SC001`, …) so policies
@@ -56,7 +55,7 @@ impl fmt::Display for Severity {
 /// A registered lint: stable code, human name, default severity, and the
 /// paper definition/requirement it enforces.
 ///
-/// All instances live in [`crate::codes`]; passes reference them by
+/// All instances live in [`crate::codes`]; checks reference them by
 /// `&'static` identity.
 #[derive(Debug)]
 pub struct LintCode {
@@ -256,7 +255,7 @@ impl LintConfig {
     }
 }
 
-/// The sink passes emit into: applies the severity policy at emission
+/// The sink checks emit into: applies the severity policy at emission
 /// time (so `Allow`ed findings cost nothing downstream) and renders the
 /// final report in text or JSON form.
 #[derive(Debug, Clone)]
@@ -385,7 +384,7 @@ impl Diagnostics {
     }
 
     /// Merges another sink's findings into this one (used to combine the
-    /// netlist, model and abstraction pass families into one report).
+    /// netlist, model and abstraction lint families into one report).
     /// A fingerprint set on either side survives; `self`'s wins if both
     /// are set.
     pub fn merge(&mut self, other: Diagnostics) {
@@ -468,36 +467,6 @@ impl Diagnostics {
         s.push_str("]}");
         s
     }
-}
-
-/// A composable static check over a target type `T` (an explicit machine
-/// wrapper, a netlist, a quotient map, …).
-///
-/// Passes are stateless unit structs; each one owns exactly one code so
-/// policy, documentation and implementation stay aligned. Families of
-/// passes for the same target compose as `&[&dyn LintPass<T>]` and run
-/// through [`run_passes`].
-pub trait LintPass<T: ?Sized> {
-    /// The code this pass emits.
-    fn code(&self) -> &'static LintCode;
-
-    /// Runs the check, emitting findings into `out`.
-    fn run(&self, target: &T, out: &mut Diagnostics);
-}
-
-/// Runs a family of passes over one target under a severity policy,
-/// returning the (deny-first sorted) findings.
-pub fn run_passes<T: ?Sized>(
-    passes: &[&dyn LintPass<T>],
-    target: &T,
-    config: &LintConfig,
-) -> Diagnostics {
-    let mut out = Diagnostics::new(config.clone());
-    for pass in passes {
-        pass.run(target, &mut out);
-    }
-    out.sort_by_severity();
-    out
 }
 
 #[cfg(test)]

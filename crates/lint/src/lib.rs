@@ -19,7 +19,13 @@
 //!   changes;
 //! * reports render as human-readable text or deterministic JSON.
 //!
-//! Three pass families cover the three artifact kinds:
+//! Three lint families cover the three artifact kinds. Each family is one
+//! function ([`lint_model`], [`lint_netlist`], [`lint_quotient`]) that
+//! runs its checks in code order and sorts the findings deny-first. A
+//! model or netlist check is a private function that emits exactly one
+//! code; the quotient checks share one quotient build, so they run
+//! inline. [`lint_build_error`] and [`lint_blif_error`] map construction
+//! and import failures onto `SC003` and `SC028`–`SC030`.
 //!
 //! | family | codes | target |
 //! |---|---|---|
@@ -56,11 +62,9 @@ pub mod netlist;
 
 pub use abstraction::{lint_quotient, QuotientTarget};
 pub use codes::{all_codes, find_code};
-pub use diag::{
-    run_passes, Diagnostic, Diagnostics, LintCode, LintConfig, LintPass, Location, Severity,
-};
-pub use model::{lint_build_error, lint_model, model_passes, ModelTarget};
-pub use netlist::{lint_blif_error, lint_netlist, netlist_passes};
+pub use diag::{Diagnostic, Diagnostics, LintCode, LintConfig, Location, Severity};
+pub use model::{lint_build_error, lint_model, ModelTarget};
+pub use netlist::{lint_blif_error, lint_netlist};
 
 use simcov_obs::Telemetry;
 
@@ -76,7 +80,7 @@ fn record_diags(telemetry: &Telemetry, d: &Diagnostics) {
 }
 
 /// [`lint_netlist`] with telemetry: a `lint/netlist` span around the
-/// pass family plus the `lint.*` counters.
+/// family plus the `lint.*` counters.
 pub fn lint_netlist_traced(
     n: &simcov_netlist::Netlist,
     config: &LintConfig,
@@ -91,7 +95,7 @@ pub fn lint_netlist_traced(
     d
 }
 
-/// [`lint_model`] with telemetry: a `lint/model` span around the pass
+/// [`lint_model`] with telemetry: a `lint/model` span around the
 /// family plus the `lint.*` counters (accumulated on top of any earlier
 /// family's, mirroring [`Diagnostics::merge`]).
 pub fn lint_model_traced(

@@ -5,11 +5,11 @@
 //! unified diagnostic format.
 
 use crate::codes::*;
-use crate::diag::{Diagnostics, LintCode, LintConfig, LintPass, Location};
+use crate::diag::{Diagnostics, LintConfig, Location};
 use simcov_core::{check_req2_bounded_processing, check_req3_unique_outputs};
 use simcov_fsm::{BuildError, ExplicitMealy};
 
-/// What the model passes run over: the machine plus the optional context
+/// What the model checks run over: the machine plus the optional context
 /// the requirement checkers need (which outputs mean "processing has not
 /// completed", which state names must be observable, and the `k` for the
 /// distinguishability analysis).
@@ -61,101 +61,69 @@ fn state_loc(m: &ExplicitMealy, s: simcov_fsm::StateId) -> Location {
 }
 
 /// SC001: states never reached from reset.
-pub struct UnreachableStates;
-
-impl LintPass<ModelTarget<'_>> for UnreachableStates {
-    fn code(&self) -> &'static LintCode {
-        &SC001_UNREACHABLE_STATE
+fn unreachable_states(t: &ModelTarget<'_>, out: &mut Diagnostics) {
+    let m = t.machine;
+    let mut reachable = vec![false; m.num_states()];
+    for s in m.reachable_states() {
+        reachable[s.index()] = true;
     }
-
-    fn run(&self, t: &ModelTarget<'_>, out: &mut Diagnostics) {
-        let m = t.machine;
-        let mut reachable = vec![false; m.num_states()];
-        for s in m.reachable_states() {
-            reachable[s.index()] = true;
-        }
-        for s in m.states().filter(|s| !reachable[s.index()]) {
-            out.emit(
-                self.code(),
-                state_loc(m, s),
-                "state can never be reached from reset; a tour will not exercise it",
-            );
-        }
+    for s in m.states().filter(|s| !reachable[s.index()]) {
+        out.emit(
+            &SC001_UNREACHABLE_STATE,
+            state_loc(m, s),
+            "state can never be reached from reset; a tour will not exercise it",
+        );
     }
 }
 
 /// SC002: reachable `(state, input)` slots with no transition.
-pub struct IncompleteAlphabet;
-
-impl LintPass<ModelTarget<'_>> for IncompleteAlphabet {
-    fn code(&self) -> &'static LintCode {
-        &SC002_INCOMPLETE_ALPHABET
-    }
-
-    fn run(&self, t: &ModelTarget<'_>, out: &mut Diagnostics) {
-        let m = t.machine;
-        for s in m.reachable_states() {
-            for i in m.inputs() {
-                if m.step(s, i).is_none() {
-                    out.emit(
-                        self.code(),
-                        Location::Transition {
-                            state: m.state_label(s).to_string(),
-                            input: m.input_label(i).to_string(),
-                        },
-                        "no transition defined; restrict the valid-input alphabet or \
-                         complete the machine",
-                    );
-                }
+fn incomplete_alphabet(t: &ModelTarget<'_>, out: &mut Diagnostics) {
+    let m = t.machine;
+    for s in m.reachable_states() {
+        for i in m.inputs() {
+            if m.step(s, i).is_none() {
+                out.emit(
+                    &SC002_INCOMPLETE_ALPHABET,
+                    Location::Transition {
+                        state: m.state_label(s).to_string(),
+                        input: m.input_label(i).to_string(),
+                    },
+                    "no transition defined; restrict the valid-input alphabet or \
+                     complete the machine",
+                );
             }
         }
     }
 }
 
 /// SC004: the reachable sub-graph is not strongly connected.
-pub struct StronglyConnected;
-
-impl LintPass<ModelTarget<'_>> for StronglyConnected {
-    fn code(&self) -> &'static LintCode {
-        &SC004_NOT_STRONGLY_CONNECTED
-    }
-
-    fn run(&self, t: &ModelTarget<'_>, out: &mut Diagnostics) {
-        if !t.machine.is_strongly_connected() {
-            out.emit(
-                self.code(),
-                Location::Model,
-                "some reachable state cannot return to reset, so no single \
-                 transition tour covers every transition",
-            );
-        }
+fn strongly_connected(t: &ModelTarget<'_>, out: &mut Diagnostics) {
+    if !t.machine.is_strongly_connected() {
+        out.emit(
+            &SC004_NOT_STRONGLY_CONNECTED,
+            Location::Model,
+            "some reachable state cannot return to reset, so no single \
+             transition tour covers every transition",
+        );
     }
 }
 
 /// SC005 (Requirement 2): a cycle of stalled transitions means processing
 /// is unbounded.
-pub struct BoundedProcessing;
-
-impl LintPass<ModelTarget<'_>> for BoundedProcessing {
-    fn code(&self) -> &'static LintCode {
-        &SC005_INFINITE_STALL
-    }
-
-    fn run(&self, t: &ModelTarget<'_>, out: &mut Diagnostics) {
-        let Some(stalled) = &t.stalled else { return };
-        let m = t.machine;
-        if let Err(w) = check_req2_bounded_processing(m, |o| stalled[o.index()]) {
-            let cycle: Vec<&str> = w.cycle.iter().map(|&s| m.state_label(s)).collect();
-            out.emit(
-                self.code(),
-                state_loc(m, w.cycle[0]),
-                format!(
-                    "stall cycle `{}` never completes processing (Requirement 2 \
-                     needs a finite k)",
-                    cycle.join(" -> ")
-                ),
-            );
-        }
+fn bounded_processing(t: &ModelTarget<'_>, out: &mut Diagnostics) {
+    let Some(stalled) = &t.stalled else { return };
+    let m = t.machine;
+    if let Err(w) = check_req2_bounded_processing(m, |o| stalled[o.index()]) {
+        let cycle: Vec<&str> = w.cycle.iter().map(|&s| m.state_label(s)).collect();
+        out.emit(
+            &SC005_INFINITE_STALL,
+            state_loc(m, w.cycle[0]),
+            format!(
+                "stall cycle `{}` never completes processing (Requirement 2 \
+                 needs a finite k)",
+                cycle.join(" -> ")
+            ),
+        );
     }
 }
 
@@ -164,157 +132,121 @@ impl LintPass<ModelTarget<'_>> for BoundedProcessing {
 /// One diagnostic per offending state (with a witness pair and the
 /// collision count) rather than one per pair — large models otherwise
 /// drown the report.
-pub struct UniqueOutputs;
-
-impl LintPass<ModelTarget<'_>> for UniqueOutputs {
-    fn code(&self) -> &'static LintCode {
-        &SC006_NON_UNIQUE_OUTPUTS
-    }
-
-    fn run(&self, t: &ModelTarget<'_>, out: &mut Diagnostics) {
-        let m = t.machine;
-        let Err(collisions) = check_req3_unique_outputs(m) else {
-            return;
-        };
-        let mut by_state: Vec<(simcov_fsm::StateId, usize, String)> = Vec::new();
-        for (s, i1, i2) in collisions {
-            match by_state.last_mut() {
-                Some((ls, n, _)) if *ls == s => *n += 1,
-                _ => by_state.push((
-                    s,
-                    1,
-                    format!(
-                        "inputs `{}` and `{}` both emit `{}`",
-                        m.input_label(i1),
-                        m.input_label(i2),
-                        m.output_label(m.step(s, i1).expect("collision transition exists").1)
-                    ),
-                )),
-            }
-        }
-        for (s, n, witness) in by_state {
-            out.emit_with_notes(
-                self.code(),
-                state_loc(m, s),
+fn unique_outputs(t: &ModelTarget<'_>, out: &mut Diagnostics) {
+    let m = t.machine;
+    let Err(collisions) = check_req3_unique_outputs(m) else {
+        return;
+    };
+    let mut by_state: Vec<(simcov_fsm::StateId, usize, String)> = Vec::new();
+    for (s, i1, i2) in collisions {
+        match by_state.last_mut() {
+            Some((ls, n, _)) if *ls == s => *n += 1,
+            _ => by_state.push((
+                s,
+                1,
                 format!(
-                    "{n} input pair{} share an output; e.g. {witness}",
-                    if n == 1 { "" } else { "s" }
+                    "inputs `{}` and `{}` both emit `{}`",
+                    m.input_label(i1),
+                    m.input_label(i2),
+                    m.output_label(m.step(s, i1).expect("collision transition exists").1)
                 ),
-                vec![
-                    "Requirement 3 is normally achieved by data selection during \
-                     vector expansion, not by the abstract model itself"
-                        .to_string(),
-                ],
-            );
+            )),
         }
+    }
+    for (s, n, witness) in by_state {
+        out.emit_with_notes(
+            &SC006_NON_UNIQUE_OUTPUTS,
+            state_loc(m, s),
+            format!(
+                "{n} input pair{} share an output; e.g. {witness}",
+                if n == 1 { "" } else { "s" }
+            ),
+            vec![
+                "Requirement 3 is normally achieved by data selection during \
+                 vector expansion, not by the abstract model itself"
+                    .to_string(),
+            ],
+        );
     }
 }
 
 /// SC007 (Requirement 5): declared interaction state must be observable.
-pub struct ObservableInteraction;
-
-impl LintPass<ModelTarget<'_>> for ObservableInteraction {
-    fn code(&self) -> &'static LintCode {
-        &SC007_UNOBSERVABLE_INTERACTION
+fn observable_interaction(t: &ModelTarget<'_>, out: &mut Diagnostics) {
+    if t.interaction_state.is_empty() {
+        return;
     }
-
-    fn run(&self, t: &ModelTarget<'_>, out: &mut Diagnostics) {
-        if t.interaction_state.is_empty() {
-            return;
-        }
-        let interaction: Vec<&str> = t.interaction_state.iter().map(String::as_str).collect();
-        let observable: Vec<&str> = t.observable.iter().map(String::as_str).collect();
-        if let Err(missing) = simcov_core::check_req5_observable(&interaction, &observable) {
-            for name in missing {
-                out.emit(
-                    self.code(),
-                    Location::Signal { name: name.clone() },
-                    format!(
-                        "interaction-state variable `{name}` is not among the {} \
-                         observable signals",
-                        observable.len()
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// SC008: ∀k-distinguishability with witness pairs (the hypothesis of
-/// Theorem 1). Skipped when the machine is incomplete on its reachable
-/// part — SC002 already denies, and the ∀ quantification is undefined.
-pub struct ForallKDistinguishable;
-
-/// Witness pairs rendered before collapsing to a count.
-const MAX_PAIR_WITNESSES: usize = 4;
-
-impl LintPass<ModelTarget<'_>> for ForallKDistinguishable {
-    fn code(&self) -> &'static LintCode {
-        &SC008_FORALL_K_FAILURE
-    }
-
-    fn run(&self, t: &ModelTarget<'_>, out: &mut Diagnostics) {
-        let m = t.machine;
-        if t.k == 0 || !m.is_complete_on_reachable() {
-            return;
-        }
-        // One shared level chain: the pair-relation sweep runs once and
-        // every witness (and any k ≤ t.k) is read off the memoized
-        // levels, instead of re-traversing the machine per witness.
-        let d = simcov_core::DistinguishLevels::build(m, t.k)
-            .expect("completeness checked above")
-            .analyze(t.k, MAX_PAIR_WITNESSES);
-        if d.holds() {
-            return;
-        }
-        let total = d.violations.len();
-        for v in d.violations.iter().take(MAX_PAIR_WITNESSES) {
-            let seq: Vec<&str> = v.witness.iter().map(|&i| m.input_label(i)).collect();
-            out.emit_with_notes(
-                self.code(),
-                Location::StatePair {
-                    s1: m.state_label(v.s1).to_string(),
-                    s2: m.state_label(v.s2).to_string(),
-                },
+    let interaction: Vec<&str> = t.interaction_state.iter().map(String::as_str).collect();
+    let observable: Vec<&str> = t.observable.iter().map(String::as_str).collect();
+    if let Err(missing) = simcov_core::check_req5_observable(&interaction, &observable) {
+        for name in missing {
+            out.emit(
+                &SC007_UNOBSERVABLE_INTERACTION,
+                Location::Signal { name: name.clone() },
                 format!(
-                    "pair is not forall-{}-distinguishable: inputs [{}] keep all \
-                     outputs equal",
-                    t.k,
-                    seq.join(", ")
+                    "interaction-state variable `{name}` is not among the {} \
+                     observable signals",
+                    observable.len()
                 ),
-                vec![format!(
-                    "{total} violating pair{} in total; a transfer error landing in \
-                     either state can escape the tour (Theorem 1 hypothesis broken)",
-                    if total == 1 { "" } else { "s" }
-                )],
             );
         }
     }
 }
 
-/// The registered model passes, in code order.
-pub fn model_passes<'a>() -> Vec<Box<dyn LintPass<ModelTarget<'a>>>> {
-    vec![
-        Box::new(UnreachableStates),
-        Box::new(IncompleteAlphabet),
-        Box::new(StronglyConnected),
-        Box::new(BoundedProcessing),
-        Box::new(UniqueOutputs),
-        Box::new(ObservableInteraction),
-        Box::new(ForallKDistinguishable),
-    ]
+/// Witness pairs rendered before collapsing to a count.
+const MAX_PAIR_WITNESSES: usize = 4;
+
+/// SC008: ∀k-distinguishability with witness pairs (the hypothesis of
+/// Theorem 1). Skipped when the machine is incomplete on its reachable
+/// part — SC002 already denies, and the ∀ quantification is undefined.
+fn forall_k_distinguishable(t: &ModelTarget<'_>, out: &mut Diagnostics) {
+    let m = t.machine;
+    if t.k == 0 || !m.is_complete_on_reachable() {
+        return;
+    }
+    // One shared level chain: the pair-relation sweep runs once and
+    // every witness (and any k ≤ t.k) is read off the memoized
+    // levels, instead of re-traversing the machine per witness.
+    let d = simcov_core::DistinguishLevels::build(m, t.k)
+        .expect("completeness checked above")
+        .analyze(t.k, MAX_PAIR_WITNESSES);
+    if d.holds() {
+        return;
+    }
+    let total = d.violations.len();
+    for v in d.violations.iter().take(MAX_PAIR_WITNESSES) {
+        let seq: Vec<&str> = v.witness.iter().map(|&i| m.input_label(i)).collect();
+        out.emit_with_notes(
+            &SC008_FORALL_K_FAILURE,
+            Location::StatePair {
+                s1: m.state_label(v.s1).to_string(),
+                s2: m.state_label(v.s2).to_string(),
+            },
+            format!(
+                "pair is not forall-{}-distinguishable: inputs [{}] keep all \
+                 outputs equal",
+                t.k,
+                seq.join(", ")
+            ),
+            vec![format!(
+                "{total} violating pair{} in total; a transfer error landing in \
+                 either state can escape the tour (Theorem 1 hypothesis broken)",
+                if total == 1 { "" } else { "s" }
+            )],
+        );
+    }
 }
 
-/// Runs every model pass over `target` under `config`.
+/// Runs every model check over `target` under `config`, in code order,
+/// returning the deny-first sorted findings.
 pub fn lint_model(target: &ModelTarget<'_>, config: &LintConfig) -> Diagnostics {
     let mut out = Diagnostics::new(config.clone());
-    UnreachableStates.run(target, &mut out);
-    IncompleteAlphabet.run(target, &mut out);
-    StronglyConnected.run(target, &mut out);
-    BoundedProcessing.run(target, &mut out);
-    UniqueOutputs.run(target, &mut out);
-    ObservableInteraction.run(target, &mut out);
-    ForallKDistinguishable.run(target, &mut out);
+    unreachable_states(target, &mut out);
+    incomplete_alphabet(target, &mut out);
+    strongly_connected(target, &mut out);
+    bounded_processing(target, &mut out);
+    unique_outputs(target, &mut out);
+    observable_interaction(target, &mut out);
+    forall_k_distinguishable(target, &mut out);
     out.sort_by_severity();
     out
 }
@@ -532,17 +464,5 @@ mod tests {
         let allow = lint_model(&ModelTarget::new(&m), &LintConfig::new().allow("SC001"));
         assert!(allow.items().is_empty());
         assert_eq!(allow.suppressed(), 1);
-    }
-
-    #[test]
-    fn pass_list_matches_direct_runner() {
-        let m = clean_machine();
-        let t = ModelTarget::new(&m);
-        let passes = model_passes();
-        let refs: Vec<&dyn LintPass<ModelTarget<'_>>> =
-            passes.iter().map(|p| p.as_ref() as _).collect();
-        let via_trait = crate::diag::run_passes(&refs, &t, &LintConfig::new());
-        let direct = lint_model(&t, &LintConfig::new());
-        assert_eq!(via_trait.items().len(), direct.items().len());
     }
 }

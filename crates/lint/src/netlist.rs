@@ -4,7 +4,7 @@
 //! from BLIF import errors into the diagnostic format.
 
 use crate::codes::*;
-use crate::diag::{Diagnostics, LintCode, LintConfig, LintPass, Location};
+use crate::diag::{Diagnostics, LintConfig, Location};
 use simcov_netlist::{BlifError, Netlist, NodeKind, SignalId};
 use std::collections::BTreeMap;
 
@@ -51,41 +51,25 @@ fn latch_out_signals(n: &Netlist) -> Vec<Option<SignalId>> {
 
 /// SC020: a latch with no next-state function (mirrors
 /// [`Netlist::check`], with a structured location).
-pub struct LatchWithoutNext;
-
-impl LintPass<Netlist> for LatchWithoutNext {
-    fn code(&self) -> &'static LintCode {
-        &SC020_LATCH_NO_NEXT
-    }
-
-    fn run(&self, n: &Netlist, out: &mut Diagnostics) {
-        for l in n.latches().iter().filter(|l| l.next.is_none()) {
-            out.emit(
-                self.code(),
-                Location::Latch {
-                    name: l.name.clone(),
-                },
-                "no next-state function assigned; the latch holds its initial \
-                 value forever",
-            );
-        }
+fn latch_without_next(n: &Netlist, out: &mut Diagnostics) {
+    for l in n.latches().iter().filter(|l| l.next.is_none()) {
+        out.emit(
+            &SC020_LATCH_NO_NEXT,
+            Location::Latch {
+                name: l.name.clone(),
+            },
+            "no next-state function assigned; the latch holds its initial \
+             value forever",
+        );
     }
 }
 
 /// SC021: structural problems found by [`Netlist::check`] other than
 /// missing next functions (dangling signal references).
-pub struct DanglingSignals;
-
-impl LintPass<Netlist> for DanglingSignals {
-    fn code(&self) -> &'static LintCode {
-        &SC021_DANGLING_SIGNAL
-    }
-
-    fn run(&self, n: &Netlist, out: &mut Diagnostics) {
-        for problem in n.check() {
-            if problem.contains("dangling") {
-                out.emit(self.code(), Location::Model, problem);
-            }
+fn dangling_signals(n: &Netlist, out: &mut Diagnostics) {
+    for problem in n.check() {
+        if problem.contains("dangling") {
+            out.emit(&SC021_DANGLING_SIGNAL, Location::Model, problem);
         }
     }
 }
@@ -134,26 +118,18 @@ fn live_latches(n: &Netlist) -> Vec<bool> {
 }
 
 /// SC022: a latch that feeds neither a primary output nor any live latch.
-pub struct DeadLatches;
-
-impl LintPass<Netlist> for DeadLatches {
-    fn code(&self) -> &'static LintCode {
-        &SC022_DEAD_LATCH
-    }
-
-    fn run(&self, n: &Netlist, out: &mut Diagnostics) {
-        let live = live_latches(n);
-        for (l, latch) in n.latches().iter().enumerate() {
-            if !live[l] {
-                out.emit(
-                    self.code(),
-                    Location::Latch {
-                        name: latch.name.clone(),
-                    },
-                    "latch value influences no primary output, directly or through \
-                     other live latches; candidate for removal by abstraction",
-                );
-            }
+fn dead_latches(n: &Netlist, out: &mut Diagnostics) {
+    let live = live_latches(n);
+    for (l, latch) in n.latches().iter().enumerate() {
+        if !live[l] {
+            out.emit(
+                &SC022_DEAD_LATCH,
+                Location::Latch {
+                    name: latch.name.clone(),
+                },
+                "latch value influences no primary output, directly or through \
+                 other live latches; candidate for removal by abstraction",
+            );
         }
     }
 }
@@ -161,151 +137,115 @@ impl LintPass<Netlist> for DeadLatches {
 /// SC027: a live latch whose current value is in no primary output cone —
 /// it steers future state but cannot be compared this cycle, the exact
 /// shape Requirement 5 exists to repair.
-pub struct HiddenLatches;
-
-impl LintPass<Netlist> for HiddenLatches {
-    fn code(&self) -> &'static LintCode {
-        &SC027_HIDDEN_LATCH
-    }
-
-    fn run(&self, n: &Netlist, out: &mut Diagnostics) {
-        let sigs = latch_out_signals(n);
-        let out_cone = output_cone(n);
-        let live = live_latches(n);
-        for (l, latch) in n.latches().iter().enumerate() {
-            let directly_observable = sigs[l].is_some_and(|s| out_cone[s.index()]);
-            if live[l] && !directly_observable {
-                out.emit_with_notes(
-                    self.code(),
-                    Location::Latch {
-                        name: latch.name.clone(),
-                    },
-                    "latch steers future state but appears in no primary output \
-                     cone; a transfer error here is invisible until it propagates",
-                    vec![
-                        "Requirement 5: export the latch as an observability output \
-                         so tours can compare interaction state directly"
-                            .to_string(),
-                    ],
-                );
-            }
+fn hidden_latches(n: &Netlist, out: &mut Diagnostics) {
+    let sigs = latch_out_signals(n);
+    let out_cone = output_cone(n);
+    let live = live_latches(n);
+    for (l, latch) in n.latches().iter().enumerate() {
+        let directly_observable = sigs[l].is_some_and(|s| out_cone[s.index()]);
+        if live[l] && !directly_observable {
+            out.emit_with_notes(
+                &SC027_HIDDEN_LATCH,
+                Location::Latch {
+                    name: latch.name.clone(),
+                },
+                "latch steers future state but appears in no primary output \
+                 cone; a transfer error here is invisible until it propagates",
+                vec![
+                    "Requirement 5: export the latch as an observability output \
+                     so tours can compare interaction state directly"
+                        .to_string(),
+                ],
+            );
         }
     }
 }
 
 /// SC023: a primary input that reaches no output cone and no latch
 /// next-state cone — it constrains nothing.
-pub struct FloatingInputs;
-
-impl LintPass<Netlist> for FloatingInputs {
-    fn code(&self) -> &'static LintCode {
-        &SC023_FLOATING_INPUT
+fn floating_inputs(n: &Netlist, out: &mut Diagnostics) {
+    let mut used = output_cone(n);
+    for l in n.latches() {
+        if let Some(nx) = l.next {
+            mark_cone(n, nx, &mut used);
+        }
     }
-
-    fn run(&self, n: &Netlist, out: &mut Diagnostics) {
-        let mut used = output_cone(n);
-        for l in n.latches() {
-            if let Some(nx) = l.next {
-                mark_cone(n, nx, &mut used);
-            }
+    let mut input_sigs: Vec<Option<usize>> = vec![None; n.num_inputs()];
+    for idx in 0..n.num_nodes() {
+        if let Some(NodeKind::Input(i)) = n.node_at(idx) {
+            input_sigs[i.index()] = Some(idx);
         }
-        let mut input_sigs: Vec<Option<usize>> = vec![None; n.num_inputs()];
-        for idx in 0..n.num_nodes() {
-            if let Some(NodeKind::Input(i)) = n.node_at(idx) {
-                input_sigs[i.index()] = Some(idx);
-            }
-        }
-        for (i, name) in n.input_names().enumerate() {
-            let floating = match input_sigs[i] {
-                Some(idx) => !used[idx],
-                None => true,
-            };
-            if floating {
-                out.emit(
-                    self.code(),
-                    Location::InputPort {
-                        name: name.to_string(),
-                    },
-                    "input affects no output and no latch; expanded test vectors \
-                     cannot be constrained by it",
-                );
-            }
+    }
+    for (i, name) in n.input_names().enumerate() {
+        let floating = match input_sigs[i] {
+            Some(idx) => !used[idx],
+            None => true,
+        };
+        if floating {
+            out.emit(
+                &SC023_FLOATING_INPUT,
+                Location::InputPort {
+                    name: name.to_string(),
+                },
+                "input affects no output and no latch; expanded test vectors \
+                 cannot be constrained by it",
+            );
         }
     }
 }
 
 /// SC024: a primary output whose cone contains no input and no latch —
 /// it is structurally constant and can never distinguish anything.
-pub struct ConstantOutputs;
-
-impl LintPass<Netlist> for ConstantOutputs {
-    fn code(&self) -> &'static LintCode {
-        &SC024_CONSTANT_OUTPUT
-    }
-
-    fn run(&self, n: &Netlist, out: &mut Diagnostics) {
-        for (name, sig) in n.outputs() {
-            let mut cone = vec![false; n.num_nodes()];
-            mark_cone(n, *sig, &mut cone);
-            let has_source = (0..n.num_nodes()).any(|idx| {
-                cone[idx]
-                    && matches!(
-                        n.node_at(idx),
-                        Some(NodeKind::Input(_)) | Some(NodeKind::LatchOut(_))
-                    )
-            });
-            if !has_source {
-                out.emit(
-                    self.code(),
-                    Location::OutputPort { name: name.clone() },
-                    "output depends on no input or latch (structurally constant), \
-                     so it contributes nothing to Requirement 3",
-                );
-            }
+fn constant_outputs(n: &Netlist, out: &mut Diagnostics) {
+    for (name, sig) in n.outputs() {
+        let mut cone = vec![false; n.num_nodes()];
+        mark_cone(n, *sig, &mut cone);
+        let has_source = (0..n.num_nodes()).any(|idx| {
+            cone[idx]
+                && matches!(
+                    n.node_at(idx),
+                    Some(NodeKind::Input(_)) | Some(NodeKind::LatchOut(_))
+                )
+        });
+        if !has_source {
+            out.emit(
+                &SC024_CONSTANT_OUTPUT,
+                Location::OutputPort { name: name.clone() },
+                "output depends on no input or latch (structurally constant), \
+                 so it contributes nothing to Requirement 3",
+            );
         }
     }
 }
 
 /// SC025: duplicate names among the union of inputs, outputs and latches.
-pub struct DuplicateNames;
-
-impl LintPass<Netlist> for DuplicateNames {
-    fn code(&self) -> &'static LintCode {
-        &SC025_DUPLICATE_NAME
+fn duplicate_names(n: &Netlist, out: &mut Diagnostics) {
+    let mut seen: BTreeMap<&str, &'static str> = BTreeMap::new();
+    let mut names: Vec<(&str, &'static str)> = Vec::new();
+    for name in n.input_names() {
+        names.push((name, "input"));
     }
-
-    fn run(&self, n: &Netlist, out: &mut Diagnostics) {
-        let mut seen: BTreeMap<&str, &'static str> = BTreeMap::new();
-        let mut names: Vec<(&str, &'static str)> = Vec::new();
-        for name in n.input_names() {
-            names.push((name, "input"));
-        }
-        for (name, _) in n.outputs() {
-            names.push((name, "output"));
-        }
-        for l in n.latches() {
-            names.push((&l.name, "latch"));
-        }
-        for (name, kind) in names {
-            if let Some(prev) = seen.insert(name, kind) {
-                out.emit(
-                    self.code(),
-                    Location::Signal {
-                        name: name.to_string(),
-                    },
-                    format!(
-                        "name used by both a {prev} and a {kind}; by-name \
-                         observability checks become ambiguous"
-                    ),
-                );
-            }
+    for (name, _) in n.outputs() {
+        names.push((name, "output"));
+    }
+    for l in n.latches() {
+        names.push((&l.name, "latch"));
+    }
+    for (name, kind) in names {
+        if let Some(prev) = seen.insert(name, kind) {
+            out.emit(
+                &SC025_DUPLICATE_NAME,
+                Location::Signal {
+                    name: name.to_string(),
+                },
+                format!(
+                    "name used by both a {prev} and a {kind}; by-name \
+                     observability checks become ambiguous"
+                ),
+            );
         }
     }
 }
-
-/// SC026: `name[i]` bit families whose indices are not exactly
-/// `0..width` — a gap or duplicate means a partially wired word.
-pub struct WordWidthGaps;
 
 /// Splits `"op[2]"` into `("op", 2)`; `None` for non-indexed names.
 fn split_indexed(name: &str) -> Option<(&str, u32)> {
@@ -317,81 +257,72 @@ fn split_indexed(name: &str) -> Option<(&str, u32)> {
     Some((&name[..open], inner.parse().ok()?))
 }
 
-impl LintPass<Netlist> for WordWidthGaps {
-    fn code(&self) -> &'static LintCode {
-        &SC026_WORD_WIDTH_GAP
+/// SC026: `name[i]` bit families whose indices are not exactly
+/// `0..width` — a gap or duplicate means a partially wired word.
+fn word_width_gaps(n: &Netlist, out: &mut Diagnostics) {
+    let mut families: BTreeMap<(&'static str, String), Vec<u32>> = BTreeMap::new();
+    for name in n.input_names() {
+        if let Some((base, idx)) = split_indexed(name) {
+            families
+                .entry(("input", base.to_string()))
+                .or_default()
+                .push(idx);
+        }
     }
-
-    fn run(&self, n: &Netlist, out: &mut Diagnostics) {
-        let mut families: BTreeMap<(&'static str, String), Vec<u32>> = BTreeMap::new();
-        for name in n.input_names() {
-            if let Some((base, idx)) = split_indexed(name) {
-                families
-                    .entry(("input", base.to_string()))
-                    .or_default()
-                    .push(idx);
-            }
+    for (name, _) in n.outputs() {
+        if let Some((base, idx)) = split_indexed(name) {
+            families
+                .entry(("output", base.to_string()))
+                .or_default()
+                .push(idx);
         }
-        for (name, _) in n.outputs() {
-            if let Some((base, idx)) = split_indexed(name) {
-                families
-                    .entry(("output", base.to_string()))
-                    .or_default()
-                    .push(idx);
-            }
+    }
+    for l in n.latches() {
+        if let Some((base, idx)) = split_indexed(&l.name) {
+            families
+                .entry(("latch", base.to_string()))
+                .or_default()
+                .push(idx);
         }
-        for l in n.latches() {
-            if let Some((base, idx)) = split_indexed(&l.name) {
-                families
-                    .entry(("latch", base.to_string()))
-                    .or_default()
-                    .push(idx);
-            }
-        }
-        for ((kind, base), mut indices) in families {
-            indices.sort_unstable();
-            let contiguous = indices
-                .iter()
-                .enumerate()
-                .all(|(i, &idx)| idx as usize == i);
-            if !contiguous {
-                let got: Vec<String> = indices.iter().map(u32::to_string).collect();
-                out.emit(
-                    self.code(),
-                    Location::Signal {
-                        name: format!("{base}[*]"),
-                    },
-                    format!(
-                        "{kind} word `{base}` has bit indices [{}], expected \
-                         contiguous 0..{}",
-                        got.join(", "),
-                        indices.len()
-                    ),
-                );
-            }
+    }
+    for ((kind, base), mut indices) in families {
+        indices.sort_unstable();
+        let contiguous = indices
+            .iter()
+            .enumerate()
+            .all(|(i, &idx)| idx as usize == i);
+        if !contiguous {
+            let got: Vec<String> = indices.iter().map(u32::to_string).collect();
+            out.emit(
+                &SC026_WORD_WIDTH_GAP,
+                Location::Signal {
+                    name: format!("{base}[*]"),
+                },
+                format!(
+                    "{kind} word `{base}` has bit indices [{}], expected \
+                     contiguous 0..{}",
+                    got.join(", "),
+                    indices.len()
+                ),
+            );
         }
     }
 }
 
-/// The registered netlist passes, in code order.
-pub fn netlist_passes() -> Vec<Box<dyn LintPass<Netlist>>> {
-    vec![
-        Box::new(LatchWithoutNext),
-        Box::new(DanglingSignals),
-        Box::new(DeadLatches),
-        Box::new(FloatingInputs),
-        Box::new(ConstantOutputs),
-        Box::new(DuplicateNames),
-        Box::new(WordWidthGaps),
-        Box::new(HiddenLatches),
-    ]
-}
-
-/// Runs every netlist pass over `n` under `config`.
+/// Runs every netlist check over `n` under `config`, in code order,
+/// returning the deny-first sorted findings.
 pub fn lint_netlist(n: &Netlist, config: &LintConfig) -> Diagnostics {
-    let passes = netlist_passes();
-    let refs: Vec<&dyn LintPass<Netlist>> = passes.iter().map(|p| p.as_ref() as _).collect();
-    crate::diag::run_passes(&refs, n, config)
+    let mut out = Diagnostics::new(config.clone());
+    latch_without_next(n, &mut out);
+    dangling_signals(n, &mut out);
+    dead_latches(n, &mut out);
+    floating_inputs(n, &mut out);
+    constant_outputs(n, &mut out);
+    duplicate_names(n, &mut out);
+    word_width_gaps(n, &mut out);
+    hidden_latches(n, &mut out);
+    out.sort_by_severity();
+    out
 }
 
 /// SC028/SC029/SC030: maps a BLIF import failure into the diagnostic

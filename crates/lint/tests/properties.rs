@@ -12,7 +12,8 @@ use simcov_core::{
 };
 use simcov_fsm::{ExplicitMealy, MealyBuilder, OutputSym};
 use simcov_lint::{
-    all_codes, lint_model, lint_quotient, LintConfig, ModelTarget, QuotientTarget, Severity,
+    all_codes, find_code, lint_model, lint_netlist, lint_quotient, Diagnostics, LintConfig,
+    ModelTarget, QuotientTarget, Severity,
 };
 
 /// Random machines over a ring backbone with a twist: a slice of the
@@ -202,6 +203,61 @@ fn overrides_preserve_finding_set() {
             assert_eq!(denied.deny_count(), denied.items().len());
         },
     );
+}
+
+/// Asserts that every finding in `d` carries the registered static of
+/// its code, and that the code lies in `lo..=hi` (its family's range).
+fn assert_family_codes(d: &Diagnostics, lo: &str, hi: &str) {
+    for f in d.items() {
+        let code = f.code.code;
+        assert!(
+            find_code(code).is_some_and(|r| std::ptr::eq(r, f.code)),
+            "{code} is not the registered static"
+        );
+        assert!((lo..=hi).contains(&code), "{code} lies outside {lo}-{hi}");
+    }
+}
+
+/// Every model finding on random machines carries a registered code
+/// from the model family (`SC001`–`SC008`).
+#[test]
+fn model_findings_carry_registered_model_codes() {
+    let findings = std::cell::Cell::new(0usize);
+    forall_cfg(
+        "model_findings_carry_registered_model_codes",
+        Config::with_cases(96),
+        |g| {
+            let r = recipe(g);
+            let m = build(&r);
+            let mut target = ModelTarget::new(&m).with_stall_output_labels(&["o0"]);
+            target.interaction_state = vec!["s0".into(), "ex.dest".into()];
+            target.observable = vec!["s0".into()];
+            let d = lint_model(&target, &LintConfig::new());
+            assert_family_codes(&d, "SC001", "SC008");
+            findings.set(findings.get() + d.items().len());
+        },
+    );
+    assert!(findings.get() > 0, "no machine fired a model lint");
+}
+
+/// Every netlist finding on the DLX case-study netlists carries a
+/// registered code from the netlist family (`SC020`–`SC030`).
+#[test]
+fn dlx_netlist_findings_carry_registered_netlist_codes() {
+    use simcov_dlx::testmodel;
+    let netlists = [
+        simcov_dlx::control::initial_control_netlist(),
+        testmodel::derive_test_model().0,
+        testmodel::reduced_control_netlist(),
+        testmodel::reduced_control_netlist_observable(),
+    ];
+    let mut findings = 0;
+    for n in &netlists {
+        let d = lint_netlist(n, &LintConfig::new());
+        assert_family_codes(&d, "SC020", "SC030");
+        findings += d.items().len();
+    }
+    assert!(findings > 0, "no DLX netlist fired a netlist lint");
 }
 
 /// One unreachable state, nothing else wrong: the JSON report is

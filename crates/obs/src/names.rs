@@ -158,8 +158,9 @@ pub const BDD_ITE_CACHE_HITS: &str = "bdd.ite_cache_hits";
 /// managers (see `simcov_bdd::BddRuntimeStats::ite_cache_misses`).
 pub const BDD_ITE_CACHE_MISSES: &str = "bdd.ite_cache_misses";
 
-/// Cache-eviction garbage collections performed by the campaign's
-/// managers (see `simcov_bdd::BddManager::maybe_gc`).
+/// Cache-eviction garbage collections by the campaign's managers. Nothing
+/// increments it any more (no manager evicts its caches), so it reads 0;
+/// traces keep it (see `simcov_bdd::BddRuntimeStats::gc_collections`).
 pub const BDD_GC_COLLECTIONS: &str = "bdd.gc_collections";
 
 #[cfg(test)]

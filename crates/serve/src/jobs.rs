@@ -1037,7 +1037,8 @@ fn execute_lint(
     Ok(lint_outcome(&diags, format))
 }
 
-/// Analyze execution: the body of `simcov analyze`.
+/// Analyze execution: the body of `simcov analyze`. The text report is
+/// the analysis summary above the `SC05x` lint report.
 fn execute_analyze(
     model: &ModelSource,
     format: &str,
@@ -1076,19 +1077,20 @@ fn execute_analyze(
         config,
     );
     diags.set_fingerprint(machine_fingerprint(&m));
+    let mut outcome = lint_outcome(&diags, format);
     if format == "json" {
-        return Ok(lint_outcome(&diags, format));
+        return Ok(outcome);
     }
-    let mut text = String::new();
-    let _ = writeln!(text, "model: {m:?}");
-    let _ = writeln!(text, "fingerprint: {:#018x}", machine_fingerprint(&m));
+    let mut header = String::new();
+    let _ = writeln!(header, "model: {m:?}");
+    let _ = writeln!(header, "fingerprint: {:#018x}", machine_fingerprint(&m));
     let _ = writeln!(
-        text,
+        header,
         "faults: {} in {} classes ({} collapsed away)",
         stats.faults, stats.classes, stats.collapsed_faults
     );
     let _ = writeln!(
-        text,
+        header,
         "classes: {} output, {} transfer, {} ineffective, {} singleton{}",
         stats.output_classes,
         stats.transfer_classes,
@@ -1100,24 +1102,14 @@ fn execute_analyze(
             String::new()
         }
     );
-    let _ = writeln!(text, "dominance: {} edge(s)", stats.dominance_edges);
+    let _ = writeln!(header, "dominance: {} edge(s)", stats.dominance_edges);
     let _ = writeln!(
-        text,
+        header,
         "certificate: {:#018x}",
         analysis.certificate.fingerprint()
     );
-    text.push_str(&diags.render_text());
-    Ok(JobOutcome {
-        text,
-        status: if diags.has_denials() {
-            ExitStatus::Error
-        } else {
-            ExitStatus::Ok
-        },
-        engine_used: None,
-        degraded: 0,
-        cache_hit: None,
-    })
+    outcome.text.insert_str(0, &header);
+    Ok(outcome)
 }
 
 #[cfg(test)]
