@@ -27,10 +27,12 @@
 //!    respect to the labels the simulator observes: per-step output
 //!    difference, per-side truncation, and state re-convergence
 //!    (`p == q`, which is what [`simcov_core::is_masked_on`] reads).
-//!    Computed by [`refine_partition`] over the union of every target's
-//!    joint-config graph, with three absorbing truncation sinks; cells
-//!    whose graph exceeds the node budget degrade soundly to singletons
-//!    and are reported as ambiguous (`SC050`).
+//!    Decided pair by pair: each target is checked against each
+//!    earlier class's representative by one Hopcroft–Karp run with
+//!    union-find, which stops at the first distinguishing letter. Cells
+//!    whose union graph over every target would exceed the node budget
+//!    degrade soundly to singletons and are reported as ambiguous
+//!    (`SC050`).
 //!
 //! Dominance: detecting an effective transfer fault at a cell requires
 //! the faulty walk to diverge, which requires the cell to be traversed
@@ -41,17 +43,20 @@
 
 use simcov_core::error_model::{Fault, FaultKind};
 use simcov_core::{ClassKind, CollapseCertificate};
-use simcov_fsm::{partition_by_rows, refine_partition, ExplicitMealy, InputSym, StateId};
+use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, StateId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Tuning knobs for [`analyze_collapse`].
 #[derive(Debug, Clone)]
 pub struct AnalyzeOptions {
-    /// Per-cell cap on joint-config nodes explored by the transfer-fault
-    /// bisimulation (the union graph has at most `targets × states²`
-    /// configs). A cell exceeding the cap keeps its faults as singletons
-    /// — sound, just not collapsed — and is reported as ambiguous.
+    /// Per-cell cap on the transfer-fault bisimulation's union graph: the
+    /// joint configs `(target, p, q)` reachable from every target's start
+    /// `(target, golden next)`, at most `targets × states²` of them. A
+    /// cell with two or more effective targets whose union graph exceeds
+    /// the cap keeps its faults as singletons — sound, just not
+    /// collapsed — and is reported as ambiguous.
     pub max_nodes_per_cell: usize,
 }
 
@@ -209,12 +214,18 @@ pub fn analyze_collapse(
     }
 
     // Per-cell bisimulation classes of the targets (None = budget hit).
+    let mut search = PairSearch::default();
     let mut cell_classes: HashMap<usize, Option<HashMap<u32, u32>>> = HashMap::new();
     let mut ambiguous_cells = Vec::new();
     for (&cell, targets) in &transfer_targets {
         let s = StateId((cell / ni) as u32);
         let i = InputSym((cell % ni) as u32);
-        let classes = bisim_classes(m, s, i, targets, opts.max_nodes_per_cell);
+        let classes = bisim_classes(
+            &mut search,
+            &Cell::new(m, s, i),
+            targets,
+            opts.max_nodes_per_cell,
+        );
         if classes.is_none() {
             ambiguous_cells.push((s, i));
         }
@@ -308,117 +319,232 @@ pub fn analyze_collapse(
     })
 }
 
-/// Bisimulation classes of the transfer `targets` at cell `(s, i)`:
-/// `target.0 -> class` with classes numbered by first appearance in
-/// target order, or `None` when the union graph exceeds `max_nodes`.
+/// Bisimulation classes of the transfer `targets` at `cell`: `target.0
+/// -> class` with classes numbered by first appearance in target order,
+/// or `None` when the cell's union graph exceeds `max_nodes`.
 ///
-/// Nodes are joint configs `(target index, faulty state p, golden state
-/// q)` reachable from each target's post-excitation start `(τ, golden
-/// next)`, where `p` steps under the patch (`(s, i) ↦ τ`) and `q` steps
-/// in the golden machine, plus three absorbing truncation sinks
-/// (faulty-side undefined, golden-side undefined, both). The initial
-/// partition keys each node by everything the simulator observes in one
-/// step — state re-convergence `p == q` plus, per input, truncation kind
-/// or output (dis)agreement — and [`refine_partition`] closes it under
-/// successors. Equal start-node classes ⇒ identical label streams on
-/// every input word ⇒ identical `detects` / `is_masked_on` results on
-/// every sequence.
+/// A joint config `(p, q)` pairs the faulty state `p`, stepped under the
+/// patch (the cell's destination replaced by the target), with the golden
+/// state `q`; each target's walk starts at `(target, golden next)`. What
+/// the simulator observes of a config in one step is state re-convergence
+/// `p == q` plus, per input, one letter: which side truncates (0 faulty,
+/// 1 golden, 2 both) or, when both step, output agreement (3) or
+/// difference (4). Two targets are bisimilar iff every input word yields
+/// the same letters from their starts, and then their `detects` /
+/// `is_masked_on` results agree on every sequence. Bisimilarity is an
+/// equivalence, so each target is checked against one representative per
+/// earlier class, in class order, and the first match gives its class.
 fn bisim_classes(
-    m: &ExplicitMealy,
-    s: StateId,
-    i: InputSym,
+    search: &mut PairSearch,
+    cell: &Cell,
     targets: &[StateId],
     max_nodes: usize,
 ) -> Option<HashMap<u32, u32>> {
     if targets.len() == 1 {
         return Some(HashMap::from([(targets[0].0, 0u32)]));
     }
-    let ni = m.num_inputs();
-    let (_, cell_out) = m.step(s, i).expect("caller validated the cell");
-    const SINKS: usize = 3; // ids 0 (f-trunc), 1 (g-trunc), 2 (both).
-
-    let mut ids: HashMap<(u32, u32, u32), usize> = HashMap::new();
-    let mut nodes: Vec<(u32, u32, u32)> = Vec::new();
-    fn intern(
-        key: (u32, u32, u32),
-        nodes: &mut Vec<(u32, u32, u32)>,
-        ids: &mut HashMap<(u32, u32, u32), usize>,
-    ) -> usize {
-        *ids.entry(key).or_insert_with(|| {
-            nodes.push(key);
-            SINKS + nodes.len() - 1
-        })
-    }
-    let golden_next = m.step(s, i).expect("caller validated the cell").0;
-    let starts: Vec<usize> = targets
-        .iter()
-        .enumerate()
-        .map(|(ti, &t)| intern((ti as u32, t.0, golden_next.0), &mut nodes, &mut ids))
-        .collect();
-
-    // BFS in id order; per real node, one label row (width ni + 1) and
-    // one successor row (width ni).
-    let mut rows: Vec<u32> = Vec::new();
-    let mut succ: Vec<u32> = Vec::new();
-    let mut cursor = 0usize;
-    while cursor < nodes.len() {
-        if nodes.len() > max_nodes {
-            return None;
-        }
-        let (ti, p, q) = nodes[cursor];
-        cursor += 1;
-        rows.push(u32::from(p == q));
-        for x in 0..ni as u32 {
-            let fstep = if p == s.0 && x == i.0 {
-                // The patched cell: destination replaced, output kept.
-                Some((targets[ti as usize].0, cell_out.0))
-            } else {
-                m.step(StateId(p), InputSym(x)).map(|(n, o)| (n.0, o.0))
-            };
-            let gstep = m.step(StateId(q), InputSym(x)).map(|(n, o)| (n.0, o.0));
-            let (letter, next) = match (fstep, gstep) {
-                (None, Some(_)) => (0, 0usize),
-                (Some(_), None) => (1, 1usize),
-                (None, None) => (2, 2usize),
-                (Some((fp, fo)), Some((gq, go))) => (
-                    3 + u32::from(fo != go),
-                    intern((ti, fp, gq), &mut nodes, &mut ids),
-                ),
-            };
-            rows.push(letter);
-            succ.push(next as u32);
-        }
-    }
-    if nodes.len() > max_nodes {
+    if search.union_graph_exceeds(cell, targets, max_nodes) {
         return None;
     }
-
-    // Assemble the full item space: sinks first (unique labels, self
-    // loops on every input), then the real nodes.
-    let width = ni + 1;
-    let total = SINKS + nodes.len();
-    let mut all_rows: Vec<u32> = Vec::with_capacity(total * width);
-    let mut all_succ: Vec<u32> = Vec::with_capacity(total * ni);
-    for sink in 0..SINKS as u32 {
-        all_rows.push(2 + sink); // distinct from the {0, 1} node labels
-        all_rows.extend(std::iter::repeat_n(9, ni));
-        all_succ.extend(std::iter::repeat_n(sink, ni));
-    }
-    all_rows.extend_from_slice(&rows);
-    all_succ.extend_from_slice(&succ);
-
-    let initial = partition_by_rows(&all_rows, width);
-    let part = refine_partition(&initial.class_of, ni, &all_succ);
-
-    // Canonical target classes by first appearance in target order.
-    let mut remap: HashMap<u32, u32> = HashMap::new();
+    let mut reps: Vec<StateId> = Vec::new();
     let mut out = HashMap::with_capacity(targets.len());
-    for (ti, &t) in targets.iter().enumerate() {
-        let raw = part.class_of[starts[ti]];
-        let fresh = remap.len() as u32;
-        out.insert(t.0, *remap.entry(raw).or_insert(fresh));
+    for &t in targets {
+        let class = match reps.iter().position(|&r| search.bisimilar(cell, r, t)) {
+            Some(c) => c,
+            None => {
+                reps.push(t);
+                reps.len() - 1
+            }
+        };
+        out.insert(t.0, class as u32);
     }
     Some(out)
+}
+
+/// One faulted cell `(s, i)` of `m`, with its golden step.
+struct Cell<'m> {
+    m: &'m ExplicitMealy,
+    s: StateId,
+    i: usize,
+    /// The golden destination, where every target's golden walk starts.
+    next: StateId,
+    /// The cell's output, which every transfer fault keeps.
+    out: OutputSym,
+}
+
+impl<'m> Cell<'m> {
+    fn new(m: &'m ExplicitMealy, s: StateId, i: InputSym) -> Self {
+        let (next, out) = m.step(s, i).expect("caller validated the cell");
+        Cell {
+            m,
+            s,
+            i: i.index(),
+            next,
+            out,
+        }
+    }
+
+    /// `step`, the golden step of `p` on input `x`, as the faulty machine
+    /// whose cell leads to `target` takes it.
+    fn patch(
+        &self,
+        target: StateId,
+        p: StateId,
+        x: usize,
+        step: Option<(StateId, OutputSym)>,
+    ) -> Option<(StateId, OutputSym)> {
+        if p == self.s && x == self.i {
+            Some((target, self.out))
+        } else {
+            step
+        }
+    }
+
+    /// The map key of side `side`'s config `(p, q)`. `2 · states²` fits a
+    /// `u64` for any machine whose state labels fit in memory.
+    fn key(&self, side: u64, p: StateId, q: StateId) -> u64 {
+        let ns = self.m.num_states() as u64;
+        (side * ns + u64::from(p.0)) * ns + u64::from(q.0)
+    }
+}
+
+/// Multiplicative hashing for the packed config keys: one multiply, then
+/// the high half folded into the low half, which picks the bucket. The
+/// keys are indices below `2 · states²` that the analysis computes, not
+/// values read from outside, so SipHash's collision resistance would
+/// only cost time here.
+#[derive(Default)]
+struct MulHash(u64);
+
+impl Hasher for MulHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the config map hashes only u64 keys")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ h >> 32
+    }
+}
+
+/// Scratch reused by every check of an analysis: one config map, the
+/// union-find over its node ids, and the pending state triples.
+#[derive(Default)]
+struct PairSearch {
+    ids: HashMap<u64, u32, BuildHasherDefault<MulHash>>,
+    parent: Vec<u32>,
+    work: Vec<(StateId, StateId, StateId)>,
+}
+
+impl PairSearch {
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.parent.clear();
+        self.work.clear();
+    }
+
+    /// The node id of `key`, and whether it is new.
+    fn intern(&mut self, key: u64) -> (u32, bool) {
+        let fresh = self.parent.len() as u32;
+        let id = *self.ids.entry(key).or_insert(fresh);
+        if id == fresh {
+            self.parent.push(fresh);
+        }
+        (id, id == fresh)
+    }
+
+    /// The union-find root of `key`'s node (path halving).
+    fn find(&mut self, key: u64) -> u32 {
+        let mut x = self.intern(key).0;
+        while self.parent[x as usize] != x {
+            let up = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = up;
+            x = up;
+        }
+        x
+    }
+
+    /// Whether the union graph, Σ over targets of the configs reachable
+    /// from `(target, golden next)`, has more than `budget` nodes. Only
+    /// when `targets × states²` exceeds the budget can it, so only then is
+    /// it counted, by a search that stops one node past the budget.
+    fn union_graph_exceeds(&mut self, cell: &Cell, targets: &[StateId], budget: usize) -> bool {
+        let ns = cell.m.num_states();
+        if targets.len().saturating_mul(ns).saturating_mul(ns) <= budget {
+            return false;
+        }
+        let mut counted = 0;
+        for &t in targets {
+            self.clear();
+            self.intern(cell.key(0, t, cell.next));
+            self.work.push((t, t, cell.next));
+            while let Some((t, p, q)) = self.work.pop() {
+                if counted + self.parent.len() > budget {
+                    return true;
+                }
+                let rows = cell.m.row(p).iter().zip(cell.m.row(q));
+                for (x, (&f, &g)) in rows.enumerate() {
+                    if let (Some((np, _)), Some((nq, _))) = (cell.patch(t, p, x, f), g) {
+                        if self.intern(cell.key(0, np, nq)).1 {
+                            self.work.push((t, np, nq));
+                        }
+                    }
+                }
+            }
+            counted += self.parent.len();
+        }
+        counted > budget
+    }
+
+    /// Whether targets `a` and `b` are bisimilar at `cell`, by Hopcroft
+    /// and Karp's check: union-find joins the configs assumed equivalent.
+    /// Each triple `(p_a, p_b, q)` shares the golden state `q`, since both
+    /// sides read the same word. Taken in breadth-first order, it compares
+    /// both sides' observations and queues a successor triple only when
+    /// its two configs were not yet joined. The first difference answers
+    /// no.
+    fn bisimilar(&mut self, cell: &Cell, a: StateId, b: StateId) -> bool {
+        self.clear();
+        let ra = self.intern(cell.key(0, a, cell.next)).0;
+        let rb = self.intern(cell.key(1, b, cell.next)).0;
+        self.parent[rb as usize] = ra;
+        self.work.push((a, b, cell.next));
+        let mut cursor = 0;
+        while let Some(&(pa, pb, q)) = self.work.get(cursor) {
+            cursor += 1;
+            if (pa == q) != (pb == q) {
+                return false;
+            }
+            let rows = cell.m.row(pa).iter().zip(cell.m.row(pb)).zip(cell.m.row(q));
+            for (x, ((&fa, &fb), &g)) in rows.enumerate() {
+                match (cell.patch(a, pa, x, fa), cell.patch(b, pb, x, fb), g) {
+                    (Some((na, oa)), Some((nb, ob)), Some((nq, oq))) => {
+                        if (oa == oq) != (ob == oq) {
+                            return false;
+                        }
+                        let ra = self.find(cell.key(0, na, nq));
+                        let rb = self.find(cell.key(1, nb, nq));
+                        if ra != rb {
+                            self.parent[rb as usize] = ra;
+                            self.work.push((na, nb, nq));
+                        }
+                    }
+                    // A truncation letter ends the branch: both sides
+                    // read the same one iff both step or neither does.
+                    (fa, fb, _) => {
+                        if fa.is_some() != fb.is_some() {
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]

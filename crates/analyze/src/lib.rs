@@ -14,9 +14,10 @@
 //! on|off|verify` in the CLI):
 //!
 //! * [`analyze_collapse`] — the analysis: reachability fixpoint,
-//!   per-cell output/ineffective grouping, transfer-fault equivalence by
-//!   partition refinement ([`simcov_fsm::refine_partition`]) over the
-//!   fault-patched joint successor structure, and class dominance edges;
+//!   per-cell output/ineffective grouping, transfer-fault equivalence
+//!   decided pair by pair (Hopcroft and Karp's union-find check over the
+//!   fault-patched joint walks, stopping at the first distinguishing
+//!   letter), and class dominance edges;
 //! * [`lint_analysis`] — the `SC05x` lint family: one function per code
 //!   ([`passes`]) surfacing collapse-blocking ambiguities and degenerate
 //!   (never-detectable) classes through the `simcov-lint` diagnostic

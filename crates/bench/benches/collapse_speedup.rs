@@ -1,4 +1,6 @@
-//! Static fault collapsing: campaign cost with `--collapse on` vs off.
+//! Static fault collapsing: campaign cost with `--collapse on` vs off,
+//! and the analysis that builds the certificate (`<case>_analyze`), which
+//! a collapse-on run pays on top of its campaign.
 //! Equivalence is asserted unconditionally before timing (a sound
 //! certificate makes pruning invisible: bit-identical outcomes and
 //! stats), and the `verify` audit must find zero violations. The >=2x
@@ -24,9 +26,9 @@ fn tour_tests(m: &ExplicitMealy, laps: usize) -> TestSet {
     TestSet::single(extend_cyclically(&tour.inputs, tour.inputs.len() * laps))
 }
 
-/// Analyzes, asserts collapse invisibility plus a clean audit, times an
-/// uncollapsed vs a pruned campaign at jobs=1, and returns the off/on
-/// median ratio.
+/// Analyzes, asserts collapse invisibility plus a clean audit, times the
+/// analysis and an uncollapsed vs a pruned campaign at jobs=1, and
+/// returns the off/on median ratio of the campaigns.
 fn compare(
     rep: &mut BenchReport,
     case: &str,
@@ -72,6 +74,9 @@ fn compare(
         summary.violations
     );
 
+    rep.bench(&format!("collapse_speedup/{case}_analyze"), || {
+        analyze_collapse(m, faults, &AnalyzeOptions::default())
+    });
     let toff = rep.bench(&format!("collapse_speedup/{case}_off"), || {
         run_with(CollapseMode::Off)
     });

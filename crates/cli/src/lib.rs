@@ -349,12 +349,26 @@ pub fn cmd_stats(path: &str) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "reachable states: {} of 2^{} ({} image iterations)",
-        fsm.count_states(r.reached),
+        count_text(fsm.count_states(r.reached)),
         n.num_latches(),
         r.iterations
     );
-    let _ = writeln!(out, "transitions: {}", fsm.count_transitions(r.reached));
+    let _ = writeln!(
+        out,
+        "transitions: {}",
+        count_text(fsm.count_transitions(r.reached))
+    );
     Ok(out)
+}
+
+/// A symbolic count for a report. A count past u128 (a model over 127
+/// BDD variables) saturates at `u128::MAX` and is marked, not printed as
+/// a number; no verdict depends on a count.
+fn count_text(c: u128) -> String {
+    match c {
+        u128::MAX => "uncounted (saturated)".to_string(),
+        c => c.to_string(),
+    }
 }
 
 /// `simcov tour`: generate a transition (default), greedy, or state tour.
@@ -378,17 +392,11 @@ pub fn cmd_distinguish(path: &str, k: usize, all_pairs: bool) -> Result<String, 
     let init = n.initial_state();
     let mut pf = PairFsm::from_netlist(&n);
     let r = pf.forall_k(&init, k, !all_pairs);
-    // A count past u128 (a model over 127 BDD variables) saturates; the
-    // verdict itself never depends on a count.
-    let count = |c: u128| match c {
-        u128::MAX => "uncounted (saturated)".to_string(),
-        c => c.to_string(),
-    };
     let mut out = String::new();
     let _ = writeln!(
         out,
         "forall-{k} distinguishability over {} {}:",
-        count(r.reachable_states),
+        count_text(r.reachable_states),
         if all_pairs {
             "states (entire state space)"
         } else {
@@ -398,7 +406,7 @@ pub fn cmd_distinguish(path: &str, k: usize, all_pairs: bool) -> Result<String, 
     let _ = writeln!(
         out,
         "  violating pairs: {}{}",
-        count(r.violating_pairs),
+        count_text(r.violating_pairs),
         if r.fixed_point {
             " (fixed point: holds for all larger k too)"
         } else {
@@ -1520,6 +1528,29 @@ mod tests {
         let out = cmd_distinguish(tmp.as_str(), 1, true).unwrap();
         assert!(out.starts_with("forall-1 distinguishability over 4294967296 states"));
         assert!(out.contains("property HOLDS"));
+    }
+
+    /// 130 latches, each loading its own input: the states count runs
+    /// over 130 variables and the transitions count over 260, so both
+    /// saturate and are marked rather than printed as `u128::MAX`.
+    #[test]
+    fn stats_marks_saturated_counts() {
+        let mut n = simcov_netlist::Netlist::new();
+        for j in 0..130 {
+            let i = n.add_input(format!("i{j}"));
+            let q = n.add_latch(format!("q{j}"), false);
+            n.set_latch_next(q, i);
+        }
+        let tmp = tempfile::path(&simcov_netlist::to_blif(&n, "bank"));
+        let out = cmd_stats(tmp.as_str()).unwrap();
+        assert!(
+            out.contains("\nreachable states: uncounted (saturated) of 2^130 ("),
+            "{out}"
+        );
+        assert!(
+            out.ends_with("\ntransitions: uncounted (saturated)\n"),
+            "{out}"
+        );
     }
 
     fn campaign_opts(max_faults: usize, seed: u64, k: usize, jobs: usize) -> CampaignOpts {

@@ -96,8 +96,8 @@ pub enum ClassKind {
     /// *is* the golden machine, so only excitation is observable.
     Ineffective,
     /// Effective transfer faults sharing one cell whose post-excitation
-    /// joint label streams are bisimilar (partition refinement over the
-    /// fault-patched pair structure).
+    /// joint label streams are bisimilar (a pairwise Hopcroft–Karp check
+    /// over the fault-patched joint walks).
     Transfer,
     /// A fault provably equivalent to nothing else (or whose cell
     /// exceeded the analysis budget): simulated as-is.

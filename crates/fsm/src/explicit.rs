@@ -220,6 +220,12 @@ impl ExplicitMealy {
         self.table[state.index() * self.num_inputs() + input.index()]
     }
 
+    /// Every transition out of `state`, indexed by input.
+    pub fn row(&self, state: StateId) -> &[Option<(StateId, OutputSym)>] {
+        let ni = self.num_inputs();
+        &self.table[state.index() * ni..][..ni]
+    }
+
     /// The raw dense table (`table[s * num_inputs + i]`), for in-crate
     /// bulk transposition into struct-of-arrays form.
     pub(crate) fn dense_table(&self) -> &[Option<(StateId, OutputSym)>] {

@@ -1,15 +1,16 @@
-//! Generic Moore-style partition refinement over dense successor tables.
+//! Generic Moore-style partition refinement over dense successor tables,
+//! the engine of Mealy minimization ([`crate::minimize`]).
 //!
-//! Both Mealy minimization ([`crate::minimize`]) and the static
-//! fault-collapsing analysis (`simcov-analyze`) solve the same abstract
-//! problem: given `n` items, an initial partition by local observations,
-//! and a deterministic successor function per input symbol, compute the
-//! coarsest refinement of the initial partition that is a *congruence* —
-//! two items land in the same final class iff no input sequence ever
-//! drives them to differently-labelled classes. This module hosts the one
-//! shared fixpoint loop, operating over dense `u32` tables (the packed
-//! representation every caller in this workspace already materialises) so
-//! the inner loop is a flat array walk with no hashing of machine state.
+//! The problem: given `n` items, an initial partition by local
+//! observations, and a deterministic successor function per input symbol,
+//! compute the coarsest refinement of the initial partition that is a
+//! *congruence* — two items land in the same final class iff no input
+//! sequence ever drives them to differently-labelled classes. The loop
+//! runs over dense `u32` tables, so the inner loop is a flat array walk
+//! with no hashing of machine state. (The static fault-collapsing
+//! analysis, `simcov-analyze`, asks only which of a few start items are
+//! equivalent, and decides that pair by pair instead; its property tests
+//! use this refinement as their oracle.)
 //!
 //! The loop is the signature-refinement formulation of Moore's algorithm:
 //! each round re-keys every item by `(current class, successor classes)`;

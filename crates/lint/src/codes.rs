@@ -214,7 +214,7 @@ pub static SC042_OVER_ABSTRACTION: LintCode = LintCode {
     paper_ref: "Requirement 1 / Sec 6.3 (the measure of having abstracted too much)",
 };
 
-/// SC050 — a transfer-fault cell exceeded the refinement budget.
+/// SC050 — a transfer-fault cell's union graph exceeded the node budget.
 pub static SC050_COLLAPSE_AMBIGUITY: LintCode = LintCode {
     code: "SC050",
     name: "collapse-ambiguity",
