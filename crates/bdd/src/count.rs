@@ -1,78 +1,140 @@
 //! Exact satisfying-assignment counting.
 
-use crate::manager::{Bdd, BddManager, TERMINAL_LEVEL};
+use crate::manager::{Bdd, BddManager, Var, TERMINAL_LEVEL};
 use crate::util::U32Map64;
+use std::collections::HashMap;
+
+/// Rank of a level that is not counted.
+const UNCOUNTED: u32 = u32::MAX;
 
 impl BddManager {
-    /// Counts satisfying assignments of `f` over the variable levels
-    /// `0..num_vars` (i.e. minterms of an `num_vars`-ary function).
+    /// Counts the assignments to `vars` that satisfy `f`.
     ///
     /// This is how the paper's model statistics are computed: reachable
-    /// states as `sat_count(reached)` over the state variables, and the
-    /// number of transitions as `sat_count(T ∧ reached ∧ valid)` over state
-    /// and input variables.
+    /// states as the count of `reached` over the state variables, valid
+    /// inputs as the count of the constraint over the input variables,
+    /// and transitions as the count of `reached ∧ valid` over both. The
+    /// count runs over exactly the listed variables, however many others
+    /// the manager has.
+    ///
+    /// `vars` may come in any order; a variable listed twice counts once.
+    /// The result is exact below 2^128 and saturates to `u128::MAX` from
+    /// there on.
     ///
     /// # Panics
     ///
-    /// Panics if `f` contains a variable at or above level `num_vars`, or if
-    /// the count overflows `u128` (impossible for `num_vars < 128`).
-    pub fn sat_count(&self, f: Bdd, num_vars: u32) -> u128 {
-        assert!(num_vars <= 127, "sat_count supports at most 127 variables");
-        // The recursion counts over the sub-order below each node; scale by
-        // the gap between the root and level 0.
-        let mut cache = U32Map64::new();
-        // We store counts scaled to fit u64 only when possible; for safety
-        // use a u128-valued recursion with a HashMap fallback when counts
-        // are large. In practice (≤ 64 vars) u128 never overflows.
-        let mut big: std::collections::HashMap<u32, u128> = std::collections::HashMap::new();
-        let c = self.count_rec(f, num_vars, &mut cache, &mut big);
-        let top = self.level_of(f);
-        let gap = if top == TERMINAL_LEVEL {
-            num_vars
-        } else {
-            top.min(num_vars)
+    /// Panics if `f` depends on a variable outside `vars`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use simcov_bdd::{BddManager, Var};
+    ///
+    /// let mut m = BddManager::new(200);
+    /// let (a, b) = (m.var(3), m.var(150));
+    /// let f = m.or(a, b);
+    /// assert_eq!(m.count_over(f, &[Var(150), Var(3)]), 3);
+    /// assert_eq!(m.count_over(f, &[Var(3), Var(7), Var(150)]), 6);
+    /// ```
+    pub fn count_over(&self, f: Bdd, vars: &[Var]) -> u128 {
+        let mut levels: Vec<u32> = vars.iter().map(|v| v.0).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        let mut ranks = vec![UNCOUNTED; levels.last().map_or(0, |&l| l as usize + 1)];
+        for (rank, &level) in levels.iter().enumerate() {
+            ranks[level as usize] = rank as u32;
+        }
+        let mut counter = Counter {
+            mgr: self,
+            ranks,
+            terminal_rank: levels.len() as u32,
+            small: U32Map64::new(),
+            big: HashMap::new(),
         };
-        c << gap
+        counter.count(f)
     }
 
-    fn count_rec(
-        &self,
-        f: Bdd,
-        num_vars: u32,
-        cache: &mut U32Map64,
-        big: &mut std::collections::HashMap<u32, u128>,
-    ) -> u128 {
-        if f.is_false() {
-            return 0;
+    /// Counts satisfying assignments of `f` over the levels `0..num_vars`:
+    /// [`BddManager::count_over`] on that list, whose counts never
+    /// saturate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vars > 127`, or if `f` depends on a level at or
+    /// above `num_vars`.
+    pub fn sat_count(&self, f: Bdd, num_vars: u32) -> u128 {
+        assert!(num_vars <= 127, "sat_count supports at most 127 variables");
+        let vars: Vec<Var> = (0..num_vars).map(Var).collect();
+        self.count_over(f, &vars)
+    }
+}
+
+/// The one memoized count. A node's count runs over the counted
+/// variables from its own down; each edge scales its child's count by
+/// the counted variables it skips.
+struct Counter<'a> {
+    mgr: &'a BddManager,
+    /// Each level's rank among the counted variables, or `UNCOUNTED`.
+    ranks: Vec<u32>,
+    /// The terminals' rank: the number of counted variables.
+    terminal_rank: u32,
+    /// Memoized counts that fit in 64 bits, and the others.
+    small: U32Map64,
+    big: HashMap<u32, u128>,
+}
+
+impl Counter<'_> {
+    fn rank(&self, level: u32) -> u32 {
+        if level == TERMINAL_LEVEL {
+            return self.terminal_rank;
         }
-        if f.is_true() {
-            return 1;
+        match self.ranks.get(level as usize) {
+            Some(&rank) if rank != UNCOUNTED => rank,
+            _ => panic!("count: the function depends on v{level}, which is not counted"),
         }
-        if let Some(v) = cache.get(f.0) {
-            return v as u128;
+    }
+
+    fn count(&mut self, f: Bdd) -> u128 {
+        let top = self.rank(self.mgr.level_of(f));
+        shl_saturating(self.count_rec(f), top)
+    }
+
+    fn count_rec(&mut self, f: Bdd) -> u128 {
+        if f.is_const() {
+            return f.is_true().into();
         }
-        if let Some(&v) = big.get(&f.0) {
-            return v;
+        if let Some(c) = self.small.get(f.0) {
+            return c.into();
         }
-        let level = self.level_of(f);
-        assert!(
-            level < num_vars,
-            "sat_count: variable out of declared range"
-        );
-        let (f0, f1) = self.cofactors(f, level);
-        let c0 = self.count_rec(f0, num_vars, cache, big);
-        let c1 = self.count_rec(f1, num_vars, cache, big);
-        let l0 = self.level_of(f0);
-        let l1 = self.level_of(f1);
-        let gap0 = l0.min(num_vars) - level - 1;
-        let gap1 = l1.min(num_vars) - level - 1;
-        let total = (c0 << gap0) + (c1 << gap1);
-        if total <= u64::MAX as u128 {
-            cache.insert(f.0, total as u64);
-        } else {
-            big.insert(f.0, total);
+        if let Some(&c) = self.big.get(&f.0) {
+            return c;
+        }
+        let (level, lo, hi) = self.mgr.expand(f);
+        let rank = self.rank(level);
+        let mut total = 0u128;
+        for child in [lo, hi] {
+            let skipped = self.rank(self.mgr.level_of(child)) - rank - 1;
+            let c = self.count_rec(child);
+            total = total.saturating_add(shl_saturating(c, skipped));
+        }
+        match u64::try_from(total) {
+            Ok(c) => self.small.insert(f.0, c),
+            Err(_) => {
+                self.big.insert(f.0, total);
+            }
         }
         total
+    }
+}
+
+/// `c · 2^by`, saturating to `u128::MAX`.
+fn shl_saturating(c: u128, by: u32) -> u128 {
+    if c == 0 {
+        0
+    } else if by >= 128 || c.leading_zeros() < by {
+        u128::MAX
+    } else {
+        c << by
     }
 }
 

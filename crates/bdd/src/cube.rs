@@ -118,17 +118,15 @@ impl BddManager {
                 // f does not test v here: both branches identical.
                 (cur, cur)
             };
-            // Count solutions under each branch over the remaining vars.
+            // Solutions under each branch, counted over every level
+            // `0..num_vars` rather than over `vars`: the two counts share
+            // one scale, so the split is exact, and the `pick` bounds stay
+            // the ones every sampled stream (E10's among them) was drawn
+            // with.
             let count = |g: Bdd| -> u128 {
                 if g.is_false() {
                     0
                 } else {
-                    // sat_count over the full declared range, then strip
-                    // the variables at or above v (handled already) by
-                    // counting only below: use the standard trick of
-                    // counting over num_vars and dividing by 2^(vars
-                    // above v that are free). Simpler: count over
-                    // num_vars then shift by the number of decided vars.
                     self.sat_count(g, num_vars)
                 }
             };

@@ -17,7 +17,8 @@
 //! * node reclamation from explicit roots
 //!   ([`BddManager::reclaim_since`]) and copying a function between
 //!   managers over one order ([`BddManager::copy_from`]),
-//! * exact satisfying-assignment counting ([`BddManager::sat_count`]),
+//! * exact satisfying-assignment counting over the variables counted
+//!   ([`BddManager::count_over`]),
 //! * cube extraction ([`BddManager::pick_cube`]) and minterm iteration
 //!   ([`BddManager::cubes`]),
 //! * don't-care minimization by the generalized cofactor
@@ -33,7 +34,8 @@
 //! let f = m.and(a, b);
 //! let g = m.or(f, c);
 //! // (a & b) | c has 5 satisfying assignments over 3 variables.
-//! assert_eq!(m.sat_count(g, 3), 5);
+//! let vars = [simcov_bdd::Var(0), simcov_bdd::Var(1), simcov_bdd::Var(2)];
+//! assert_eq!(m.count_over(g, &vars), 5);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -148,6 +148,90 @@ fn sat_count_matches_enumeration() {
     });
 }
 
+/// `count_over` against enumeration in a manager of 140 variables: a
+/// random function at random levels on both sides of 127, counted over a
+/// shuffled list of at most 16 variables (one of them listed twice),
+/// matches a brute-force count over that list. On `0..n` it matches
+/// `sat_count`; `FALSE` counts 0; `TRUE` reads 2^127 over 127 variables
+/// and saturates over 128, and so does the function itself once its
+/// count reaches 2^128; a list that misses a variable of the function's
+/// support panics.
+#[test]
+fn count_over_matches_enumeration() {
+    const WIDE: u32 = 140;
+    forall("count_over_matches_enumeration", |g| {
+        let e = expr(g);
+        let mut m = BddManager::new(WIDE);
+        // Distinct levels, drawn out of a pool so that shrunk replays,
+        // whose draws hug the range start, still find them.
+        let mut pool: Vec<u32> = (0..WIDE).collect();
+        let mut distinct = |g: &mut Gen, len: usize| -> Vec<u32> {
+            (0..len)
+                .map(|_| pool.swap_remove(g.int_in(0..pool.len())))
+                .collect()
+        };
+        // Expression variable k at level `levels[k]`.
+        let levels = distinct(g, NVARS as usize);
+        let at_zero = build(&mut m, &e);
+        let placed: Vec<(Var, Bdd)> = (0..NVARS)
+            .map(|k| (Var(k), m.var(levels[k as usize])))
+            .collect();
+        let f = m.substitute(at_zero, &placed);
+
+        let mut listed = levels.clone();
+        let extra = g.int_in(0..12usize);
+        listed.extend(distinct(g, extra));
+        for i in (1..listed.len()).rev() {
+            listed.swap(i, g.int_in(0..i + 1));
+        }
+        let mut vars: Vec<Var> = listed.iter().map(|&l| Var(l)).collect();
+        vars.insert(g.int_in(0..vars.len() + 1), vars[g.int_in(0..vars.len())]);
+        let mut asg = vec![false; WIDE as usize];
+        let expect = (0..1u32 << listed.len())
+            .filter(|code| {
+                for (b, &l) in listed.iter().enumerate() {
+                    asg[l as usize] = code >> b & 1 == 1;
+                }
+                m.eval(f, &asg)
+            })
+            .count() as u128;
+        assert_eq!(m.count_over(f, &vars), expect);
+        assert_eq!(m.count_over(Bdd::FALSE, &vars), 0);
+
+        let top = levels.iter().max().unwrap() + 1;
+        if top <= 127 {
+            let n = g.int_in(top..128);
+            let prefix: Vec<Var> = (0..n).map(Var).collect();
+            assert_eq!(m.count_over(f, &prefix), m.sat_count(f, n));
+        }
+
+        let all: Vec<Var> = (0..WIDE).map(Var).collect();
+        let everywhere = if f.is_false() { 0 } else { u128::MAX };
+        assert_eq!(m.count_over(f, &all), everywhere);
+        let from = g.int_in(0..WIDE - 127);
+        let window: Vec<Var> = (from..from + 128).map(Var).collect();
+        assert_eq!(m.count_over(Bdd::TRUE, &window), u128::MAX);
+        assert_eq!(m.count_over(Bdd::TRUE, &window[1..]), 1 << 127);
+        if levels.iter().all(|&l| l > from && l < from + 128) {
+            let own: Vec<Var> = levels.iter().map(|&l| Var(l)).collect();
+            let c = m.count_over(f, &own);
+            let wide = c.checked_mul(1 << (128 - NVARS));
+            assert_eq!(m.count_over(f, &window), wide.unwrap_or(u128::MAX));
+            assert_eq!(m.count_over(f, &window[1..]), c << (127 - NVARS));
+        }
+
+        let support = m.support(f);
+        if !support.is_empty() {
+            let dropped = support[g.int_in(0..support.len())];
+            let partial: Vec<Var> = vars.iter().copied().filter(|&v| v != dropped).collect();
+            let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.count_over(f, &partial)
+            }));
+            assert!(counted.is_err(), "{dropped} is not listed");
+        }
+    });
+}
+
 /// Quantification agrees with expansion: ∃v.f = f[v:=0] | f[v:=1],
 /// ∀v.f = f[v:=0] & f[v:=1].
 #[test]

@@ -361,9 +361,10 @@ pub fn cmd_stats(path: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// A symbolic count for a report. A count past u128 (a model over 127
-/// BDD variables) saturates at `u128::MAX` and is marked, not printed as
-/// a number; no verdict depends on a count.
+/// A symbolic count for a report. Each count runs over the variables it
+/// counts and saturates at `u128::MAX` once it reaches 2^128; a saturated
+/// count is marked, not printed as a number. No verdict depends on a
+/// count.
 fn count_text(c: u128) -> String {
     match c {
         u128::MAX => "uncounted (saturated)".to_string(),
@@ -1505,20 +1506,32 @@ mod tests {
         assert!(out.contains("example pair"));
     }
 
-    /// 32 latches, each loading its own input and exported as an output,
-    /// make a 160-variable pair machine: the counts saturate and are
-    /// marked, and the verdict is still HOLDS.
+    /// A bank of latches, each loading its own input and exported as an
+    /// output. Each count runs over the variables it counts, so 32
+    /// latches (a 160-variable pair machine) count their 2^32 states,
+    /// while the 2^128 states of 128 latches saturate and are marked. The
+    /// verdict is HOLDS either way.
     #[test]
     fn distinguish_marks_saturated_counts() {
-        let mut n = simcov_netlist::Netlist::new();
-        for j in 0..32 {
-            let i = n.add_input(format!("i{j}"));
-            let q = n.add_latch(format!("q{j}"), false);
-            n.set_latch_next(q, i);
-            let qo = n.latch_output(q);
-            n.add_output(format!("o{j}"), qo);
-        }
-        let tmp = tempfile::path(&simcov_netlist::to_blif(&n, "bank"));
+        let bank = |width: usize| {
+            let mut n = simcov_netlist::Netlist::new();
+            for j in 0..width {
+                let i = n.add_input(format!("i{j}"));
+                let q = n.add_latch(format!("q{j}"), false);
+                n.set_latch_next(q, i);
+                let qo = n.latch_output(q);
+                n.add_output(format!("o{j}"), qo);
+            }
+            tempfile::path(&simcov_netlist::to_blif(&n, "bank"))
+        };
+        let tmp = bank(32);
+        let out = cmd_distinguish(tmp.as_str(), 1, false).unwrap();
+        assert_eq!(
+            out,
+            "forall-1 distinguishability over 4294967296 reachable states:\n  \
+             violating pairs: 0\n  property HOLDS\n"
+        );
+        let tmp = bank(128);
         let out = cmd_distinguish(tmp.as_str(), 1, false).unwrap();
         assert_eq!(
             out,
@@ -1526,7 +1539,7 @@ mod tests {
              violating pairs: 0\n  property HOLDS\n"
         );
         let out = cmd_distinguish(tmp.as_str(), 1, true).unwrap();
-        assert!(out.starts_with("forall-1 distinguishability over 4294967296 states"));
+        assert!(out.starts_with("forall-1 distinguishability over uncounted (saturated) states"));
         assert!(out.contains("property HOLDS"));
     }
 

@@ -22,7 +22,7 @@
 //! and its `bdd.*` effort counters are identical at any `--jobs`. The
 //! campaign runs at every width; it is what `--engine symbolic` runs.
 
-use simcov_bdd::Bdd;
+use simcov_bdd::{Bdd, Var};
 use simcov_fsm::PairFsm;
 use simcov_netlist::Netlist;
 
@@ -77,9 +77,10 @@ pub struct ImplicitConfig {
 /// Result of [`run_implicit_campaign`]: coverage statistics of the
 /// single-bit-flip fault families over a netlist of any width.
 ///
-/// All counts saturate at `u128::MAX` (flagged by
-/// [`counts_saturate`](ImplicitReport::counts_saturate)) rather than
-/// overflowing.
+/// Each count runs over the variables it counts
+/// ([`BddManager::count_over`](simcov_bdd::BddManager::count_over)), and
+/// each count and product is exact below 2^128 and saturates to
+/// `u128::MAX` from there on rather than overflowing.
 #[derive(Debug, Clone)]
 pub struct ImplicitReport {
     /// Latches in the netlist.
@@ -110,8 +111,6 @@ pub struct ImplicitReport {
     pub fixed_point: bool,
     /// The horizon used.
     pub k: usize,
-    /// True when any count hit the `u128` ceiling.
-    pub counts_saturate: bool,
     /// BDD effort over the base manager and all shard clones.
     pub sym: SymbolicEngineStats,
 }
@@ -158,7 +157,8 @@ fn sat_mul(a: u128, b: u128) -> u128 {
 /// BDDs.
 ///
 /// `valid` builds the valid-input constraint over the product machine's
-/// input variables (return [`Bdd::TRUE`] for an unconstrained alphabet).
+/// input variables (return [`Bdd::TRUE`] for an unconstrained alphabet);
+/// the run panics if the constraint depends on any other variable.
 /// Transfer flips are judged by `k`-step distinguishability of the wrong
 /// next state (the same product-machine recursion as
 /// [`PairFsm::forall_k`]); the per-flip work is sharded over
@@ -178,14 +178,8 @@ pub fn run_implicit_campaign(
     let init = netlist.initial_state();
     let prep = pf.transfer_detect_prep(&init, cfg.k);
 
-    let total_vars = 4 * nl + ni;
-    let valid_inputs = if total_vars > 127 {
-        u128::MAX
-    } else {
-        // `v` depends only on input variables; dividing out the state
-        // planes is exact.
-        pf.mgr_ref().sat_count(v, total_vars as u32) >> (4 * nl)
-    };
+    let in_vars: Vec<Var> = (0..ni).map(|k| pf.input_var(k)).collect();
+    let valid_inputs = pf.mgr_ref().count_over(v, &in_vars);
 
     let output_faults = sat_mul(prep.reachable_cells, no as u128);
     let transfer_faults = sat_mul(prep.reachable_cells, nl as u128);
@@ -221,12 +215,6 @@ pub fn run_implicit_campaign(
         });
     }
 
-    let counts_saturate = total_vars > 127
-        || prep.reachable_states == u128::MAX
-        || prep.reachable_cells == u128::MAX
-        || output_faults == u128::MAX
-        || transfer_faults == u128::MAX;
-
     ImplicitReport {
         num_latches: nl,
         num_outputs: no,
@@ -240,7 +228,6 @@ pub fn run_implicit_campaign(
         escapes: transfer_faults.saturating_sub(transfer_detected),
         fixed_point: prep.fixed_point,
         k: cfg.k,
-        counts_saturate,
         sym,
     }
 }
@@ -297,7 +284,6 @@ mod tests {
                 report.transfer_detected + report.escapes,
                 report.transfer_faults
             );
-            assert!(!report.counts_saturate);
         }
         // Job counts must not change any reported number.
         let a = run_implicit_campaign(&n, |_| Bdd::TRUE, &ImplicitConfig { k: 8, jobs: 1 });

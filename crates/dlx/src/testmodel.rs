@@ -276,84 +276,7 @@ fn class_machine(fin: &Netlist) -> (simcov_fsm::ExplicitMealy, simcov_fsm::Input
 /// Inputs: `op[0..2]`, `rs1`, `rd`, `zero_flag` (5 bits).
 /// Outputs: `stall`, `squash`, `rf_wen`.
 pub fn reduced_control_netlist() -> Netlist {
-    let mut n = Netlist::new();
-    let op = Word::inputs(&mut n, "op", 2);
-    let rs1 = n.add_input("rs1");
-    let rd = n.add_input("rd");
-    let zero_flag = n.add_input("zero_flag");
-
-    let is_alu = op.eq_const(&mut n, 1);
-    let is_load = op.eq_const(&mut n, 2);
-    let is_branch = op.eq_const(&mut n, 3);
-    let uses_rs1 = {
-        let t = n.or(is_alu, is_load);
-        n.or(t, is_branch)
-    };
-    let writes = {
-        let t = n.or(is_alu, is_load);
-        n.and(t, rd) // writes only when rd = r1 (r0 is discarded)
-    };
-
-    // State.
-    let id_stallflag = n.add_latch_in("id.stallflag", false, "id");
-    let id_stallflag_o = n.latch_output(id_stallflag);
-    let ex_valid = n.add_latch_in("ex.valid", false, "ex");
-    let ex_valid_o = n.latch_output(ex_valid);
-    let ex_is_load = n.add_latch_in("ex.is_load", false, "ex");
-    let ex_is_load_o = n.latch_output(ex_is_load);
-    let ex_is_branch = n.add_latch_in("ex.is_branch", false, "ex");
-    let ex_is_branch_o = n.latch_output(ex_is_branch);
-    let ex_writes = n.add_latch_in("ex.writes", false, "ex");
-    let ex_writes_o = n.latch_output(ex_writes);
-    let mem_valid = n.add_latch_in("mem.valid", false, "mem");
-    let mem_valid_o = n.latch_output(mem_valid);
-    let mem_writes = n.add_latch_in("mem.writes", false, "mem");
-    let mem_writes_o = n.latch_output(mem_writes);
-    let br_squash = n.add_latch_in("branch.squash", false, "branch");
-    let br_squash_o = n.latch_output(br_squash);
-
-    // Control equations (one-destination-register design: a hazard exists
-    // when the EX instruction writes r1 and the incoming one reads r1).
-    let mut load_stall = n.and(ex_is_load_o, ex_valid_o);
-    load_stall = n.and(load_stall, ex_writes_o);
-    let reads_r1 = n.and(uses_rs1, rs1);
-    load_stall = n.and(load_stall, reads_r1);
-    let nsf = n.not(id_stallflag_o);
-    load_stall = n.and(load_stall, nsf);
-    let stall = load_stall;
-
-    let taken = {
-        let t = n.and(ex_is_branch_o, ex_valid_o);
-        n.and(t, zero_flag)
-    };
-    let squash = n.or(taken, br_squash_o);
-
-    let not_stall = n.not(stall);
-    let not_squash = n.not(squash);
-    let issue = n.and(not_stall, not_squash);
-
-    // Next state.
-    n.set_latch_next(id_stallflag, stall);
-    n.set_latch_next(ex_valid, issue);
-    let ldn = n.and(is_load, issue);
-    n.set_latch_next(ex_is_load, ldn);
-    let brn = n.and(is_branch, issue);
-    n.set_latch_next(ex_is_branch, brn);
-    let wrn = n.and(writes, issue);
-    n.set_latch_next(ex_writes, wrn);
-    n.set_latch_next(mem_valid, ex_valid_o);
-    let mwn = n.and(ex_writes_o, ex_valid_o);
-    n.set_latch_next(mem_writes, mwn);
-    n.set_latch_next(br_squash, taken);
-
-    // Outputs.
-    n.add_output("stall", stall);
-    n.add_output("squash", squash);
-    let rf_wen = n.and(mem_valid_o, mem_writes_o);
-    n.add_output("rf_wen", rf_wen);
-
-    debug_assert!(n.check().is_empty());
-    n
+    reduced_control(false)
 }
 
 /// The reduced control model with its interaction state made observable —
@@ -385,12 +308,19 @@ pub fn reduced_control_netlist_observable() -> Netlist {
 /// violated); constraining `mem_ready = 1` (the perfect-memory
 /// environment assumption) restores a finite bound.
 pub fn reduced_control_netlist_with_memory() -> Netlist {
+    reduced_control(true)
+}
+
+/// The reduced control model, with the memory-wait path when `memory`
+/// holds: the `mem_ready` input, a `mem.is_load` latch, a memory stall
+/// in `stall`, and MEM latches that hold while it lasts.
+fn reduced_control(memory: bool) -> Netlist {
     let mut n = Netlist::new();
     let op = Word::inputs(&mut n, "op", 2);
     let rs1 = n.add_input("rs1");
     let rd = n.add_input("rd");
     let zero_flag = n.add_input("zero_flag");
-    let mem_ready = n.add_input("mem_ready");
+    let mem_ready = memory.then(|| n.add_input("mem_ready"));
 
     let is_alu = op.eq_const(&mut n, 1);
     let is_load = op.eq_const(&mut n, 2);
@@ -401,9 +331,10 @@ pub fn reduced_control_netlist_with_memory() -> Netlist {
     };
     let writes = {
         let t = n.or(is_alu, is_load);
-        n.and(t, rd)
+        n.and(t, rd) // writes only when rd = r1 (r0 is discarded)
     };
 
+    // State.
     let id_stallflag = n.add_latch_in("id.stallflag", false, "id");
     let id_stallflag_o = n.latch_output(id_stallflag);
     let ex_valid = n.add_latch_in("ex.valid", false, "ex");
@@ -414,8 +345,10 @@ pub fn reduced_control_netlist_with_memory() -> Netlist {
     let ex_is_branch_o = n.latch_output(ex_is_branch);
     let ex_writes = n.add_latch_in("ex.writes", false, "ex");
     let ex_writes_o = n.latch_output(ex_writes);
-    let mem_is_load = n.add_latch_in("mem.is_load", false, "mem");
-    let mem_is_load_o = n.latch_output(mem_is_load);
+    let mem_is_load = memory.then(|| {
+        let l = n.add_latch_in("mem.is_load", false, "mem");
+        (l, n.latch_output(l))
+    });
     let mem_valid = n.add_latch_in("mem.valid", false, "mem");
     let mem_valid_o = n.latch_output(mem_valid);
     let mem_writes = n.add_latch_in("mem.writes", false, "mem");
@@ -423,17 +356,25 @@ pub fn reduced_control_netlist_with_memory() -> Netlist {
     let br_squash = n.add_latch_in("branch.squash", false, "branch");
     let br_squash_o = n.latch_output(br_squash);
 
+    // Control equations (one-destination-register design: a hazard exists
+    // when the EX instruction writes r1 and the incoming one reads r1).
     let mut load_stall = n.and(ex_is_load_o, ex_valid_o);
     load_stall = n.and(load_stall, ex_writes_o);
     let reads_r1 = n.and(uses_rs1, rs1);
     load_stall = n.and(load_stall, reads_r1);
     let nsf = n.not(id_stallflag_o);
     load_stall = n.and(load_stall, nsf);
-    // The paper's own structure: stall = load_stall | mem_stall.
-    let nready = n.not(mem_ready);
-    let mut mem_stall = n.and(mem_is_load_o, mem_valid_o);
-    mem_stall = n.and(mem_stall, nready);
-    let stall = n.or(load_stall, mem_stall);
+    // With memory, the paper's own structure: stall = load_stall |
+    // mem_stall.
+    let mem_stall = mem_ready.zip(mem_is_load).map(|(ready, (_, is_load_o))| {
+        let nready = n.not(ready);
+        let t = n.and(is_load_o, mem_valid_o);
+        n.and(t, nready)
+    });
+    let stall = match mem_stall {
+        Some(mem_stall) => n.or(load_stall, mem_stall),
+        None => load_stall,
+    };
 
     let taken = {
         let t = n.and(ex_is_branch_o, ex_valid_o);
@@ -445,6 +386,7 @@ pub fn reduced_control_netlist_with_memory() -> Netlist {
     let not_squash = n.not(squash);
     let issue = n.and(not_stall, not_squash);
 
+    // Next state.
     n.set_latch_next(id_stallflag, stall);
     n.set_latch_next(ex_valid, issue);
     let ldn = n.and(is_load, issue);
@@ -454,16 +396,23 @@ pub fn reduced_control_netlist_with_memory() -> Netlist {
     let wrn = n.and(writes, issue);
     n.set_latch_next(ex_writes, wrn);
     // MEM holds while waiting for memory.
-    let to_mem_load = n.and(ex_is_load_o, ex_valid_o);
-    let mln = n.mux(mem_stall, mem_is_load_o, to_mem_load);
-    n.set_latch_next(mem_is_load, mln);
-    let mvn = n.mux(mem_stall, mem_valid_o, ex_valid_o);
+    let hold = |n: &mut Netlist, held, next| match mem_stall {
+        Some(mem_stall) => n.mux(mem_stall, held, next),
+        None => next,
+    };
+    if let Some((l, is_load_o)) = mem_is_load {
+        let to_mem_load = n.and(ex_is_load_o, ex_valid_o);
+        let mln = hold(&mut n, is_load_o, to_mem_load);
+        n.set_latch_next(l, mln);
+    }
+    let mvn = hold(&mut n, mem_valid_o, ex_valid_o);
     n.set_latch_next(mem_valid, mvn);
-    let mwn2 = n.and(ex_writes_o, ex_valid_o);
-    let mwn = n.mux(mem_stall, mem_writes_o, mwn2);
+    let to_mem_writes = n.and(ex_writes_o, ex_valid_o);
+    let mwn = hold(&mut n, mem_writes_o, to_mem_writes);
     n.set_latch_next(mem_writes, mwn);
     n.set_latch_next(br_squash, taken);
 
+    // Outputs.
     n.add_output("stall", stall);
     n.add_output("squash", squash);
     let rf_wen = n.and(mem_valid_o, mem_writes_o);
@@ -477,34 +426,28 @@ pub fn reduced_control_netlist_with_memory() -> Netlist {
 /// plus a policy for `mem_ready` (`None` = free, `Some(v)` = tied).
 pub fn reduced_memory_valid_inputs(n: &Netlist, mem_ready: Option<bool>) -> EnumerateOptions {
     EnumerateOptions::filtered(n, move |v| {
-        let op = (v[0] as u8) | ((v[1] as u8) << 1);
-        let rs1 = v[2];
-        let rd = v[3];
-        let ready = v[5];
-        let class_ok = match op {
-            0 => !rs1 && !rd,
-            1 | 2 => true,
-            3 => !rd,
-            _ => unreachable!(),
-        };
-        class_ok && mem_ready.map(|want| ready == want).unwrap_or(true)
+        reduced_instruction_ok(v) && mem_ready.is_none_or(|want| v[5] == want)
     })
 }
 
 /// Valid input vectors of the reduced model: `nop` carries zero register
 /// fields; `branch` carries no destination.
 pub fn reduced_valid_inputs(n: &Netlist) -> EnumerateOptions {
-    EnumerateOptions::filtered(n, |v| {
-        let op = (v[0] as u8) | ((v[1] as u8) << 1);
-        let rs1 = v[2];
-        let rd = v[3];
-        match op {
-            0 => !rs1 && !rd, // nop
-            1 | 2 => true,    // alu / load
-            3 => !rd,         // branch
-            _ => unreachable!(),
-        }
-    })
+    EnumerateOptions::filtered(n, reduced_instruction_ok)
+}
+
+/// The reduced models' instruction rule over `op[0..2]`, `rs1`, `rd`
+/// (the first four inputs).
+fn reduced_instruction_ok(v: &[bool]) -> bool {
+    let op = (v[0] as u8) | ((v[1] as u8) << 1);
+    let rs1 = v[2];
+    let rd = v[3];
+    match op {
+        0 => !rs1 && !rd, // nop
+        1 | 2 => true,    // alu / load
+        3 => !rd,         // branch
+        _ => unreachable!(),
+    }
 }
 
 #[cfg(test)]

@@ -174,9 +174,7 @@ pub fn input_equivalence_classes(
             .collect();
         let class_ip = mgr.restrict(equiv, &lits);
         let class_i = mgr.rename(class_ip, &back_map);
-        // Class size over the input variables.
-        let free = total - ni as u32;
-        let size = mgr.sat_count(class_i, total) >> free;
+        let size = mgr.count_over(class_i, &i_vars);
         debug_assert!(size >= 1);
         representatives.push(rep);
         class_sizes.push(size);
@@ -255,6 +253,26 @@ mod tests {
         assert_eq!(with_reach.len(), 1, "a is dead on reachable states");
         let without = input_equivalence_classes(&n, |_, _| Bdd::TRUE, false, 100).unwrap();
         assert_eq!(without.len(), 2, "a matters when p=1 states are included");
+    }
+
+    /// A class size counts the input variables only, however many state
+    /// variables the manager holds: 120 latches and two copies of 4
+    /// inputs (128 variables before reachability adds 120 more). Latch
+    /// `j` loads input `j mod 4`, so every input vector is its own class.
+    #[test]
+    fn class_sizes_count_inputs_on_a_wide_model() {
+        let mut n = Netlist::new();
+        let inputs: Vec<_> = (0..4).map(|k| n.add_input(format!("i{k}"))).collect();
+        for j in 0..120 {
+            let q = n.add_latch(format!("q{j}"), false);
+            n.set_latch_next(q, inputs[j % 4]);
+        }
+        for restrict_reachable in [true, false] {
+            let classes =
+                input_equivalence_classes(&n, |_, _| Bdd::TRUE, restrict_reachable, 100).unwrap();
+            assert_eq!(classes.len(), 16);
+            assert_eq!(classes.class_sizes, vec![1; 16]);
+        }
     }
 
     /// The valid-input constraint shapes the classes and the totals.

@@ -73,4 +73,4 @@ pub use minimize::{minimize, Minimized};
 pub use packed::{LanePatch, PackedMealy, LANES, UNDEFINED_NARROW, UNDEFINED_RECORD};
 pub use product::{PairAnalysisResult, PairFsm, TransferDetectPrep};
 pub use refine::{partition_by_rows, refine_partition, Partition};
-pub use symbolic::{CoverageAccumulator, ReachResult, SymbolicFsm, SymbolicStats};
+pub use symbolic::{CoverageAccumulator, ReachResult, SymbolicFsm};

@@ -36,10 +36,12 @@ pub struct PairAnalysisResult {
     /// The `k` that was analysed.
     pub k: usize,
     /// Number of unordered pairs of distinct reachable states violating
-    /// ∀k-distinguishability. Like `reachable_states`, saturates to
-    /// `u128::MAX` when the pair machine has more than 127 variables.
+    /// ∀k-distinguishability, counted over both copies' state variables.
+    /// Like every count here it is exact below 2^128 and `u128::MAX`
+    /// from there on ([`BddManager::count_over`]).
     pub violating_pairs: u128,
-    /// Number of reachable states (for context).
+    /// Number of reachable states (for context), counted over copy A's
+    /// state variables; `2^L` without the reachability restriction.
     pub reachable_states: u128,
     /// `true` iff no violating pair exists — the hypothesis of Theorem 1.
     /// Read off the violating-pair BDD, so it is exact at any width.
@@ -73,11 +75,11 @@ pub struct TransferDetectPrep {
     pub fixed_point: bool,
     /// The `k` that was prepared.
     pub k: usize,
-    /// Number of reachable states (saturates to `u128::MAX` above 127
-    /// support variables).
+    /// Number of reachable states, counted over copy A's state variables
+    /// (`u128::MAX` from 2^128 on, as every count here).
     pub reachable_states: u128,
     /// Number of reachable `(state, input)` cells — the per-latch fault
-    /// universe (saturates like `reachable_states`).
+    /// universe — counted over copy A's state and the input variables.
     pub reachable_cells: u128,
 }
 
@@ -223,17 +225,14 @@ impl PairFsm {
         restrict_reachable: bool,
     ) -> PairAnalysisResult {
         assert_eq!(init.len(), self.num_latches, "init width mismatch");
-        let (bad, fixed_point, reachable_states) = if restrict_reachable {
-            let (bad, fixed_point, reached) = self.reachable_violations(init, k);
-            (bad, fixed_point, self.count_over(reached, self.num_latches))
+        let (bad, fixed_point, reached) = if restrict_reachable {
+            self.reachable_violations(init, k)
         } else {
             let (bad, fixed_point) = self.equal_output_pairs(k);
-            let all = u32::try_from(self.num_latches)
-                .ok()
-                .and_then(|nl| 1u128.checked_shl(nl));
-            (bad, fixed_point, all.unwrap_or(u128::MAX))
+            (bad, fixed_point, Bdd::TRUE)
         };
-        let violating_pairs = match self.count_over(bad, 2 * self.num_latches) {
+        let reachable_states = self.mgr.count_over(reached, &self.state_vars_a());
+        let violating_pairs = match self.mgr.count_over(bad, &self.pair_vars()) {
             u128::MAX => u128::MAX,
             ordered => ordered / 2,
         };
@@ -364,20 +363,23 @@ impl PairFsm {
         self.mgr.rename(f, &map)
     }
 
-    /// Satisfying assignments of `f` over `counted` of the pair machine's
-    /// variables, `f`'s support lying among them: copy A's states
-    /// (`L`), both copies' (`2L`) or the `(state, input)` cells
-    /// (`L + I`). Saturates to `u128::MAX` above 127 variables in all,
-    /// unless `f` is empty.
-    fn count_over(&self, f: Bdd, counted: usize) -> u128 {
-        let total = 4 * self.num_latches + self.num_inputs;
-        if f.is_false() {
-            0
-        } else if total > 127 {
-            u128::MAX
-        } else {
-            self.mgr.sat_count(f, total as u32) >> (total - counted)
-        }
+    /// Copy A's current-state variables (levels `4j`).
+    fn state_vars_a(&self) -> Vec<Var> {
+        (0..self.num_latches).map(|j| Var(4 * j as u32)).collect()
+    }
+
+    /// Both copies' current-state variables (levels `4j` and `4j + 1`).
+    fn pair_vars(&self) -> Vec<Var> {
+        (0..self.num_latches)
+            .flat_map(|j| [Var(4 * j as u32), Var(4 * j as u32 + 1)])
+            .collect()
+    }
+
+    /// The variables of a `(state, input)` cell: copy A's current-state
+    /// variables and the shared inputs.
+    fn cell_vars(&self) -> Vec<Var> {
+        let inputs = (0..self.num_inputs).map(|k| self.input_var(k));
+        self.state_vars_a().into_iter().chain(inputs).collect()
     }
 
     /// Prepares the flip-independent parts of a transfer-fault
@@ -414,9 +416,8 @@ impl PairFsm {
             escape,
             fixed_point,
             k,
-            reachable_states: self.count_over(reached, self.num_latches),
-            reachable_cells: self
-                .count_over(reachable_cells_set, self.num_latches + self.num_inputs),
+            reachable_states: self.mgr.count_over(reached, &self.state_vars_a()),
+            reachable_cells: self.mgr.count_over(reachable_cells_set, &self.cell_vars()),
         }
     }
 
@@ -432,8 +433,8 @@ impl PairFsm {
     /// `E_k(δ(x, i), δ(x, i) ⊕ e_flip)`. Two substitutions give that set:
     /// copy B equated onto copy A with the flipped bit negated
     /// (`xB := xA ⊕ e_flip`), then the preimage under `δA`. The cells are
-    /// never enumerated (here, hundreds of millions of them). Saturates
-    /// to `u128::MAX` above 127 support variables.
+    /// never enumerated (here, hundreds of millions of them), and counted
+    /// over copy A's state and the input variables.
     pub fn transfer_flip_detectable(&mut self, prep: &TransferDetectPrep, flip: usize) -> u128 {
         let nl = self.num_latches;
         assert!(flip < nl, "flip latch out of range");
@@ -455,7 +456,7 @@ impl PairFsm {
         let esc = self.mgr.substitute(flipped, &delta_a);
         let not_esc = self.mgr.not(esc);
         let detected = self.mgr.and(prep.reachable_cells_set, not_esc);
-        self.count_over(detected, nl + self.num_inputs)
+        self.mgr.count_over(detected, &self.cell_vars())
     }
 
     /// Extracts up to `limit` violating pairs as pairs of state
@@ -470,9 +471,7 @@ impl PairFsm {
         // Cheap approach: rerun and enumerate cubes of the bad set.
         let nl = self.num_latches;
         let (result_set, _, _) = self.reachable_violations(init, k);
-        let vars: Vec<Var> = (0..nl)
-            .flat_map(|j| [Var(4 * j as u32), Var(4 * j as u32 + 1)])
-            .collect();
+        let vars = self.pair_vars();
         let mut out = Vec::new();
         for cube in self.mgr.cubes(result_set, &vars).take(limit) {
             let mut a = vec![false; nl];
@@ -554,10 +553,11 @@ mod tests {
         n
     }
 
-    /// On 32 exported latches (4·32 + 32 = 160 pair-machine variables)
-    /// every count over the whole support saturates, but the verdict is
-    /// read off the BDD: ∀1 holds, with and without the reachability
-    /// restriction.
+    /// On 32 exported latches the pair machine has 4·32 + 32 = 160
+    /// variables, yet each count runs over the variables it counts: 2^32
+    /// states over 32, and the violating pairs over 64. ∀1 holds, with and
+    /// without the reachability restriction, and the verdict is read off
+    /// the BDD.
     #[test]
     fn forall_k_holds_on_a_model_too_wide_to_count() {
         let n = latch_bank(32, 0);
@@ -565,17 +565,17 @@ mod tests {
         let r = pf.forall_k(&n.initial_state(), 1, true);
         assert!(r.holds);
         assert_eq!(r.violating_pairs, 0);
-        assert_eq!(r.reachable_states, u128::MAX, "saturated");
+        assert_eq!(r.reachable_states, 1 << 32);
         let r = pf.forall_k(&n.initial_state(), 1, false);
         assert!(r.holds);
         assert_eq!(r.violating_pairs, 0);
         assert_eq!(r.reachable_states, 1 << 32);
-        // Hide latch 0: states differing only there are a violation, and
-        // its count saturates rather than reading as half of u128::MAX.
+        // Hide latch 0: each state and its latch-0 flip show the same
+        // outputs, 2^32 ordered pairs and so 2^31 unordered ones.
         let n = latch_bank(32, 1);
         let r = PairFsm::from_netlist(&n).forall_k(&n.initial_state(), 1, true);
         assert!(!r.holds);
-        assert_eq!(r.violating_pairs, u128::MAX);
+        assert_eq!(r.violating_pairs, 1 << 31);
     }
 
     /// The all-pairs state count saturates from 128 latches on instead of
@@ -817,7 +817,7 @@ mod tests {
                 prep.reachable_states,
                 prep.reachable_cells,
                 prep.fixed_point.into(),
-                pf.count_over(prep.escape, 2 * nl),
+                pf.mgr.count_over(prep.escape, &pf.pair_vars()),
             ]);
             out.extend((0..nl).map(|flip| pf.transfer_flip_detectable(&prep, flip)));
             for restrict in [true, false] {

@@ -24,24 +24,6 @@ pub struct ReachResult {
     pub iterations: usize,
 }
 
-/// Size statistics of a symbolic machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SymbolicStats {
-    /// Number of state variables (latches).
-    pub latches: usize,
-    /// Number of primary inputs.
-    pub inputs: usize,
-    /// Number of outputs.
-    pub outputs: usize,
-    /// Live BDD nodes in the manager.
-    pub bdd_nodes: usize,
-    /// `true` when the machine has more than 127 support variables, in
-    /// which case the exact `count_*` methods cannot represent their
-    /// result in `u128` and *saturate* to `u128::MAX` instead of
-    /// panicking (or, worse, silently wrapping).
-    pub counts_saturate: bool,
-}
-
 /// A Mealy machine represented by BDD next-state and output functions,
 /// built from a [`Netlist`].
 ///
@@ -238,82 +220,51 @@ impl SymbolicFsm {
         sched.reach(mgr, init, valid)
     }
 
-    /// `true` when the machine has too many support variables
-    /// (`2·latches + inputs > 127`) for `u128` satisfying-assignment
-    /// counts; the `count_*` methods then saturate to `u128::MAX`.
-    /// Mirrored as [`SymbolicStats::counts_saturate`].
-    pub fn counts_saturate(&self) -> bool {
-        2 * self.num_latches + self.num_inputs > 127
+    /// The current-state variables, in latch order.
+    fn state_vars(&self) -> Vec<Var> {
+        (0..self.num_latches).map(|j| self.state_var(j)).collect()
     }
 
-    /// Exact number of states in `set` (a function over current-state
-    /// variables only).
-    ///
-    /// Returns `u128::MAX` when the machine has more than 127 support
-    /// variables (see [`SymbolicFsm::counts_saturate`]): `2^128` and up is
-    /// not representable, and saturating beats both panicking mid-campaign
-    /// and the silent wraparound the shift correction would produce.
+    /// The input variables, in input order.
+    fn input_vars(&self) -> Vec<Var> {
+        (0..self.num_inputs).map(|k| self.input_var(k)).collect()
+    }
+
+    /// The variables of a `(state, input)` cell: the current-state
+    /// variables, then the inputs.
+    fn cell_vars(&self) -> Vec<Var> {
+        [self.state_vars(), self.input_vars()].concat()
+    }
+
+    /// Exact number of states in `set`, counted over the current-state
+    /// variables ([`BddManager::count_over`]: `u128::MAX` from 2^128 on).
     ///
     /// # Panics
     ///
-    /// Panics if `set` depends on non-state variables.
+    /// Panics if `set` depends on a variable other than the current-state
+    /// variables.
     pub fn count_states(&self, set: Bdd) -> u128 {
-        for v in self.mgr.support(set) {
-            assert!(
-                v.0 % 2 == 0 && (v.0 as usize) < 2 * self.num_latches,
-                "count_states: set depends on non-state variable {v}"
-            );
-        }
-        if self.counts_saturate() {
-            return u128::MAX;
-        }
-        let total = 2 * self.num_latches + self.num_inputs;
-        let free = total - self.num_latches;
-        self.mgr.sat_count(set, total as u32) >> free
+        self.mgr.count_over(set, &self.state_vars())
     }
 
     /// Exact number of *transitions* leaving `reached`: pairs `(state,
     /// input)` with the state in `reached` and the input valid. This is
     /// the paper's transition count (each such pair is one edge of the
-    /// state transition graph that a transition tour must visit).
-    ///
-    /// Saturates to `u128::MAX` on machines with more than 127 support
-    /// variables (see [`SymbolicFsm::counts_saturate`]).
+    /// state transition graph that a transition tour must visit). Counted
+    /// over the state and input variables.
     pub fn count_transitions(&mut self, reached: Bdd) -> u128 {
-        if self.counts_saturate() {
-            return u128::MAX;
-        }
-        let total = 2 * self.num_latches + self.num_inputs;
         let both = self.mgr.and(reached, self.valid);
-        // Free variables: the next-state variables.
-        let free = self.num_latches;
-        self.mgr.sat_count(both, total as u32) >> free
+        self.mgr.count_over(both, &self.cell_vars())
     }
 
-    /// Exact number of valid input vectors (assignments to the inputs
-    /// satisfying the valid-input constraint), assuming the constraint
-    /// mentions input variables only.
+    /// Exact number of valid input vectors: assignments to the input
+    /// variables that satisfy the valid-input constraint.
     ///
-    /// Saturates to `u128::MAX` on machines with more than 127 support
-    /// variables (see [`SymbolicFsm::counts_saturate`]).
+    /// # Panics
+    ///
+    /// Panics if the constraint depends on a state variable.
     pub fn count_valid_inputs(&self) -> u128 {
-        if self.counts_saturate() {
-            return u128::MAX;
-        }
-        let total = 2 * self.num_latches + self.num_inputs;
-        let free = 2 * self.num_latches;
-        self.mgr.sat_count(self.valid, total as u32) >> free
-    }
-
-    /// Size statistics.
-    pub fn stats(&self) -> SymbolicStats {
-        SymbolicStats {
-            latches: self.num_latches,
-            inputs: self.num_inputs,
-            outputs: self.output_fns.len(),
-            bdd_nodes: self.mgr.num_nodes(),
-            counts_saturate: self.counts_saturate(),
-        }
+        self.mgr.count_over(self.valid, &self.input_vars())
     }
 }
 
@@ -369,17 +320,10 @@ impl SymbolicFsm {
         acc.visited = self.mgr.or(acc.visited, cube);
     }
 
-    /// Number of distinct `(state, input)` transitions recorded.
-    ///
-    /// Saturates to `u128::MAX` on machines with more than 127 support
-    /// variables (see [`SymbolicFsm::counts_saturate`]).
+    /// Number of distinct `(state, input)` transitions recorded, counted
+    /// over the state and input variables.
     pub fn coverage_count(&self, acc: &CoverageAccumulator) -> u128 {
-        if self.counts_saturate() {
-            return u128::MAX;
-        }
-        let total = 2 * self.num_latches + self.num_inputs;
-        let free = self.num_latches; // next-state vars unconstrained
-        self.mgr.sat_count(acc.visited, total as u32) >> free
+        self.mgr.count_over(acc.visited, &self.cell_vars())
     }
 }
 
@@ -450,13 +394,13 @@ mod tests {
     }
 
     #[test]
-    fn transition_relation_sat_count() {
+    fn transition_relation_has_one_successor_per_cell() {
         let mut fsm = SymbolicFsm::from_netlist(&counter3());
         let t = fsm.transition_relation();
         // Each (x, i) pair has exactly one y: 8 × 2 = 16 satisfying
         // assignments over x, i, y.
-        let total = (2 * 3 + 1) as u32;
-        assert_eq!(fsm.mgr_ref().sat_count(t, total), 16);
+        let all: Vec<Var> = (0..2 * 3 + 1).map(Var).collect();
+        assert_eq!(fsm.mgr_ref().count_over(t, &all), 16);
     }
 
     #[test]
@@ -489,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-state variable")]
+    #[should_panic(expected = "which is not counted")]
     fn count_states_rejects_input_dependence() {
         let mut fsm = SymbolicFsm::from_netlist(&counter3());
         let en = fsm.input_var_by_name("en").unwrap();
@@ -539,40 +483,66 @@ mod tests {
         let fsm = SymbolicFsm::from_netlist(&counter3());
         assert_eq!(fsm.output_fns().len(), 1);
         assert_eq!(fsm.output_fns()[0].0, "msb");
-        assert_eq!(fsm.stats().latches, 3);
-        assert_eq!(fsm.stats().inputs, 1);
-        assert!(!fsm.stats().counts_saturate);
+        assert_eq!(fsm.num_latches(), 3);
+        assert_eq!(fsm.num_inputs(), 1);
     }
 
-    /// A machine wide enough that `2·latches + inputs > 127`: a 70-bit
-    /// shift-register-of-itself (each latch feeds itself), one input.
-    fn wide70() -> Netlist {
+    /// `width` latches, latch `j` loading input `j`: every state is
+    /// reachable, and every cell is a transition.
+    fn bank(width: usize) -> Netlist {
         let mut n = Netlist::new();
-        let _en = n.add_input("en");
-        for i in 0..70 {
-            let l = n.add_latch(format!("b{i}"), false);
-            let o = n.latch_output(l);
-            n.set_latch_next(l, o);
-            if i == 69 {
-                n.add_output("msb", o);
-            }
+        for j in 0..width {
+            let i = n.add_input(format!("i{j}"));
+            let q = n.add_latch(format!("q{j}"), false);
+            n.set_latch_next(q, i);
         }
         n
     }
 
+    /// Each count runs over the variables it counts, not over the whole
+    /// machine: a 54-latch bank (2·54 + 54 = 162 variables) counts its
+    /// 2^54 states and 2^108 transitions exactly, and a machine of 141
+    /// variables with one reachable state counts it.
+    #[test]
+    fn counts_run_over_what_they_count() {
+        let mut fsm = SymbolicFsm::from_netlist(&bank(54));
+        let r = fsm.reachable();
+        assert_eq!(fsm.count_states(r.reached), 1 << 54);
+        assert_eq!(fsm.count_transitions(r.reached), 1 << 108);
+        assert_eq!(fsm.count_valid_inputs(), 1 << 54);
+        let mut acc = CoverageAccumulator::new();
+        fsm.record_visit(&mut acc, &[true; 54], &[false; 54]);
+        assert_eq!(fsm.coverage_count(&acc), 1);
+
+        // 70 latches that hold their value, and one input.
+        let mut n = Netlist::new();
+        n.add_input("en");
+        for i in 0..70 {
+            let l = n.add_latch(format!("b{i}"), false);
+            let o = n.latch_output(l);
+            n.set_latch_next(l, o);
+        }
+        let mut fsm = SymbolicFsm::from_netlist(&n);
+        let r = fsm.reachable();
+        assert_eq!(fsm.count_states(r.reached), 1);
+        assert_eq!(fsm.count_transitions(r.reached), 2);
+        assert_eq!(fsm.count_valid_inputs(), 2);
+    }
+
     #[test]
     fn counts_saturate_instead_of_overflowing() {
-        // 2·70 + 1 = 141 support variables: 2^141 assignments cannot be
-        // shift-corrected within u128, so every count saturates rather
-        // than panicking or wrapping.
-        let mut fsm = SymbolicFsm::from_netlist(&wide70());
-        assert!(fsm.counts_saturate());
-        assert!(fsm.stats().counts_saturate);
+        // 130 latches and 130 inputs: 2^130 states and valid inputs and
+        // 2^260 transitions do not fit in u128, so those counts saturate
+        // rather than panicking or wrapping. The coverage count stays
+        // exact.
+        let mut fsm = SymbolicFsm::from_netlist(&bank(130));
         let r = fsm.reachable();
         assert_eq!(fsm.count_states(r.reached), u128::MAX);
         assert_eq!(fsm.count_transitions(r.reached), u128::MAX);
         assert_eq!(fsm.count_valid_inputs(), u128::MAX);
-        let acc = CoverageAccumulator::new();
-        assert_eq!(fsm.coverage_count(&acc), u128::MAX);
+        let mut acc = CoverageAccumulator::new();
+        assert_eq!(fsm.coverage_count(&acc), 0);
+        fsm.record_visit(&mut acc, &[false; 130], &[true; 130]);
+        assert_eq!(fsm.coverage_count(&acc), 1);
     }
 }
