@@ -11,7 +11,8 @@ use simcov_bench::{reduced_dlx_machine, reduced_dlx_machine_hidden, ring_with_ch
 use simcov_core::models::figure2;
 use simcov_core::{
     certify_completeness, check_req1_uniform_outputs, detects, enumerate_single_faults, excited_at,
-    extend_cyclically, forall_k_distinguishable, run_campaign, FaultSpace, ResilientCampaign,
+    extend_cyclically, forall_k_distinguishable, is_detectable, run_campaign, FaultSpace,
+    ResilientCampaign,
 };
 use simcov_dlx::control::initial_control_netlist;
 use simcov_dlx::testmodel::{
@@ -188,6 +189,17 @@ fn completeness() {
             run.stats,
             run.wall.as_secs_f64() * 1e3,
             run.jobs,
+        );
+        let equivalent = run
+            .report
+            .escapes()
+            .filter(|o| !is_detectable(&m, &o.fault))
+            .count();
+        println!(
+            "  {:<26} escapes: {} equivalent mutants (no test detects them) + {} missed by the tour",
+            "",
+            equivalent,
+            run.stats.escapes - equivalent,
         );
     }
     println!("  (Theorem 3: certified => 100% detection; violated => escapes exist)\n");

@@ -9,6 +9,7 @@
 //! sequence before any output difference is observed.
 
 use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, PatchedMealy, StateId};
+use std::collections::{HashSet, VecDeque};
 
 /// The two error kinds of the fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,33 +116,73 @@ impl std::fmt::Display for Fault {
 /// the faulty machine is **not** observationally equivalent to the
 /// golden one.
 ///
-/// Decided exactly by breadth-first search over the reachable part of
-/// the golden × faulty product: a state pair is distinguishing when some
-/// input is defined on exactly one side (truncation asymmetry, which
-/// [`detects`] reports) or defined on both with differing outputs. If no
-/// distinguishing pair is reachable from `(reset, reset)`, no test — of
-/// any length — can tell the machines apart, the redundant-fault case of
-/// ATPG. The closure loop ([`crate::adaptive`]) uses this to prune
-/// provably-undetectable survivors from its targets instead of spending
-/// rounds on them.
+/// A pair of states of the golden × faulty product is *distinguishing*
+/// when some input is defined on exactly one side (truncation asymmetry,
+/// which [`detects`] reports) or on both with differing outputs. The
+/// fault is detectable iff a distinguishing pair is reachable from
+/// `(reset, reset)`; if none is, no test — of any length — can tell the
+/// machines apart, the redundant-fault case of ATPG. The closure loop
+/// ([`crate::adaptive`]) uses this to prune provably-undetectable
+/// survivors from its targets instead of spending rounds on them.
+///
+/// The mutant differs from the golden machine in one cell `(s, i)`, so
+/// the search needs only the part of the product after that cell's first
+/// traversal, and it steps the mutant as a [`PatchedMealy`] overlay:
+///
+/// 1. Until the first excitation the two runs coincide, so the product
+///    stays on its diagonal `(d, d)`, at the golden machine's reachable
+///    states. If `s` is unreachable, the fault is never excited: it is
+///    undetectable.
+/// 2. Otherwise a shortest path reaches `s` without traversing `(s, i)`,
+///    and the excitation step leaves `(s, s)` with the golden cell's
+///    output and successor `δ(s, i)` and the patched cell's `δ′(s, i)`.
+///    Differing outputs expose the fault there; equal successors make
+///    the mutant the golden machine itself, so it is undetectable.
+/// 3. Otherwise the search runs breadth-first from the excitation pair
+///    `(δ(s, i), δ′(s, i))` and stops at the first distinguishing pair.
+///    It does not expand a re-converged pair `(p, p)`: from the diagonal
+///    both machines agree on every input, and the one cell where they
+///    differ leads back to the excitation pair. Any distinguishing run
+///    from reset leaves the diagonal for the last time through that cell,
+///    so its suffix from there is a run of off-diagonal pairs that this
+///    search follows.
+///
+/// Steps 1–3 decide exactly what a search over the whole product from
+/// `(reset, reset)` decides.
+///
+/// # Panics
+///
+/// Panics if the transition `(fault.state, fault.input)` is undefined in
+/// `golden`, as [`Fault::inject`] and [`Fault::patch`] do.
 pub fn is_detectable(golden: &ExplicitMealy, fault: &Fault) -> bool {
-    let faulty = fault.inject(golden);
-    let start = (golden.reset(), faulty.reset());
-    let mut seen = std::collections::HashSet::from([start]);
-    let mut q = std::collections::VecDeque::from([start]);
-    while let Some((a, b)) = q.pop_front() {
-        for i in golden.inputs() {
-            match (golden.step(a, i), faulty.step(b, i)) {
+    let faulty = fault.patch(golden);
+    let (s, i) = (fault.state, fault.input);
+    // Step 1: a cell the golden machine never reaches is never excited.
+    if golden.bfs(golden.reset(), |d| d == s).found().is_none() {
+        return false;
+    }
+    // Step 2: the excitation step, golden cell against patched cell.
+    let (p, o) = golden.step(s, i).expect("`patch` checked the cell");
+    let (q, fo) = faulty.step_patched(s, i).expect("`patch` set the cell");
+    if o != fo {
+        return true;
+    }
+    if p == q {
+        return false;
+    }
+    // Step 3: off-diagonal pairs from the excitation pair.
+    let mut seen = HashSet::from([(p, q)]);
+    let mut queue = VecDeque::from([(p, q)]);
+    while let Some((p, q)) = queue.pop_front() {
+        for x in golden.inputs() {
+            match (golden.step(p, x), faulty.step_patched(q, x)) {
                 (None, None) => {}
-                (None, Some(_)) | (Some(_), None) => return true,
-                (Some((na, oa)), Some((nb, ob))) => {
-                    if oa != ob {
-                        return true;
-                    }
-                    if seen.insert((na, nb)) {
-                        q.push_back((na, nb));
+                (Some((np, op)), Some((nq, oq))) if op == oq => {
+                    if np != nq && seen.insert((np, nq)) {
+                        queue.push_back((np, nq));
                     }
                 }
+                _ => return true,
             }
         }
     }

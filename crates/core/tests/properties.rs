@@ -4,11 +4,14 @@
 use simcov_core::testutil::{forall_cfg, Config, Gen};
 use simcov_core::{
     certify_completeness, detects, enumerate_single_faults, extend_cyclically,
-    forall_k_distinguishable, run_campaign, Engine, Fault, FaultKind, FaultSpace,
+    forall_k_distinguishable, is_detectable, run_campaign, Engine, Fault, FaultKind, FaultSpace,
     ResilientCampaign,
 };
-use simcov_fsm::{ExplicitMealy, InputSym, MealyBuilder, OutputSym, StateId};
+use simcov_fsm::{
+    enumerate_netlist, EnumerateOptions, ExplicitMealy, InputSym, MealyBuilder, OutputSym, StateId,
+};
 use simcov_tour::{transition_tour, TestSet};
+use std::collections::{HashSet, VecDeque};
 
 /// Random complete machines over a ring backbone (strongly connected).
 #[derive(Debug, Clone)]
@@ -269,4 +272,137 @@ fn witnesses_sound() {
             assert_eq!(o1, o2);
         }
     });
+}
+
+/// The product-machine search `is_detectable` replaced, kept as its
+/// oracle: breadth-first over `(golden, faulty)` pairs from
+/// `(reset, reset)`, on a cloned mutant (`Fault::inject`).
+fn detectable_by_product_search(golden: &ExplicitMealy, fault: &Fault) -> bool {
+    let faulty = fault.inject(golden);
+    let start = (golden.reset(), faulty.reset());
+    let mut seen = HashSet::from([start]);
+    let mut q = VecDeque::from([start]);
+    while let Some((a, b)) = q.pop_front() {
+        for i in golden.inputs() {
+            match (golden.step(a, i), faulty.step(b, i)) {
+                (None, None) => {}
+                (None, Some(_)) | (Some(_), None) => return true,
+                (Some((na, oa)), Some((nb, ob))) => {
+                    if oa != ob {
+                        return true;
+                    }
+                    if seen.insert((na, nb)) {
+                        q.push_back((na, nb));
+                    }
+                }
+            }
+        }
+    }
+    false
+}
+
+/// A random *partial* machine: 2–9 states, 1–4 inputs, about a quarter of
+/// the cells undefined and successors drawn at random, so some states are
+/// unreachable from reset (state 0).
+fn partial_machine(g: &mut Gen) -> ExplicitMealy {
+    let mut b = MealyBuilder::new();
+    let states: Vec<_> = (0..g.int_in(2..10usize))
+        .map(|i| b.add_state(format!("s{i}")))
+        .collect();
+    let inputs: Vec<_> = (0..g.int_in(1..5usize))
+        .map(|i| b.add_input(format!("i{i}")))
+        .collect();
+    let outputs: Vec<_> = (0..g.int_in(1..4usize))
+        .map(|i| b.add_output(format!("o{i}")))
+        .collect();
+    for &s in &states {
+        for &i in &inputs {
+            if g.int_in(0..4u32) > 0 {
+                let next = states[g.int_in(0..states.len())];
+                b.add_transition(s, i, next, outputs[g.int_in(0..outputs.len())]);
+            }
+        }
+    }
+    b.build(states[0]).expect("deterministic by construction")
+}
+
+/// Every single-cell mutant of `m`, beyond what the enumeration yields:
+/// each defined cell, reachable or not, redirected to every state or
+/// relabelled with every output, no-op mutants included.
+fn every_mutant(m: &ExplicitMealy) -> Vec<Fault> {
+    let mut faults = Vec::new();
+    for t in m.transitions() {
+        let (state, input) = (t.state, t.input);
+        faults.extend(m.states().map(|new_next| Fault {
+            state,
+            input,
+            kind: FaultKind::Transfer { new_next },
+        }));
+        faults.extend((0..m.num_outputs() as u32).map(|o| Fault {
+            state,
+            input,
+            kind: FaultKind::Output {
+                new_output: OutputSym(o),
+            },
+        }));
+    }
+    faults
+}
+
+/// `is_detectable` searches only from the excitation pair, with the
+/// mutant as an overlay; on random partial machines its verdict equals
+/// the whole product search's for every enumerated fault and for every
+/// other single-cell mutant: no-ops, unreachable cells, redirections
+/// to unreachable states.
+#[test]
+fn detectability_matches_the_product_search() {
+    forall_cfg(
+        "detectability_matches_the_product_search",
+        Config::with_cases(256),
+        |g| {
+            let m = partial_machine(g);
+            let enumerated = enumerate_single_faults(
+                &m,
+                &FaultSpace {
+                    max_faults: usize::MAX,
+                    ..FaultSpace::default()
+                },
+            );
+            for f in enumerated.iter().chain(&every_mutant(&m)) {
+                assert_eq!(
+                    is_detectable(&m, f),
+                    detectable_by_product_search(&m, f),
+                    "{f} on {m:?}"
+                );
+            }
+        },
+    );
+}
+
+/// The DLX fault universes as `simcov close --dlx` enumerates them: on the
+/// hidden reduced model 1,128 of 12,672 faults are equivalent mutants,
+/// each agreeing with the product search; on the observable one none of
+/// 23,040 is.
+#[test]
+fn dlx_undetectable_counts() {
+    use simcov_dlx::testmodel::{reduced_control_netlist, reduced_control_netlist_observable};
+    for (n, faults_total, undetectable) in [
+        (reduced_control_netlist(), 12_672, 1_128),
+        (reduced_control_netlist_observable(), 23_040, 0),
+    ] {
+        let m = enumerate_netlist(&n, &EnumerateOptions::exhaustive(&n)).expect("enumerates");
+        let faults = enumerate_single_faults(
+            &m,
+            &FaultSpace {
+                max_faults: usize::MAX,
+                ..FaultSpace::default()
+            },
+        );
+        assert_eq!(faults.len(), faults_total);
+        let undetected: Vec<_> = faults.iter().filter(|f| !is_detectable(&m, f)).collect();
+        assert_eq!(undetected.len(), undetectable);
+        for f in undetected {
+            assert!(!detectable_by_product_search(&m, f), "{f}");
+        }
+    }
 }
